@@ -210,11 +210,11 @@ func BenchmarkFig10UpdateLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := flippable[i%len(flippable)]
 		owner := ex.Members[ex.AnnouncersOf[p][0]].ID
-		changes, err := rs.Withdraw(owner, p)
+		touched, err := rs.Withdraw(owner, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ctrl.HandleRouteChanges(changes); err != nil {
+		if _, err := ctrl.FastReact(touched); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

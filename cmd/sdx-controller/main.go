@@ -235,8 +235,6 @@ func (d *daemon) recompile() (*core.CompileResult, error) {
 // onRoutePrefixes is the two-stage reaction of §4.3.2: the quick stage
 // compiles and installs rules for the affected prefixes immediately; the
 // background stage reruns the full pipeline once the burst has quiesced.
-// Prefix-keyed (not per-receiver BestChange): the frontend skips the
-// O(participants) change diff on every update this way.
 func (d *daemon) onRoutePrefixes(prefixes []netip.Prefix) {
 	fast, err := d.ctrl.FastReact(prefixes)
 	if err != nil {

@@ -101,12 +101,12 @@ func main() {
 			compile()
 			event = "<- application-specific peering policy installed"
 		case withdrawAt:
-			changes, err := rs.Withdraw("B", aws)
+			touched, err := rs.Withdraw("B", aws)
 			if err != nil {
 				log.Fatal(err)
 			}
 			// Quick stage first (sub-second), then the background pass.
-			fast, err := ctrl.HandleRouteChanges(changes)
+			fast, err := ctrl.FastReact(touched)
 			if err != nil {
 				log.Fatal(err)
 			}

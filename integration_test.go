@@ -72,8 +72,8 @@ func TestLiveExchange(t *testing.T) {
 		}
 		return nil
 	}
-	fe.OnChange = func(changes []routeserver.BestChange) {
-		fast, err := ctrl.HandleRouteChanges(changes)
+	fe.OnPrefixes = func(touched []netip.Prefix) {
+		fast, err := ctrl.FastReact(touched)
 		if err != nil {
 			t.Errorf("fast path: %v", err)
 			return

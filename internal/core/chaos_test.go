@@ -65,10 +65,10 @@ func TestChaosControlPlaneConvergence(t *testing.T) {
 	// churnMu serializes every compile-and-push against the BGP-driven
 	// fast path, the same serialization the controller daemon applies.
 	var churnMu sync.Mutex
-	pushFast := func(changes []routeserver.BestChange) {
+	pushFast := func(touched []netip.Prefix) {
 		churnMu.Lock()
 		defer churnMu.Unlock()
-		fast, err := c.HandleRouteChanges(changes)
+		fast, err := c.FastReact(touched)
 		if err != nil {
 			t.Errorf("fast path: %v", err)
 			return
@@ -112,7 +112,7 @@ func TestChaosControlPlaneConvergence(t *testing.T) {
 	rsSpeaker := bgp.NewSpeaker(bgp.SessionConfig{LocalAS: 65000, LocalID: netip.MustParseAddr("10.0.0.100")})
 	fe := routeserver.NewFrontend(rs, rsSpeaker)
 	fe.NextHop = c.NextHopFor
-	fe.OnChange = pushFast
+	fe.OnPrefixes = pushFast
 	if err := fe.RegisterPeer(netip.MustParseAddr("172.31.0.2"), "B"); err != nil {
 		t.Fatal(err)
 	}

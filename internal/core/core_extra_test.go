@@ -194,11 +194,11 @@ func TestPushOverWire(t *testing.T) {
 		t.Errorf("switch has %d rules, want %d", got, len(res.Rules))
 	}
 
-	changes, err := c.RouteServer().Withdraw("C", p1)
+	touched, err := c.RouteServer().Withdraw("C", p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := c.HandleRouteChanges(changes)
+	fast, err := c.FastReact(touched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"sdx/internal/netutil"
 	"sdx/internal/policy"
-	"sdx/internal/routeserver"
 	"sdx/internal/telemetry"
 )
 
@@ -98,7 +97,7 @@ func (c *Controller) FastPathRules() []policy.Rule {
 }
 
 // FastPathResult is the outcome of one quick-stage reaction to a burst of
-// BGP best-route changes.
+// touched prefixes.
 type FastPathResult struct {
 	// Rules are the additional forwarding rules to install above the base
 	// table (highest priority first).
@@ -110,29 +109,13 @@ type FastPathResult struct {
 	Elapsed time.Duration
 }
 
-// HandleRouteChanges is the quick reaction stage of §4.3.2: for every
-// prefix whose best route changed it mints a fresh virtual next hop
-// (bypassing minimum-disjoint-subset optimization entirely) and recompiles
-// only the policy slices that can carry that prefix's traffic. The returned
-// rules go in at higher priority than the base table; Reoptimize later
-// recomputes the optimal tables in the background.
-func (c *Controller) HandleRouteChanges(changes []routeserver.BestChange) (*FastPathResult, error) {
-	// Dedupe to affected prefixes, preserving arrival order.
-	seen := make(map[netip.Prefix]bool)
-	var affected []netip.Prefix
-	for _, ch := range changes {
-		if !seen[ch.Prefix] {
-			seen[ch.Prefix] = true
-			affected = append(affected, ch.Prefix)
-		}
-	}
-	return c.FastReact(affected)
-}
-
-// FastReact is HandleRouteChanges keyed on prefixes alone: the form the
-// route server's ApplyUpdateTouched feeds at full-table scale, where
-// materializing per-receiver BestChange lists would dominate the pipeline.
-// The prefix list must already be deduplicated.
+// FastReact is the quick reaction stage of §4.3.2: for every touched prefix
+// (what the route server's apply path returns) it mints a fresh virtual next
+// hop (bypassing minimum-disjoint-subset optimization entirely) and
+// recompiles only the policy slices that can carry that prefix's traffic.
+// The returned rules go in at higher priority than the base table;
+// Reoptimize later recomputes the optimal tables in the background. The
+// prefix list must already be deduplicated.
 func (c *Controller) FastReact(affected []netip.Prefix) (*FastPathResult, error) {
 	start := time.Now()
 	// The read lock is held for the whole reaction: it keeps the quick

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sdx/internal/packet"
-	"sdx/internal/routeserver"
 )
 
 func TestFastPathOnWithdrawal(t *testing.T) {
@@ -14,14 +13,14 @@ func TestFastPathOnWithdrawal(t *testing.T) {
 	baseRules := sw.Table.Len()
 
 	// C withdraws p1: the best route for p1 flips to B.
-	changes, err := c.RouteServer().Withdraw("C", p1)
+	touched, err := c.RouteServer().Withdraw("C", p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(changes) == 0 {
-		t.Fatal("withdrawal caused no best-route changes")
+	if len(touched) != 1 || touched[0] != p1 {
+		t.Fatalf("withdrawal touched %v, want [%v]", touched, p1)
 	}
-	res, err := c.HandleRouteChanges(changes)
+	res, err := c.FastReact(touched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +86,11 @@ func TestFastPathNewPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	p9 := netip.MustParsePrefix("99.0.0.0/8")
-	changes, err := c.RouteServer().Advertise("B", routeFrom(65002, "172.31.0.2", p9, 1))
+	touched, err := c.RouteServer().Advertise("B", routeFrom(65002, "172.31.0.2", p9, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.HandleRouteChanges(changes)
+	res, err := c.FastReact(touched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +112,11 @@ func TestFastPathPrefixFullyGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	// p4 is only advertised by C; withdrawing it removes the prefix.
-	changes, err := c.RouteServer().Withdraw("C", p4)
+	touched, err := c.RouteServer().Withdraw("C", p4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.HandleRouteChanges(changes)
+	res, err := c.FastReact(touched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +130,8 @@ func TestReoptimizeResetsFastPath(t *testing.T) {
 	if _, err := c.Compile(); err != nil {
 		t.Fatal(err)
 	}
-	changes, _ := c.RouteServer().Withdraw("C", p1)
-	if _, err := c.HandleRouteChanges(changes); err != nil {
+	touched, _ := c.RouteServer().Withdraw("C", p1)
+	if _, err := c.FastReact(touched); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.FastPathRules()) == 0 {
@@ -175,12 +174,8 @@ func TestFastPathBurst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Hand the controller the burst as one change batch.
-	var burst []routeserver.BestChange
-	for _, p := range prefixes {
-		burst = append(burst, routeserver.BestChange{Participant: "A", Prefix: p})
-	}
-	res, err := c.HandleRouteChanges(burst)
+	// Hand the controller the burst as one batch.
+	res, err := c.FastReact(prefixes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,12 +184,12 @@ func TestParallelCompileStress(t *testing.T) {
 			p := ex.Prefixes[pi]
 			mi := ex.AnnouncersOf[p][0]
 			owner := ex.Members[mi].ID
-			changes, err := rs.Withdraw(owner, p)
+			touched, err := rs.Withdraw(owner, p)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			fast, err := ctrl.HandleRouteChanges(changes)
+			fast, err := ctrl.FastReact(touched)
 			if err != nil {
 				t.Error(err)
 				return

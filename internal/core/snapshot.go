@@ -138,7 +138,7 @@ func (c *Controller) snapshotLocked() *pipeline {
 // commit installs a compilation's equivalence classes under the write lock:
 // the table is replaced, VNHs not carried over are returned to the pool,
 // and the fast path's accumulated state is cleared. Holding the write lock
-// makes the swap atomic with respect to HandleRouteChanges, which holds the
+// makes the swap atomic with respect to FastReact, which holds the
 // read lock across its allocate-and-record sequence.
 func (c *Controller) commit(fecs []*FEC) {
 	c.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"sync/atomic"
 
-	"sdx/internal/bgp"
 	"sdx/internal/replog"
 	"sdx/internal/routeserver"
 	"sdx/internal/telemetry"
@@ -70,16 +69,8 @@ func (r *Replica) Apply(e *replog.Entry) error {
 	rs := r.Ctrl.RouteServer()
 	switch e.Kind {
 	case replog.KindUpdate:
-		u := e.Update
-		routes := make([]bgp.Route, len(u.NLRI))
-		var attrs *bgp.PathAttrs
-		if len(u.NLRI) > 0 {
-			attrs = bgp.Intern(u.Attrs)
-		}
-		for i, nlri := range u.NLRI {
-			routes[i] = bgp.Route{Prefix: nlri, Attrs: attrs, PeerAS: e.PeerAS, PeerID: e.PeerID}
-		}
-		touched, err := rs.ApplyUpdateTouched(routeserver.ID(e.From), u.Withdrawn, routes)
+		routes := routeserver.RoutesFromUpdate(e.Update, e.PeerAS, e.PeerID)
+		touched, err := rs.ApplyUpdateTouched(routeserver.ID(e.From), e.Update.Withdrawn, routes)
 		if err != nil {
 			return fmt.Errorf("core: applying log seq %d: %w", e.Seq, err)
 		}
@@ -87,16 +78,7 @@ func (r *Replica) Apply(e *replog.Entry) error {
 			return err
 		}
 	case replog.KindFlush:
-		changes := rs.FlushParticipant(routeserver.ID(e.From))
-		seen := make(map[netip.Prefix]bool)
-		var prefixes []netip.Prefix
-		for _, ch := range changes {
-			if !seen[ch.Prefix] {
-				seen[ch.Prefix] = true
-				prefixes = append(prefixes, ch.Prefix)
-			}
-		}
-		if err := r.fastReact(prefixes); err != nil {
+		if err := r.fastReact(rs.FlushParticipant(routeserver.ID(e.From))); err != nil {
 			return err
 		}
 	case replog.KindMark:

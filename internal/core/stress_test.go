@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func flippablePrefixes(ex *workload.Exchange) []int {
 // TestCompileRouteChangeRace is the minimal regression test for the
 // Compile lock-discipline bug: the seed code ran the whole compilation —
 // including FEC-table replacement, VNH-pool releases, and the fast-path
-// reset — under c.mu.RLock(), so a concurrent HandleRouteChanges (also a
+// reset — under c.mu.RLock(), so a concurrent FastReact (also a
 // read-lock holder) raced with it on the shared VNH pool. Run with -race:
 // the pre-fix code fails here with a data race in netutil.IPPool.
 func TestCompileRouteChangeRace(t *testing.T) {
@@ -82,7 +83,7 @@ func TestCompileRouteChangeRace(t *testing.T) {
 	}()
 
 	// Quick stage: batched route churn through the fast path. Batching
-	// matters: HandleRouteChanges allocates one VNH per affected prefix and
+	// matters: FastReact allocates one VNH per affected prefix and
 	// records fast-path state only once at the end, so a burst keeps many
 	// pool accesses in flight while the background pass runs.
 	const batch = 32
@@ -95,21 +96,21 @@ func TestCompileRouteChangeRace(t *testing.T) {
 				return
 			default:
 			}
-			var changes []routeserver.BestChange
+			var touched []netip.Prefix
 			var idx []int
 			for k := 0; k < batch; k++ {
 				pi := flippable[(i+k)%len(flippable)]
 				idx = append(idx, pi)
 				p := ex.Prefixes[pi]
 				owner := ex.Members[ex.AnnouncersOf[p][0]].ID
-				ch, err := rs.Withdraw(owner, p)
+				tp, err := rs.Withdraw(owner, p)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				changes = append(changes, ch...)
+				touched = append(touched, tp...)
 			}
-			if _, err := ctrl.HandleRouteChanges(changes); err != nil {
+			if _, err := ctrl.FastReact(touched); err != nil {
 				t.Error(err)
 				return
 			}

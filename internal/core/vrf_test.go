@@ -34,11 +34,11 @@ func TestVRFOverlappingPrefixesCompile(t *testing.T) {
 	overlap := netip.MustParsePrefix("10.42.0.0/16")
 	adv := func(id ID, as uint32, ip string) {
 		t.Helper()
-		changes, err := rs.Advertise(id, routeFrom(as, ip, overlap, 1))
+		touched, err := rs.Advertise(id, routeFrom(as, ip, overlap, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.HandleRouteChanges(changes); err != nil {
+		if _, err := c.FastReact(touched); err != nil {
 			t.Fatal(err)
 		}
 	}

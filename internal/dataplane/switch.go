@@ -355,48 +355,51 @@ func (s *Switch) EnableTelemetry(reg *telemetry.Registry) {
 }
 
 // injectScratch is the reusable per-goroutine working state of the packet
-// path: one decode arena for the single-frame path plus the batch-path
-// arrays. Pooled so steady-state forwarding allocates nothing; a scratch is
-// held for the whole of one Inject/InjectBatch call (including nested
-// re-entry through trunk ports, which draws its own scratch).
+// path: the decode arenas and the lookup arrays of one chunk. Pooled so
+// steady-state forwarding allocates nothing; a scratch is held for the whole
+// of one InjectBatch call (including nested re-entry through trunk ports,
+// which draws its own scratch).
 type injectScratch struct {
-	dec     packet.Scratch
 	decs    []packet.Scratch
 	keys    []policy.Packet
 	sizes   []int
 	entries []*FlowEntry
+	// first backs the four slices until a chunk outgrows it, so a scratch
+	// the pool had to rebuild costs a single-frame Inject one allocation.
+	first struct {
+		dec   [1]packet.Scratch
+		key   [1]policy.Packet
+		size  [1]int
+		entry [1]*FlowEntry
+	}
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(injectScratch) }}
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(injectScratch)
+	sc.decs, sc.keys = sc.first.dec[:], sc.first.key[:]
+	sc.sizes, sc.entries = sc.first.size[:], sc.first.entry[:]
+	return sc
+}}
 
 // batchChunk bounds how many frames one processBatch pass handles, keeping
 // the scratch arrays cache-resident regardless of caller batch size.
 const batchChunk = 256
 
 // Inject delivers one frame into the switch on the given ingress port, as
-// if received from the wire. It returns an error only for undecodable
-// frames; policy drops are not errors.
+// if received from the wire: an InjectBatch of one. It returns an error only
+// for undecodable frames; policy drops are not errors.
 func (s *Switch) Inject(inPort uint16, frame []byte) error {
-	p, ok := s.portMap()[inPort]
-	if !ok {
-		return fmt.Errorf("dataplane: inject on unattached port %d", inPort)
-	}
-	p.rxPkts.Add(1)
-	p.rxBytes.Add(uint64(len(frame)))
-	sc := scratchPool.Get().(*injectScratch)
-	err := s.process(&sc.dec, p, inPort, frame)
-	scratchPool.Put(sc)
-	return err
+	one := [1][]byte{frame}
+	return s.InjectBatch(inPort, one[:])
 }
 
 // InjectBatch delivers a batch of frames into the switch on the given
-// ingress port. Per-frame semantics (matching, counters, sampling, drops)
-// are identical to calling Inject once per frame, but the batch amortizes
-// the fixed costs: ingress counters bump once per chunk, the table resolves
-// all lookups with at most one lock acquisition, and the sampler reserves
-// the whole chunk's candidate window in one atomic. Undecodable frames are
-// skipped (the rest of the batch still forwards); the first decode error is
-// returned after the batch completes.
+// ingress port. Matching, counters, sampling and drops are per frame, but
+// the batch amortizes the fixed costs: ingress counters bump once per chunk,
+// the table resolves all lookups with at most one lock acquisition, and the
+// sampler reserves the whole chunk's candidate window in one atomic.
+// Undecodable frames are skipped (the rest of the batch still forwards); the
+// first decode error is returned after the batch completes.
 func (s *Switch) InjectBatch(inPort uint16, frames [][]byte) error {
 	p, ok := s.portMap()[inPort]
 	if !ok {
@@ -420,8 +423,8 @@ func (s *Switch) InjectBatch(inPort uint16, frames [][]byte) error {
 
 // frameCtx carries one frame's attribution through the action pipeline so
 // the emit/punt leaves can account drops per ingress port and build flow
-// records without re-deriving the 5-tuple. It lives on process's stack —
-// nothing below may retain the pointer.
+// records without re-deriving the 5-tuple. It lives on processBatch's stack
+// — nothing below may retain the pointer.
 type frameCtx struct {
 	ingress *port // nil for controller PACKET_OUTs on unattached ports
 	key     policy.Packet
@@ -446,39 +449,6 @@ func (c *frameCtx) record(outPort uint16, size int, drop flowexport.DropReason) 
 		Cookie:  c.cookie,
 		Bytes:   uint32(size),
 	}
-}
-
-func (s *Switch) process(dec *packet.Scratch, ingress *port, inPort uint16, frame []byte) error {
-	pkt, err := dec.Decode(frame)
-	if err != nil {
-		return fmt.Errorf("dataplane: undecodable frame on port %d: %w", inPort, err)
-	}
-	located := toPolicyPacket(inPort, pkt)
-	entry, ok := s.Table.Lookup(located, len(frame))
-	ex := s.exporter.Load()
-	ctx := frameCtx{
-		ingress: ingress,
-		key:     located,
-		ex:      ex,
-		sampled: ex != nil && ex.Sample(),
-	}
-	if !ok {
-		s.missed.Inc()
-		s.punt(frame, &ctx)
-		return nil
-	}
-	s.matched.Inc()
-	ctx.cookie = entry.Cookie
-	if len(entry.Actions) == 0 {
-		// Explicit drop rule: a policy hit, not an accounting drop. The
-		// record still carries the cookie so analytics sees the rule fire.
-		if ctx.sampled {
-			ex.Export(ctx.record(0, len(frame), flowexport.DropNone))
-		}
-		return nil
-	}
-	s.applyActions(entry.Actions, pkt, frame, &ctx)
-	return nil
 }
 
 // processBatch runs one chunk of InjectBatch: decode every frame into the
@@ -519,9 +489,7 @@ func (s *Switch) processBatch(sc *injectScratch, ingress *port, inPort uint16, f
 	s.Table.LookupBatch(keys, sizes, entries)
 
 	// One atomic reserves the whole chunk's sampling candidate window;
-	// SampledAt answers per decoded frame, matching Inject's per-frame
-	// Sample() decisions exactly (count mode) or distributionally (random
-	// mode).
+	// SampledAt answers per decoded frame.
 	ex := s.exporter.Load()
 	var base uint64
 	if ex != nil {
@@ -805,7 +773,7 @@ func (s *Switch) InstallFlowMods(fms []*openflow.FlowMod) error {
 func (s *Switch) ExecutePacketOut(po *openflow.PacketOut) error {
 	sc := scratchPool.Get().(*injectScratch)
 	defer scratchPool.Put(sc)
-	pkt, err := sc.dec.Decode(po.Data)
+	pkt, err := sc.decs[0].Decode(po.Data)
 	if err != nil {
 		return fmt.Errorf("dataplane: undecodable packet-out: %w", err)
 	}

@@ -509,49 +509,15 @@ func microflowIndex(p policy.Packet) uint64 {
 }
 
 // Lookup returns the highest-priority entry covering pkt and bumps its
-// counters by size bytes. Repeated lookups of the same header tuple are
-// answered lock-free from the microflow cache until the table next mutates;
-// new tuples inside a cached traffic aggregate are answered lock-free by
-// the megaflow tier. Only a genuinely new aggregate pays the classifier.
+// counters by size bytes: a LookupBatch of one. Repeated lookups of the same
+// header tuple are answered lock-free from the microflow cache until the
+// table next mutates; new tuples inside a cached traffic aggregate are
+// answered lock-free by the megaflow tier. Only a genuinely new aggregate
+// pays the classifier.
 func (t *FlowTable) Lookup(pkt policy.Packet, size int) (*FlowEntry, bool) {
-	idx := microflowIndex(pkt)
-	gen := t.gen.Load()
-	if s := t.cache[idx].Load(); s != nil && s.gen == gen && s.pkt == pkt {
-		t.cacheHits.Inc()
-		if s.entry == nil {
-			return nil, false
-		}
-		atomic.AddUint64(&s.entry.Packets, 1)
-		atomic.AddUint64(&s.entry.Bytes, uint64(size))
-		return s.entry, true
-	}
-	if e, ok := t.megaLookup(pkt, gen); ok {
-		t.megaflowHits.Inc()
-		if e == nil {
-			return nil, false
-		}
-		atomic.AddUint64(&e.Packets, 1)
-		atomic.AddUint64(&e.Bytes, uint64(size))
-		return e, true
-	}
-	t.cacheMisses.Inc()
-	t.mu.RLock()
-	e, mask := t.classifyLocked(pkt)
-	// Publish at the generation observed under the read lock: mutations
-	// take the write lock, so gen cannot move while we hold it and the slot
-	// is exactly as valid as the scan that produced it. The megaflow entry
-	// is keyed by the union mask of the fields the scan examined, so the
-	// whole aggregate of packets that would take the identical scan hits it.
-	g := t.gen.Load()
-	t.cache[idx].Store(&microflowSlot{pkt: pkt, gen: g, entry: e})
-	t.megaInstall(mask, pkt, g, e)
-	t.mu.RUnlock()
-	if e == nil {
-		return nil, false
-	}
-	atomic.AddUint64(&e.Packets, 1)
-	atomic.AddUint64(&e.Bytes, uint64(size))
-	return e, true
+	keys, sizes, out := [1]policy.Packet{pkt}, [1]int{size}, [1]*FlowEntry{}
+	t.LookupBatch(keys[:], sizes[:], out[:])
+	return out[0], out[0] != nil
 }
 
 // megaLookup probes the megaflow tier: each mask group projects pkt to its
@@ -651,10 +617,11 @@ var needClassify = &FlowEntry{}
 // LookupBatch classifies a batch of header tuples, bumping entry counters
 // by the corresponding sizes. out[i] receives keys[i]'s winning entry (nil
 // on a table miss); a negative sizes[i] marks a slot to skip (an
-// undecodable frame). Semantics per slot are identical to Lookup — same
-// counter evolution, same cache publications — but the batch amortizes the
-// costs: one RLock resolves every slow-path slot, per-entry counters
-// coalesce over runs of the same entry, and cache-tier counters flush once.
+// undecodable frame). Each slot probes the microflow cache, then the
+// megaflow tier, then the classifier (publishing to both tiers), and the
+// batch amortizes the costs: one RLock resolves every slow-path slot,
+// per-entry counters coalesce over runs of the same entry, and cache-tier
+// counters flush once.
 func (t *FlowTable) LookupBatch(keys []policy.Packet, sizes []int, out []*FlowEntry) {
 	var microHits, megaHits, misses uint64
 	need := 0
@@ -682,20 +649,33 @@ func (t *FlowTable) LookupBatch(keys []policy.Packet, sizes []int, out []*FlowEn
 	}
 	if need > 0 {
 		t.mu.RLock()
+		installed := false
 		for i := range keys {
 			if out[i] != needClassify {
 				continue
 			}
 			pkt := keys[i]
 			// An earlier miss in this batch may have installed the covering
-			// megaflow aggregate; re-probe before paying the classifier.
-			if e, ok := t.megaLookup(pkt, t.gen.Load()); ok {
-				megaHits++
-				out[i] = e
-				continue
+			// megaflow aggregate; re-probe before paying the classifier. The
+			// batch's first miss has no earlier one to profit from and goes
+			// straight to the classifier, so a batch of one that fell through
+			// both tiers is always a miss.
+			if installed {
+				if e, ok := t.megaLookup(pkt, t.gen.Load()); ok {
+					megaHits++
+					out[i] = e
+					continue
+				}
 			}
+			installed = true
 			misses++
 			e, mask := t.classifyLocked(pkt)
+			// Publish at the generation observed under the read lock:
+			// mutations take the write lock, so gen cannot move while we
+			// hold it and the slot is exactly as valid as the scan that
+			// produced it. The megaflow entry is keyed by the union mask of
+			// the fields the scan examined, so the whole aggregate of
+			// packets that would take the identical scan hits it.
 			g := t.gen.Load()
 			t.cache[microflowIndex(pkt)].Store(&microflowSlot{pkt: pkt, gen: g, entry: e})
 			t.megaInstall(mask, pkt, g, e)

@@ -101,11 +101,11 @@ func Fig5a(cfg Config) (*Fig5Result, error) {
 				return nil, err
 			}
 		case withdrawAt:
-			changes, err := rs.Withdraw("B", aws)
+			touched, err := rs.Withdraw("B", aws)
 			if err != nil {
 				return nil, err
 			}
-			fast, err := ctrl.HandleRouteChanges(changes)
+			fast, err := ctrl.FastReact(touched)
 			if err != nil {
 				return nil, err
 			}

@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"net/netip"
 	"sort"
 	"time"
 
-	"sdx/internal/routeserver"
 	"sdx/internal/workload"
 )
 
@@ -47,7 +47,7 @@ func Fig9(cfg Config, participantCounts []int, burstSizes []int) (*Fig9Result, e
 		for _, size := range burstSizes {
 			// Worst-case burst: withdraw the best route of `size` distinct
 			// multi-homed prefixes so each flips its best path.
-			var changes []routeserver.BestChange
+			var touched []netip.Prefix
 			flipped := 0
 			for _, p := range ex.Prefixes {
 				if flipped == size {
@@ -57,14 +57,14 @@ func Fig9(cfg Config, participantCounts []int, burstSizes []int) (*Fig9Result, e
 				if len(anns) < 2 {
 					continue
 				}
-				ch, err := rs.Withdraw(ex.Members[anns[0]].ID, p)
+				t, err := rs.Withdraw(ex.Members[anns[0]].ID, p)
 				if err != nil {
 					return nil, err
 				}
-				changes = append(changes, ch...)
+				touched = append(touched, t...)
 				flipped++
 			}
-			fast, err := ctrl.HandleRouteChanges(changes)
+			fast, err := ctrl.FastReact(touched)
 			if err != nil {
 				return nil, err
 			}
@@ -146,11 +146,11 @@ func Fig10(cfg Config, participantCounts []int, updates int) (*Fig10Result, erro
 				continue
 			}
 			owner := ex.Members[anns[0]].ID
-			changes, err := rs.Withdraw(owner, p)
+			touched, err := rs.Withdraw(owner, p)
 			if err != nil {
 				return nil, err
 			}
-			fast, err := ctrl.HandleRouteChanges(changes)
+			fast, err := ctrl.FastReact(touched)
 			if err != nil {
 				return nil, err
 			}

@@ -59,7 +59,7 @@ type FullScaleResult struct {
 
 // FullScale generates a DFZ-shaped table of nPrefixes prefixes across
 // nParticipants members, bulk-loads it, drives churnEvents of steady-state
-// churn through ApplyUpdate, and measures the resident footprint.
+// churn through ApplyUpdateTouched, and measures the resident footprint.
 // Zero/negative arguments select the ROADMAP configuration (500 members,
 // 1M prefixes scaled by cfg.Scale, 250k churn events).
 func FullScale(cfg Config, nParticipants, nPrefixes, churnEvents int) (*FullScaleResult, error) {
@@ -153,7 +153,8 @@ func FullScale(cfg Config, nParticipants, nPrefixes, churnEvents int) (*FullScal
 // changes (a re-advertisement with a different combo from the announcer's
 // pool), plus withdraw/re-advertise cycles split across adjacent batches so
 // the table size stays constant. Events are grouped per member into
-// ApplyUpdate calls, the way session bursts arrive after RFC 4271 packing.
+// ApplyUpdateTouched calls, the way session bursts arrive after RFC 4271
+// packing.
 func fullScaleChurn(cfg Config, d *workload.DFZ, rs *routeserver.Server, nEvents int, res *FullScaleResult) error {
 	const batch = 4096
 	rng := cfg.rng()

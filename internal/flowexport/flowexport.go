@@ -180,19 +180,12 @@ func (e *Exporter) sampledIndex(v uint64) bool {
 	return v%e.rate == 0
 }
 
-// Sample counts one candidate frame and reports whether it should be
-// exported: exactly one true per rate calls in count mode, one in rate on
-// average in random mode. Safe to call from many goroutines.
-func (e *Exporter) Sample() bool {
-	if e == nil {
-		return false
-	}
-	return e.sampledIndex(e.tick.Add(1))
-}
-
-// SampleBatch reserves a window of n candidate indices with one atomic and
-// returns its base; SampledAt answers for each position. The decisions are
-// exactly those n successive Sample calls would have made.
+// SampleBatch counts n candidate frames by reserving a window of n candidate
+// indices with one atomic, and returns its base; SampledAt answers whether
+// each position should be exported: exactly one true per rate candidates in
+// count mode, one in rate on average in random mode. The decisions do not
+// depend on how the candidates are split into windows. Safe to call from
+// many goroutines.
 func (e *Exporter) SampleBatch(n int) uint64 {
 	if e == nil || n <= 0 {
 		return 0

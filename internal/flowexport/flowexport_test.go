@@ -10,11 +10,14 @@ import (
 	"sdx/internal/telemetry"
 )
 
+// sample decides one candidate frame: a window of one.
+func sample(e *Exporter) bool { return e.SampledAt(e.SampleBatch(1), 0) }
+
 func TestSampleOneInN(t *testing.T) {
 	e := New(8, 4)
 	hits := 0
 	for i := 0; i < 800; i++ {
-		if e.Sample() {
+		if sample(e) {
 			hits++
 		}
 	}
@@ -29,7 +32,7 @@ func TestSampleOneInN(t *testing.T) {
 func TestSampleRateOneAlways(t *testing.T) {
 	e := New(1, 1)
 	for i := 0; i < 5; i++ {
-		if !e.Sample() {
+		if !sample(e) {
 			t.Fatalf("rate 1 must sample every candidate (call %d)", i)
 		}
 	}
@@ -41,7 +44,7 @@ func TestSampleRateOneAlways(t *testing.T) {
 
 func TestNilExporterInert(t *testing.T) {
 	var e *Exporter
-	if e.Sample() {
+	if sample(e) {
 		t.Fatal("nil exporter must not sample")
 	}
 	e.Export(Record{}) // must not panic
@@ -80,7 +83,7 @@ func TestSampleConcurrent(t *testing.T) {
 			defer wg.Done()
 			n := 0
 			for i := 0; i < per; i++ {
-				if e.Sample() {
+				if sample(e) {
 					n++
 				}
 			}
@@ -103,7 +106,7 @@ func TestSampleRandomDeterministicBySeed(t *testing.T) {
 		e := NewRandom(4, 1, seed)
 		out := make([]bool, 256)
 		for i := range out {
-			out[i] = e.Sample()
+			out[i] = sample(e)
 		}
 		return out
 	}
@@ -133,7 +136,7 @@ func TestSampleRandomMeanRate(t *testing.T) {
 	e := NewRandom(rate, 1, 7)
 	hits := 0
 	for i := 0; i < n; i++ {
-		if e.Sample() {
+		if sample(e) {
 			hits++
 		}
 	}
@@ -149,8 +152,8 @@ func TestSampleRandomMeanRate(t *testing.T) {
 	}
 }
 
-// SampleBatch must make exactly the decisions sequential Sample calls would:
-// batch reservation changes the locking, never the sampled set.
+// SampleBatch must make exactly the decisions one-frame windows would: batch
+// reservation changes the locking, never the sampled set.
 func TestSampleBatchMatchesSequential(t *testing.T) {
 	for _, random := range []bool{false, true} {
 		seq := New(8, 1)
@@ -164,7 +167,7 @@ func TestSampleBatchMatchesSequential(t *testing.T) {
 		for round := 0; round < 64; round++ {
 			n := 1 + round%7
 			for i := 0; i < n; i++ {
-				if seq.Sample() {
+				if sample(seq) {
 					want = append(want, idx+i)
 				}
 			}
@@ -205,8 +208,8 @@ func TestExporterTelemetry(t *testing.T) {
 	e := New(2, 1)
 	reg := telemetry.NewRegistry()
 	e.EnableTelemetry(reg)
-	e.Sample()
-	e.Sample()
+	sample(e)
+	sample(e)
 	e.Export(Record{})
 	e.Export(Record{}) // buffer full: dropped
 

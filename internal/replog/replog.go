@@ -2,7 +2,7 @@
 // fans one BGP ingest stream out to N route-server worker processes and
 // to standby controllers.
 //
-// The design leans on PR 5's determinism guarantee: Server.ApplyUpdate is a
+// The design leans on PR 5's determinism guarantee: Server.ApplyUpdateTouched is a
 // pure function of the entry sequence, so any replica that applies the same
 // entries in the same order reaches byte-identical engine state. The log
 // therefore carries *inputs* (the UPDATE wire bytes plus the session

@@ -90,21 +90,8 @@ func (w *Worker) OwnedParticipants() []ID {
 func (w *Worker) Apply(e *replog.Entry) error {
 	switch e.Kind {
 	case replog.KindUpdate:
-		u := e.Update
-		routes := make([]bgp.Route, len(u.NLRI))
-		var attrs *bgp.PathAttrs
-		if len(u.NLRI) > 0 {
-			attrs = bgp.Intern(u.Attrs)
-		}
-		for i, nlri := range u.NLRI {
-			routes[i] = bgp.Route{
-				Prefix: nlri,
-				Attrs:  attrs,
-				PeerAS: e.PeerAS,
-				PeerID: e.PeerID,
-			}
-		}
-		if _, err := w.Server.ApplyUpdateTouched(ID(e.From), u.Withdrawn, routes); err != nil {
+		routes := RoutesFromUpdate(e.Update, e.PeerAS, e.PeerID)
+		if _, err := w.Server.ApplyUpdateTouched(ID(e.From), e.Update.Withdrawn, routes); err != nil {
 			return err
 		}
 	case replog.KindFlush:

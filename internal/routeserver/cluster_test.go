@@ -39,7 +39,7 @@ func TestShardOfStableAndInRange(t *testing.T) {
 
 // TestClusterEquivalence is the tentpole property test: the same randomized
 // burst sequence is fed (a) directly into a single-process Server via
-// ApplyUpdate and (b) through the replicated log over real TCP into four
+// ApplyUpdateTouched and (b) through the replicated log over real TCP into four
 // sharded workers — one of which has its stream severed mid-run and must
 // resume. Every participant's Adj-RIB-Out, rendered by the worker owning
 // its shard, must be byte-identical to the single-process server's.
@@ -62,9 +62,9 @@ func TestClusterEquivalence(t *testing.T) {
 		prefixPool[i] = netip.MustParsePrefix(fmt.Sprintf("10.%d.%d.0/24", i/16, i%16))
 	}
 
-	// Reference: the single-process server, fed through the per-receiver
-	// ApplyUpdate path (the workers use the prefix-keyed path, so the test
-	// also pins the two apply paths against each other).
+	// Reference: the single-process server, fed routes built by hand (the
+	// workers go through RoutesFromUpdate, so the test also pins that
+	// against an independent construction).
 	ref := New(nil)
 	for _, p := range parts {
 		if err := ref.AddParticipant(p.ID, p.AS); err != nil {
@@ -173,7 +173,7 @@ func TestClusterEquivalence(t *testing.T) {
 		for i, nlri := range du.NLRI {
 			routes[i] = bgp.Route{Prefix: nlri, Attrs: attrs, PeerAS: parts[pi].AS, PeerID: peerIDs[pi]}
 		}
-		if _, err := ref.ApplyUpdate(id, du.Withdrawn, routes); err != nil {
+		if _, err := ref.ApplyUpdateTouched(id, du.Withdrawn, routes); err != nil {
 			t.Fatalf("burst %d: reference apply: %v", b, err)
 		}
 		log.AppendUpdate(string(id), parts[pi].AS, peerIDs[pi], du)

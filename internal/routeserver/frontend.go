@@ -23,7 +23,7 @@ type OwnershipChecker func(participant ID, prefix netip.Prefix) bool
 
 // Frontend glues a Server to live BGP sessions: it maps peers to
 // participants, feeds their UPDATEs into the engine, and re-advertises
-// best-route changes with rewritten next hops.
+// the touched prefixes with rewritten next hops.
 //
 // Ordering. Ingestion is naturally serialized per session (each session's
 // callbacks run on its own read goroutine), the engine shards its apply
@@ -41,19 +41,11 @@ type Frontend struct {
 
 	// NextHop, when set, rewrites advertised next hops (VNH installation).
 	NextHop NextHopResolver
-	// OnChange, when set, is invoked with each batch of best-route changes
-	// BEFORE they are re-advertised (the paper's §5.1 ordering: the policy
-	// compiler computes fresh virtual next hops first); batches are
+	// OnPrefixes, when set, is invoked with the touched prefixes of each
+	// batch BEFORE they are re-advertised (the paper's §5.1 ordering: the
+	// policy compiler computes fresh virtual next hops first); batches are
 	// serialized so the controller observes them in a consistent order.
-	// Setting it forces the per-receiver change diff on every update —
-	// prefer OnPrefixes at scale.
-	OnChange func([]BestChange)
-	// OnPrefixes, when set, is invoked (under the same serialization, and
-	// before re-advertisement) with the deduplicated affected prefixes of
-	// each batch. When OnChange is nil, updates take the route server's
-	// prefix-level apply path, skipping per-receiver change
-	// materialization entirely — the full-table churn configuration,
-	// feeding Controller.FastReact.
+	// It feeds Controller.FastReact.
 	OnPrefixes func([]netip.Prefix)
 	// Ownership gates Originate; nil allows everything (test/demo mode).
 	Ownership OwnershipChecker
@@ -75,7 +67,7 @@ type Frontend struct {
 	// emitters holds one live coalescing emitter per connected peer.
 	emitters map[ID]*peerEmitter
 
-	// changeMu serializes OnChange batches.
+	// changeMu serializes OnPrefixes batches.
 	changeMu sync.Mutex
 
 	// Intrusive instruments, exported via EnableTelemetry.
@@ -235,7 +227,7 @@ func (f *Frontend) onDown(p *bgp.Peer, _ error) {
 	// best routes: the fabric keeps forwarding on installed rules, but new
 	// best-route decisions must stop preferring a next hop that can no
 	// longer speak for itself.
-	f.propagate(f.Server.FlushParticipant(id))
+	f.propagatePrefixes(f.Server.FlushParticipant(id))
 }
 
 func (f *Frontend) onUpdate(p *bgp.Peer, u *bgp.Update) {
@@ -247,30 +239,7 @@ func (f *Frontend) onUpdate(p *bgp.Peer, u *bgp.Update) {
 		f.rejectUpdate("", p, u, errUnknownParticipant)
 		return
 	}
-	routes := make([]bgp.Route, len(u.NLRI))
-	var attrs *bgp.PathAttrs
-	if len(u.NLRI) > 0 {
-		attrs = bgp.Intern(u.Attrs)
-	}
-	for i, nlri := range u.NLRI {
-		routes[i] = bgp.Route{
-			Prefix: nlri,
-			Attrs:  attrs,
-			PeerAS: p.Session.PeerAS(),
-			PeerID: p.Session.PeerID(),
-		}
-	}
-	if f.OnChange != nil {
-		changes, err := f.Server.ApplyUpdate(id, u.Withdrawn, routes)
-		if err != nil {
-			f.rejectUpdate(id, p, u, err)
-			return
-		}
-		f.propagate(changes)
-		return
-	}
-	// No per-receiver consumer: the prefix-level path skips the
-	// O(participants) change materialization per update.
+	routes := RoutesFromUpdate(u, p.Session.PeerAS(), p.Session.PeerID())
 	touched, err := f.Server.ApplyUpdateTouched(id, u.Withdrawn, routes)
 	if err != nil {
 		f.rejectUpdate(id, p, u, err)
@@ -324,7 +293,7 @@ func (f *Frontend) Originate(participant ID, prefix netip.Prefix, nextHop netip.
 	if !ok {
 		return fmt.Errorf("routeserver: unknown participant %q", participant)
 	}
-	changes, err := f.Server.Advertise(participant, bgp.Route{
+	touched, err := f.Server.Advertise(participant, bgp.Route{
 		Prefix: prefix,
 		Attrs: bgp.Intern(bgp.PathAttrs{
 			Origin:  bgp.OriginIGP,
@@ -337,17 +306,17 @@ func (f *Frontend) Originate(participant ID, prefix netip.Prefix, nextHop netip.
 	if err != nil {
 		return err
 	}
-	f.propagate(changes)
+	f.propagatePrefixes(touched)
 	return nil
 }
 
 // WithdrawOrigin retracts a route previously injected with Originate.
 func (f *Frontend) WithdrawOrigin(participant ID, prefix netip.Prefix) error {
-	changes, err := f.Server.Withdraw(participant, prefix)
+	touched, err := f.Server.Withdraw(participant, prefix)
 	if err != nil {
 		return err
 	}
-	f.propagate(changes)
+	f.propagatePrefixes(touched)
 	return nil
 }
 
@@ -478,37 +447,16 @@ func (f *Frontend) connectedEmitters() []*peerEmitter {
 	return out
 }
 
-// propagate hands best-route changes to the controller FIRST — the paper's
-// §5.1 ordering: the policy compiler computes fresh virtual next hops and
-// forwarding rules, "then sends the updated next-hop information to the
-// route server, which marshals the corresponding BGP updates" — and then
-// re-advertises to the affected participants through the NextHop resolver.
-func (f *Frontend) propagate(changes []BestChange) {
-	if len(changes) == 0 {
-		return
-	}
-	if f.OnChange != nil {
-		f.changeMu.Lock()
-		f.OnChange(changes)
-		f.changeMu.Unlock()
-	}
-	seen := make(map[netip.Prefix]bool, len(changes))
-	prefixes := make([]netip.Prefix, 0, len(changes))
-	for _, ch := range changes {
-		if !seen[ch.Prefix] {
-			seen[ch.Prefix] = true
-			prefixes = append(prefixes, ch.Prefix)
-		}
-	}
-	f.propagatePrefixes(prefixes)
-}
-
-// propagatePrefixes notifies OnPrefixes and re-advertises each affected
-// prefix. A change to a prefix's candidate routes can move its VIRTUAL next
-// hop for every participant, not only those whose best path flipped: the
-// fast path mints a fresh VNH for the prefix, and a next-hop change is a
-// BGP UPDATE even when the AS path is unchanged. So each affected prefix is
-// re-advertised to every connected participant.
+// propagatePrefixes hands the touched prefixes to the controller FIRST —
+// the paper's §5.1 ordering: the policy compiler computes fresh virtual next
+// hops and forwarding rules, "then sends the updated next-hop information to
+// the route server, which marshals the corresponding BGP updates" — and then
+// re-advertises each of them through the NextHop resolver. A change to a
+// prefix's candidate routes can move its VIRTUAL next hop for every
+// participant, not only those whose best path flipped: the fast path mints a
+// fresh VNH for the prefix, and a next-hop change is a BGP UPDATE even when
+// the AS path is unchanged. So each touched prefix is re-advertised to every
+// connected participant.
 func (f *Frontend) propagatePrefixes(prefixes []netip.Prefix) {
 	if len(prefixes) == 0 {
 		return

@@ -250,29 +250,46 @@ func TestFrontendOriginate(t *testing.T) {
 	})
 }
 
-func TestFrontendOnChangeHook(t *testing.T) {
-	fe, addr := newLiveRouteServer(t, nil)
+// TestFrontendOnPrefixesHook pins the one contract the frontend offers the
+// controller: every touched prefix reaches OnPrefixes, and the hook has
+// RETURNED before the prefix is re-advertised (§5.1: the compiler mints the
+// fresh virtual next hop first, then the route server marshals the UPDATE
+// carrying it).
+func TestFrontendOnPrefixesHook(t *testing.T) {
+	p := mp("10.0.0.0/8")
 	var mu sync.Mutex
-	var batches [][]BestChange
-	fe.OnChange = func(ch []BestChange) {
+	var batches [][]netip.Prefix
+	hookDone := false
+	var resolvedEarly bool
+	fe, addr := newLiveRouteServer(t, func(_ ID, prefix netip.Prefix, route bgp.Route) netip.Addr {
 		mu.Lock()
 		defer mu.Unlock()
-		batches = append(batches, ch)
+		if prefix == p && !hookDone {
+			resolvedEarly = true
+		}
+		return route.NextHop()
+	})
+	fe.OnPrefixes = func(touched []netip.Prefix) {
+		// Long enough that an emitter racing the hook would resolve first.
+		time.Sleep(50 * time.Millisecond)
+		mu.Lock()
+		defer mu.Unlock()
+		batches = append(batches, touched)
+		hookDone = true
 	}
+	a := dialClient(t, addr, 65001, "10.0.0.1")
 	b := dialClient(t, addr, 65002, "10.0.0.2")
 	advertise(t, b, "10.0.0.0/8", 65002)
+	a.waitForUpdate(t, func(u *bgp.Update) bool { return hasNLRI(u, p) })
 
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(batches)
-		mu.Unlock()
-		if n > 0 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(batches) != 1 || len(batches[0]) != 1 || batches[0][0] != p {
+		t.Errorf("OnPrefixes batches = %v, want one batch of [%v]", batches, p)
 	}
-	t.Fatal("OnChange never fired")
+	if resolvedEarly {
+		t.Error("prefix was re-advertised before OnPrefixes returned")
+	}
 }
 
 func TestFrontendRejectsUnknownRouter(t *testing.T) {

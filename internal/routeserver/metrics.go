@@ -17,8 +17,8 @@ func (s *Server) EnableTelemetry(reg *telemetry.Registry) {
 		"Best-route lookups served from the shard decision caches.",
 		func() float64 { return float64(s.mBestCacheHits.Value()) })
 	reg.CounterFunc("sdx_routeserver_best_changes_total",
-		"Best-route changes produced by advertisements and withdrawals.",
-		func() float64 { return float64(s.mBestChanges.Value()) })
+		"Prefixes reported touched by applied updates: best-route decision changes, or every candidate change when an export policy or VRF makes the decision per-receiver.",
+		func() float64 { return float64(s.mTouchedPrefixes.Value()) })
 	reg.CounterFunc("sdx_routeserver_advertisements_total",
 		"Routes advertised or loaded into the engine.",
 		func() float64 { return float64(s.mAdvertisements.Value()) })

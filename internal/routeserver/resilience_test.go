@@ -1,7 +1,9 @@
 package routeserver
 
 import (
+	"fmt"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -149,13 +151,12 @@ func TestServerFlushParticipant(t *testing.T) {
 	mustAdv("B", route(65002, "30.0.0.0/8", 1))
 	mustAdv("C", route(65003, "10.0.0.0/8", 2))
 
-	changes := s.FlushParticipant("B")
 	prefixes := make(map[netip.Prefix]bool)
-	for _, ch := range changes {
-		prefixes[ch.Prefix] = true
+	for _, p := range s.FlushParticipant("B") {
+		prefixes[p] = true
 	}
-	if !prefixes[mp("10.0.0.0/8")] || !prefixes[mp("30.0.0.0/8")] {
-		t.Errorf("flush changes covered %v, want both of B's prefixes", prefixes)
+	if len(prefixes) != 2 || !prefixes[mp("10.0.0.0/8")] || !prefixes[mp("30.0.0.0/8")] {
+		t.Errorf("flush touched %v, want exactly B's two prefixes", prefixes)
 	}
 	if best, ok := s.BestFor("A", mp("10.0.0.0/8")); !ok || best.PeerAS != 65003 {
 		t.Errorf("best for 10.0.0.0/8 = %+v, %v; want failover to C", best, ok)
@@ -170,4 +171,56 @@ func TestServerFlushParticipant(t *testing.T) {
 	if _, ok := s.BestFor("A", mp("30.0.0.0/8")); !ok {
 		t.Error("flushed participant could not re-advertise")
 	}
+
+	// What a session teardown allocates is linear in the flushed prefixes
+	// and independent of how many participants would have received them. (A
+	// per-receiver change list here once cost ≈125 MB for one
+	// 200-participant sender.)
+	const nPrefixes = 5000
+	few := flushAllocBytes(t, 3, nPrefixes)
+	many := flushAllocBytes(t, 100, nPrefixes)
+	double := flushAllocBytes(t, 100, 2*nPrefixes)
+	t.Logf("flush of %d prefixes: %d B among 3 participants, %d B among 100; %d B for %d prefixes",
+		nPrefixes, few, many, double, 2*nPrefixes)
+	if perPrefix := many / nPrefixes; perPrefix > 2048 {
+		t.Errorf("flush allocated %d B per prefix among 100 participants, want ≤ 2048", perPrefix)
+	}
+	if many > few+few/4 {
+		t.Errorf("flush allocation grew with participant count: %d B among 3, %d B among 100", few, many)
+	}
+	if double > 3*many {
+		t.Errorf("flush allocation superlinear in prefixes: %d B for %d, %d B for %d",
+			many, nPrefixes, double, 2*nPrefixes)
+	}
+}
+
+// flushAllocBytes loads nPrefixes routes from one participant of an
+// nParts-participant exchange and returns the bytes FlushParticipant
+// allocates withdrawing them.
+func flushAllocBytes(t *testing.T, nParts, nPrefixes int) uint64 {
+	t.Helper()
+	s := New(nil)
+	for i := 0; i < nParts; i++ {
+		if err := s.AddParticipant(ID(fmt.Sprintf("P%03d", i)), uint32(65001+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attrs := bgp.Intern(bgp.PathAttrs{
+		NextHop: ma("192.0.2.9"),
+		ASPath:  []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{65001}}},
+	})
+	for i := 0; i < nPrefixes; i++ {
+		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+		if err := s.Load("P000", bgp.Route{Prefix: prefix, Attrs: attrs, PeerAS: 65001}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	touched := s.FlushParticipant("P000")
+	runtime.ReadMemStats(&after)
+	if len(touched) != nPrefixes {
+		t.Fatalf("flush touched %d prefixes, want %d", len(touched), nPrefixes)
+	}
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -54,15 +54,6 @@ type VRF string
 // route-server default.
 type ExportFilter func(advertiser, receiver ID, prefix netip.Prefix) bool
 
-// BestChange records that a participant's best route for a prefix changed.
-// Old or New is nil when the route appeared or disappeared.
-type BestChange struct {
-	Participant ID
-	Prefix      netip.Prefix
-	Old         *bgp.Route
-	New         *bgp.Route
-}
-
 type participant struct {
 	id ID
 	// as is the participant's 4-octet ASN (RFC 6793).
@@ -119,14 +110,6 @@ type pairSnap struct {
 	hasSecond         bool
 }
 
-// derive resolves the snapshot for one receiver.
-func (ps pairSnap) derive(id ID) (bgp.Route, bool) {
-	if id != ps.firstID {
-		return ps.first, ps.hasFirst
-	}
-	return ps.second, ps.hasSecond
-}
-
 func routeEq(a, b bgp.Route) bool {
 	return a.Prefix == b.Prefix && a.PeerAS == b.PeerAS && a.PeerID == b.PeerID &&
 		bgp.AttrsEqual(a.Attrs, b.Attrs)
@@ -177,8 +160,7 @@ type Server struct {
 	// Lock order: partMu before any shard.mu, never the reverse.
 	partMu       sync.RWMutex
 	participants map[ID]*participant
-	// sorted is the registry ordered by ID, rebuilt on add/remove; the
-	// diff path iterates it so change batches are deterministic.
+	// sorted is the registry ordered by ID, rebuilt on add/remove.
 	sorted []*participant
 	// routeExport is the optional route-level export filter
 	// (SetRouteExportPolicy); it sees communities and other attributes.
@@ -199,7 +181,7 @@ type Server struct {
 	// EnableTelemetry has registered scrape-time readers for them.
 	mBestRecomputations telemetry.Counter
 	mBestCacheHits      telemetry.Counter
-	mBestChanges        telemetry.Counter
+	mTouchedPrefixes    telemetry.Counter
 	mAdvertisements     telemetry.Counter
 	mWithdrawals        telemetry.Counter
 	mPeerFlushes        telemetry.Counter
@@ -294,19 +276,12 @@ func (s *Server) AddParticipant(id ID, as uint32) error {
 }
 
 // RemoveParticipant withdraws everything the participant advertised and
-// unregisters it, returning the resulting best-route changes.
-func (s *Server) RemoveParticipant(id ID) []BestChange {
-	s.partMu.RLock()
-	p, ok := s.participants[id]
-	var prefixes []netip.Prefix
-	if ok {
-		prefixes = p.advertised.Prefixes()
-	}
-	s.partMu.RUnlock()
+// unregisters it, returning the touched prefixes.
+func (s *Server) RemoveParticipant(id ID) []netip.Prefix {
+	touched, ok := s.withdrawAll(id)
 	if !ok {
 		return nil
 	}
-	changes, _ := s.ApplyUpdate(id, prefixes, nil)
 	s.partMu.Lock()
 	if p2, ok := s.participants[id]; ok && p2.vrf != "" {
 		s.vrfActive--
@@ -315,7 +290,26 @@ func (s *Server) RemoveParticipant(id ID) []BestChange {
 	s.rebuildSortedLocked()
 	s.epoch++
 	s.partMu.Unlock()
-	return changes
+	return touched
+}
+
+// withdrawAll withdraws every route id has advertised and returns the
+// touched prefixes; ok is false for an unknown participant.
+func (s *Server) withdrawAll(id ID) (touched []netip.Prefix, ok bool) {
+	s.partMu.RLock()
+	p, ok := s.participants[id]
+	var prefixes []netip.Prefix
+	if ok {
+		prefixes = p.advertised.Prefixes()
+	}
+	s.partMu.RUnlock()
+	if !ok {
+		return nil, false
+	}
+	// A concurrent RemoveParticipant is the only way this can fail, and then
+	// there is nothing left to withdraw.
+	touched, _ = s.ApplyUpdateTouched(id, prefixes, nil)
+	return touched, true
 }
 
 // SetVRF places a participant in an isolation domain. Participants in
@@ -366,21 +360,13 @@ func (s *Server) VRFOf(id ID) VRF {
 // the session-down path: a peer's routes die with its transport, exactly
 // as a conventional route server flushes a neighbor's Adj-RIB-In — while
 // keeping the participant registered for its return. It returns the
-// best-route changes the flush caused across the other participants.
-func (s *Server) FlushParticipant(id ID) []BestChange {
-	s.partMu.RLock()
-	p, ok := s.participants[id]
-	var prefixes []netip.Prefix
+// touched prefixes.
+func (s *Server) FlushParticipant(id ID) []netip.Prefix {
+	touched, ok := s.withdrawAll(id)
 	if ok {
 		s.mPeerFlushes.Inc()
-		prefixes = p.advertised.Prefixes()
 	}
-	s.partMu.RUnlock()
-	if !ok {
-		return nil
-	}
-	changes, _ := s.ApplyUpdate(id, prefixes, nil)
-	return changes
+	return touched
 }
 
 // Participants returns the registered IDs in sorted order.
@@ -441,42 +427,31 @@ type applyOp struct {
 	route    bgp.Route
 }
 
-// ApplyUpdate applies a whole UPDATE (or a coalesced burst) from one
-// participant in a single pass: all withdrawals and advertisements land
-// under one lock acquisition per touched shard, with one before/after
-// decision diff per touched prefix, instead of a full table scan per NLRI.
-// When the same prefix appears in both lists, the advertisement wins (RFC
-// 4271 §3.1: NLRI supersedes a withdrawal carried by the same message).
-// The returned changes are ordered by shard, then prefix, then receiver.
-func (s *Server) ApplyUpdate(from ID, withdrawn []netip.Prefix, advertised []bgp.Route) ([]BestChange, error) {
-	changes, _, err := s.apply(from, withdrawn, advertised, true)
-	return changes, err
-}
-
-// ApplyUpdateTouched applies the update exactly like ApplyUpdate but
-// reports only the prefixes whose decision outcome changed, skipping the
-// per-receiver change materialization. At full-table scale that
-// materialization dominates ApplyUpdate — every best-route move enumerates
-// all participants — while both in-tree consumers (the controller's fast
-// path and the frontend's re-advertisement emitters) key on the prefix
-// alone and re-read per-receiver state themselves. Under an export policy
-// the per-receiver outcome cannot be derived from the (best, second-best)
-// pair, so every prefix whose candidates changed is reported: a superset,
-// safe for consumers that re-read.
+// ApplyUpdateTouched applies a whole UPDATE (or a coalesced burst) from one
+// participant in a single pass — every mutation of the candidate table
+// goes through it: all withdrawals and advertisements land under one lock
+// acquisition per touched shard, with one before/after decision diff per
+// touched prefix, instead of a full table scan per NLRI. When the same
+// prefix appears in both lists, the advertisement wins (RFC 4271 §3.1: NLRI
+// supersedes a withdrawal carried by the same message).
+//
+// It returns the touched prefixes — those whose decision outcome changed
+// for some receiver — ordered by shard, then prefix. Consumers (the
+// controller's fast path, the frontend's re-advertisement emitters) key on
+// the prefix and re-read per-receiver state through BestFor. When the
+// decision is receiver-dependent (an export policy or VRF tenancy) the
+// per-receiver outcome cannot be derived from the (best, second-best) pair,
+// so every prefix whose candidates changed is reported: a superset, safe
+// for consumers that re-read.
 func (s *Server) ApplyUpdateTouched(from ID, withdrawn []netip.Prefix, advertised []bgp.Route) ([]netip.Prefix, error) {
-	_, touched, err := s.apply(from, withdrawn, advertised, false)
-	return touched, err
-}
-
-func (s *Server) apply(from ID, withdrawn []netip.Prefix, advertised []bgp.Route, wantChanges bool) ([]BestChange, []netip.Prefix, error) {
 	s.partMu.RLock()
 	defer s.partMu.RUnlock()
 	p, ok := s.participants[from]
 	if !ok {
-		return nil, nil, fmt.Errorf("routeserver: unknown participant %q", from)
+		return nil, fmt.Errorf("routeserver: unknown participant %q", from)
 	}
 	if len(withdrawn) == 0 && len(advertised) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	s.mWithdrawals.Add(uint64(len(withdrawn)))
 	s.mAdvertisements.Add(uint64(len(advertised)))
@@ -503,7 +478,6 @@ func (s *Server) apply(from ID, withdrawn []netip.Prefix, advertised []bgp.Route
 		byShard[si] = append(byShard[si], op)
 	}
 
-	var changes []BestChange
 	var touched []netip.Prefix
 	for si := range byShard {
 		list := byShard[si]
@@ -514,15 +488,29 @@ func (s *Server) apply(from ID, withdrawn []netip.Prefix, advertised []bgp.Route
 		sh := &s.shards[si]
 		sh.mu.Lock()
 		for _, op := range list {
-			chs, changed := s.applyOneLocked(sh, from, op, wantChanges)
-			changes = append(changes, chs...)
-			if changed && !wantChanges {
+			if s.applyOneLocked(sh, from, op) {
 				touched = append(touched, op.prefix)
 			}
 		}
 		sh.mu.Unlock()
 	}
-	return changes, touched, nil
+	s.mTouchedPrefixes.Add(uint64(len(touched)))
+	return touched, nil
+}
+
+// RoutesFromUpdate renders an UPDATE's NLRI as the routes ApplyUpdateTouched
+// takes, stamped with the identity of the session the UPDATE arrived on and
+// sharing one interned attribute set.
+func RoutesFromUpdate(u *bgp.Update, peerAS uint32, peerID netip.Addr) []bgp.Route {
+	if len(u.NLRI) == 0 {
+		return nil
+	}
+	attrs := bgp.Intern(u.Attrs)
+	routes := make([]bgp.Route, len(u.NLRI))
+	for i, nlri := range u.NLRI {
+		routes[i] = bgp.Route{Prefix: nlri, Attrs: attrs, PeerAS: peerAS, PeerID: peerID}
+	}
+	return routes
 }
 
 func (s *Server) shardIndex(p netip.Prefix) uint32 {
@@ -542,50 +530,53 @@ func prefixLess(a, b netip.Prefix) bool {
 	return a.Bits() < b.Bits()
 }
 
-// applyOneLocked mutates one prefix's candidates and diffs every
-// participant's best route across the mutation. partMu (read) and the
-// shard's write lock are held.
+// applyOneLocked mutates one prefix's candidates and reports whether the
+// decision outcome changed. partMu (read) and the shard's write lock are
+// held.
 //
-// Two fast paths keep steady-state churn off the O(participants) diff:
-// an update that leaves the advertiser's route byte-identical (a refresh)
-// returns before touching anything, and — when no export policy is
-// installed — an update that leaves the (best, second-best) pair intact
-// (the common case: churn on a non-best candidate) skips the per-receiver
-// scan entirely, since every receiver's answer derives from the pair.
-func (s *Server) applyOneLocked(sh *shard, from ID, op applyOp, wantChanges bool) ([]BestChange, bool) {
-	prefix := op.prefix
-	cands := sh.candidates[prefix]
+// Two fast paths keep steady-state churn quiet downstream: an update that
+// leaves the advertiser's route byte-identical (a refresh) returns before
+// touching anything, and — when the decision is receiver-independent — an
+// update that leaves the (best, second-best) pair intact (the common case:
+// churn on a non-best candidate) reports no change, since every receiver's
+// answer derives from the pair.
+func (s *Server) applyOneLocked(sh *shard, from ID, op applyOp) bool {
+	cands := sh.candidates[op.prefix]
 	ci := findCand(cands, from)
 	if op.withdraw {
 		if ci < 0 {
-			return nil, false // withdrawing a route that was never there
+			return false // withdrawing a route that was never there
 		}
 	} else if ci >= 0 && routeEq(cands[ci].route, op.route) {
-		return nil, false // unchanged re-advertisement: nothing downstream moves
+		return false // unchanged re-advertisement: nothing downstream moves
 	}
-
-	filtered := s.filteredLocked()
-	var before []*bgp.Route
-	var bs pairSnap
-	if filtered {
-		if wantChanges {
-			before = s.bestAllShardLocked(sh, prefix)
-		}
-	} else {
-		bs = s.pairSnapLocked(sh, prefix)
+	if s.filteredLocked() {
+		// "The candidates changed" is the strongest statement derivable
+		// without a per-receiver diff.
+		sh.storeLocked(cands, ci, from, op)
+		return true
 	}
+	before := s.pairSnapLocked(sh, op.prefix)
+	sh.storeLocked(cands, ci, from, op)
+	return !pairSnapEqual(before, s.pairSnapLocked(sh, op.prefix))
+}
 
-	// Mutate the sorted candidate slice in place.
-	if op.withdraw {
+// storeLocked writes op into cands, the prefix's sorted candidate slice (ci
+// is findCand's answer for the advertiser), journals the prefix as touched
+// and drops its cached decisions. The shard's write lock is held.
+func (sh *shard) storeLocked(cands []candRoute, ci int, from ID, op applyOp) {
+	prefix := op.prefix
+	switch {
+	case op.withdraw:
 		cands = append(cands[:ci], cands[ci+1:]...)
 		if len(cands) == 0 {
 			delete(sh.candidates, prefix)
 		} else {
 			sh.candidates[prefix] = cands
 		}
-	} else if ci >= 0 {
+	case ci >= 0:
 		cands[ci].route = op.route
-	} else {
+	default:
 		i := sort.Search(len(cands), func(i int) bool { return cands[i].id >= from })
 		cands = append(cands, candRoute{})
 		copy(cands[i+1:], cands[i:])
@@ -595,64 +586,6 @@ func (s *Server) applyOneLocked(sh *shard, from ID, op applyOp, wantChanges bool
 	sh.touched[prefix] = struct{}{}
 	delete(sh.pair, prefix)
 	delete(sh.perRecv, prefix)
-
-	var changes []BestChange
-	if filtered {
-		// Without the receiver diff, "the candidates changed" is the
-		// strongest statement derivable here: report the prefix touched.
-		if !wantChanges {
-			return nil, true
-		}
-		after := s.bestAllShardLocked(sh, prefix)
-		for i, part := range s.sorted {
-			if !routePtrEqual(before[i], after[i]) {
-				s.mBestChanges.Inc()
-				changes = append(changes, BestChange{Participant: part.id, Prefix: prefix, Old: before[i], New: after[i]})
-			}
-		}
-		return changes, len(changes) > 0
-	}
-
-	as := s.pairSnapLocked(sh, prefix)
-	if pairSnapEqual(bs, as) {
-		return nil, false
-	}
-	if !wantChanges {
-		return nil, true
-	}
-	for _, part := range s.sorted {
-		ob, ook := bs.derive(part.id)
-		nb, nok := as.derive(part.id)
-		if ook == nok && (!ook || routeEq(ob, nb)) {
-			continue
-		}
-		s.mBestChanges.Inc()
-		ch := BestChange{Participant: part.id, Prefix: prefix}
-		if ook {
-			o := ob
-			ch.Old = &o
-		}
-		if nok {
-			n := nb
-			ch.New = &n
-		}
-		changes = append(changes, ch)
-	}
-	return changes, len(changes) > 0
-}
-
-// bestAllShardLocked snapshots every participant's best route for prefix,
-// indexed like s.sorted — the export-policy diff path, where the answer is
-// receiver-dependent. partMu (read) and the shard's write lock are held.
-func (s *Server) bestAllShardLocked(sh *shard, prefix netip.Prefix) []*bgp.Route {
-	out := make([]*bgp.Route, len(s.sorted))
-	for i, part := range s.sorted {
-		if r, ok := s.bestForShardLocked(sh, part.id, prefix); ok {
-			rc := r
-			out[i] = &rc
-		}
-	}
-	return out
 }
 
 // pairLocked returns the (best, second-best) advertiser pair for prefix,
@@ -764,16 +697,16 @@ func (s *Server) computeBestLocked(sh *shard, id ID, prefix netip.Prefix) (bgp.R
 	return best, found
 }
 
-// Advertise installs or replaces from's route and returns the best-route
-// changes it caused across participants.
-func (s *Server) Advertise(from ID, route bgp.Route) ([]BestChange, error) {
-	return s.ApplyUpdate(from, nil, []bgp.Route{route})
+// Advertise installs or replaces from's route and returns the touched
+// prefixes.
+func (s *Server) Advertise(from ID, route bgp.Route) ([]netip.Prefix, error) {
+	return s.ApplyUpdateTouched(from, nil, []bgp.Route{route})
 }
 
-// Load installs a route without computing best-route changes: the bulk
-// path for initial table transfer, where the caller compiles once afterward
-// anyway. Per-update change tracking (Advertise) costs a decision diff per
-// route, which matters when loading hundreds of thousands of routes.
+// Load installs a route without the decision diff: the bulk path for
+// initial table transfer, where the caller compiles once afterward anyway.
+// The diff Advertise runs per route matters when loading hundreds of
+// thousands of routes.
 func (s *Server) Load(from ID, route bgp.Route) error {
 	s.partMu.RLock()
 	defer s.partMu.RUnlock()
@@ -788,35 +721,14 @@ func (s *Server) Load(from ID, route bgp.Route) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cands := sh.candidates[route.Prefix]
-	if i := findCand(cands, from); i >= 0 {
-		cands[i].route = route
-	} else {
-		i = sort.Search(len(cands), func(i int) bool { return cands[i].id >= from })
-		cands = append(cands, candRoute{})
-		copy(cands[i+1:], cands[i:])
-		cands[i] = candRoute{id: from, route: route}
-		sh.candidates[route.Prefix] = cands
-	}
-	sh.touched[route.Prefix] = struct{}{}
-	delete(sh.pair, route.Prefix)
-	delete(sh.perRecv, route.Prefix)
+	sh.storeLocked(cands, findCand(cands, from), from, applyOp{prefix: route.Prefix, route: route})
 	return nil
 }
 
-// Withdraw removes from's route for prefix and returns the resulting
-// best-route changes.
-func (s *Server) Withdraw(from ID, prefix netip.Prefix) ([]BestChange, error) {
-	return s.ApplyUpdate(from, []netip.Prefix{prefix}, nil)
-}
-
-func routePtrEqual(a, b *bgp.Route) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	return routeEq(*a, *b)
+// Withdraw removes from's route for prefix and returns the touched
+// prefixes.
+func (s *Server) Withdraw(from ID, prefix netip.Prefix) ([]netip.Prefix, error) {
+	return s.ApplyUpdateTouched(from, []netip.Prefix{prefix}, nil)
 }
 
 // BestFor returns participant id's best route for prefix: the decision

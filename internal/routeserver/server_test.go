@@ -36,27 +36,27 @@ func newABC(t *testing.T, export ExportFilter) *Server {
 
 func TestAdvertiseAndBestFor(t *testing.T) {
 	s := newABC(t, nil)
-	changes, err := s.Advertise("B", rt("10.0.0.0/8", 65002))
+	p := mp("10.0.0.0/8")
+	for _, id := range []ID{"A", "B", "C"} {
+		if _, ok := s.BestFor(id, p); ok {
+			t.Fatalf("%s has a best route before anything was advertised", id)
+		}
+	}
+	touched, err := s.Advertise("B", rt("10.0.0.0/8", 65002))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(touched) != 1 || touched[0] != p {
+		t.Fatalf("touched = %v, want [%v]", touched, p)
+	}
 	// A and C gain a best route; B (the advertiser) does not learn it back.
-	if len(changes) != 2 {
-		t.Fatalf("changes = %+v, want 2", changes)
-	}
-	for _, ch := range changes {
-		if ch.Participant == "B" {
-			t.Error("advertiser must not see its own route as a change")
-		}
-		if ch.Old != nil || ch.New == nil {
-			t.Errorf("change = %+v, want nil->route", ch)
-		}
-	}
-	if _, ok := s.BestFor("B", mp("10.0.0.0/8")); ok {
+	if _, ok := s.BestFor("B", p); ok {
 		t.Error("B must not learn its own route back")
 	}
-	if best, ok := s.BestFor("A", mp("10.0.0.0/8")); !ok || best.PeerAS != 65002 {
-		t.Errorf("A's best = %v, %v", best, ok)
+	for _, id := range []ID{"A", "C"} {
+		if best, ok := s.BestFor(id, p); !ok || best.PeerAS != 65002 {
+			t.Errorf("%s's best = %v, %v", id, best, ok)
+		}
 	}
 }
 
@@ -84,24 +84,31 @@ func TestWithdrawFailsOver(t *testing.T) {
 	s := newABC(t, nil)
 	s.Advertise("B", rt("10.0.0.0/8", 65002))
 	s.Advertise("C", rt("10.0.0.0/8", 65003, 999))
-	changes, err := s.Withdraw("B", mp("10.0.0.0/8"))
+	p := mp("10.0.0.0/8")
+	before := map[ID]bgp.Route{}
+	for _, id := range []ID{"A", "B", "C"} {
+		before[id], _ = s.BestFor(id, p)
+	}
+	if before["A"].PeerAS != 65002 || before["C"].PeerAS != 65002 {
+		t.Fatalf("before the withdrawal A and C should prefer B: %+v", before)
+	}
+	touched, err := s.Withdraw("B", p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(touched) != 1 || touched[0] != p {
+		t.Fatalf("touched = %v, want [%v]", touched, p)
+	}
 	// A's best flips from B to C; C's best (B's route) disappears; B's best
 	// (C's route) is unchanged.
-	byID := map[ID]BestChange{}
-	for _, ch := range changes {
-		byID[ch.Participant] = ch
+	if best, ok := s.BestFor("A", p); !ok || best.PeerAS != 65003 {
+		t.Errorf("A's best = %+v, %v; want C's route", best, ok)
 	}
-	if ch, ok := byID["A"]; !ok || ch.New == nil || ch.New.PeerAS != 65003 {
-		t.Errorf("A's change = %+v", byID["A"])
+	if best, ok := s.BestFor("C", p); ok {
+		t.Errorf("C's best = %+v, want none", best)
 	}
-	if ch, ok := byID["C"]; !ok || ch.New != nil {
-		t.Errorf("C's change = %+v", ch)
-	}
-	if _, ok := byID["B"]; ok {
-		t.Error("B's best should be unchanged by B's own withdrawal")
+	if best, ok := s.BestFor("B", p); !ok || !routeEq(best, before["B"]) {
+		t.Errorf("B's best = %+v, %v; should be unchanged by B's own withdrawal", best, ok)
 	}
 }
 
@@ -121,9 +128,9 @@ func TestIdempotentAdvertise(t *testing.T) {
 	s := newABC(t, nil)
 	r := rt("10.0.0.0/8", 65002)
 	s.Advertise("B", r)
-	changes, _ := s.Advertise("B", r)
-	if len(changes) != 0 {
-		t.Errorf("re-advertising the same route should cause no changes: %+v", changes)
+	touched, _ := s.Advertise("B", r)
+	if len(touched) != 0 {
+		t.Errorf("re-advertising the same route should touch nothing: %v", touched)
 	}
 }
 
@@ -187,9 +194,9 @@ func TestBestNextHopParticipant(t *testing.T) {
 func TestRemoveParticipant(t *testing.T) {
 	s := newABC(t, nil)
 	s.Advertise("B", rt("10.0.0.0/8", 65002))
-	changes := s.RemoveParticipant("B")
-	if len(changes) == 0 {
-		t.Error("removal should withdraw B's routes")
+	touched := s.RemoveParticipant("B")
+	if len(touched) != 1 || touched[0] != mp("10.0.0.0/8") {
+		t.Errorf("removal touched %v, want B's one prefix", touched)
 	}
 	if _, ok := s.BestFor("A", mp("10.0.0.0/8")); ok {
 		t.Error("B's routes must disappear with B")

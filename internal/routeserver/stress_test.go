@@ -87,7 +87,7 @@ func TestShardedApplyStress(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				fe.propagate(fe.Server.FlushParticipant("B"))
+				fe.propagatePrefixes(fe.Server.FlushParticipant("B"))
 				time.Sleep(3 * time.Millisecond)
 			}
 		}

@@ -193,9 +193,6 @@ type RouteServer = routeserver.Server
 // RouteServerFrontend glues a RouteServer to live BGP sessions.
 type RouteServerFrontend = routeserver.Frontend
 
-// BestChange records a best-route change for one participant.
-type BestChange = routeserver.BestChange
-
 // ExportFilter decides route export between participant pairs.
 type ExportFilter = routeserver.ExportFilter
 

@@ -178,11 +178,11 @@ func TestFacadeFastPathAndFabric(t *testing.T) {
 	}
 
 	// Fast path through the façade.
-	changes, err := rs.Withdraw("C", netip.MustParsePrefix("93.184.0.0/16"))
+	touched, err := rs.Withdraw("C", netip.MustParsePrefix("93.184.0.0/16"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := ctrl.HandleRouteChanges(changes)
+	fast, err := ctrl.FastReact(touched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,12 +64,25 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A live BGP session against a speaker carrying the shared metrics.
+	// A live BGP session against a speaker carrying the shared metrics,
+	// feeding the route server through a Frontend wired the way the daemons
+	// wire it (OnPrefixes only).
 	server := bgp.NewSpeaker(bgp.SessionConfig{
 		LocalAS: 65000,
 		LocalID: netip.MustParseAddr("10.0.0.100"),
 		Metrics: bgp.NewMetrics(reg),
 	})
+	fe := routeserver.NewFrontend(rs, server)
+	touched := make(chan []netip.Prefix, 1)
+	fe.OnPrefixes = func(p []netip.Prefix) {
+		select {
+		case touched <- p:
+		default: // the session-teardown flush at test exit
+		}
+	}
+	if err := fe.RegisterPeer(ipA, "A"); err != nil {
+		t.Fatal(err)
+	}
 	addr, err := server.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +100,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for len(server.Peers()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-touched:
+	case <-time.After(3 * time.Second):
+		t.Fatal("the UPDATE never reached OnPrefixes")
 	}
 
 	// A fabric switch sharing the registry.
@@ -136,7 +150,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"sdx_core_compiles_total 1",
 		`sdx_bgp_sessions{state="Established"} 1`,
-		"sdx_routeserver_advertisements_total 1",
+		// One direct Advertise plus one UPDATE through the Frontend, each
+		// changing one prefix's decision.
+		"sdx_routeserver_advertisements_total 2",
+		"sdx_routeserver_best_changes_total 2",
 		"sdx_dataplane_table_hits_total 2",
 		"sdx_dataplane_cache_hits_total 1",
 		"sdx_dataplane_cache_misses_total 1",
