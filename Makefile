@@ -6,9 +6,11 @@ GO ?= go
 .PHONY: loc build test race vet bench bench-smoke e2e chaos check
 
 # Non-test Go lines under internal/ and cmd/: ROADMAP counts net-negative
-# internal/ lines as a success metric, so every check log carries the number.
+# internal/ lines as a success metric, so every check log carries the number
+# — and beside it the number of command-line options the daemons define.
 loc:
 	@for d in internal cmd; do printf '%s non-test Go lines: ' $$d; find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; done
+	@printf 'cmd flag definitions: '; grep -rhoE 'flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var)\(' cmd --include='*.go' | wc -l
 
 build:
 	$(GO) build ./...
@@ -50,8 +52,8 @@ bench:
 # through one switch via InjectBatch) lands in BENCH_linerate.json with
 # throughput-vs-recorded-baseline, megaflow hit-rate, allocation, and p99
 # gates; the pre-megaflow baseline is BENCH_linerate_baseline.json. The
-# route-server cluster experiment (live BGP sessions into the replicated
-# log, streamed to sharded TCP workers with one stream severed mid-run)
+# route-server cluster experiment (live BGP sessions into a leader frontend
+# and its log, streamed to TCP followers with one stream severed mid-run)
 # lands in BENCH_cluster.json with drain/resume/flush/equivalence gates.
 # Finally sdx-benchjson -validate re-checks every recorded result file:
 # positive iterations/ns-op for report-shaped files, every *_ok gate true
@@ -84,9 +86,9 @@ bench-smoke:
 # separate processes over real TCP/UDP on localhost and asserts on their
 # logs and /metrics — graceful vs hard-kill shutdown (RFC 4486 Cease
 # subcode 2 observed only for graceful), multi-tenant VRF isolation with
-# overlapping prefixes, and multicast group replication through a real
-# switch. The same scenarios run as sdx-bench e2e-* experiments in
-# bench-smoke.
+# overlapping prefixes, multicast group replication through a real
+# switch, and leader/active/standby failover of the replicated controller.
+# The first three also run as sdx-bench e2e-* experiments in bench-smoke.
 e2e: build
 	$(GO) test ./e2e -count=1 -timeout 10m -v
 

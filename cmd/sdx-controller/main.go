@@ -9,6 +9,18 @@
 //	sdx-controller -config sdx.json \
 //	    -bgp-listen 127.0.0.1:1179 -of-listen 127.0.0.1:6633
 //
+// Every role of a replicated deployment is this daemon. A leader adds
+// -log-listen: each input it sequences (UPDATE, session death, compile
+// point) is also streamed to followers. A follower replaces the BGP listener
+// with -log-addr and applies the leader's entries through the same code, so
+// it holds the leader's state; the follower the switches dial is the active
+// controller, and one given -primary-addr is a standby that opens its
+// OpenFlow listener only once that address stops answering:
+//
+//	sdx-controller -config sdx.json -bgp-listen :1179 -of-listen :6630 -log-listen :2179
+//	sdx-controller -config sdx.json -log-addr :2179 -of-listen :6633
+//	sdx-controller -config sdx.json -log-addr :2179 -of-listen :6633 -primary-addr :6633
+//
 // The configuration file format is documented in internal/config; an
 // example lives in examples/quickstart (and the README).
 package main
@@ -21,7 +33,6 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -29,6 +40,7 @@ import (
 	"sdx/internal/config"
 	"sdx/internal/core"
 	"sdx/internal/openflow"
+	"sdx/internal/replog"
 	"sdx/internal/routeserver"
 	"sdx/internal/telemetry"
 )
@@ -46,6 +58,14 @@ func main() {
 			"HTTP listen address for /metrics and /debug/sdx (empty = no listener)")
 		pprofAddr = flag.String("pprof-addr", "",
 			"HTTP listen address for net/http/pprof (may equal -telemetry-addr to share its mux)")
+		logListen = flag.String("log-listen", "",
+			"leader: stream every sequenced input to followers on this address (empty = no followers)")
+		logAddr = flag.String("log-addr", "",
+			"follower: apply the leader's input stream from this address instead of terminating BGP sessions")
+		primaryAddr = flag.String("primary-addr", "",
+			"standby: the active controller's OpenFlow address to probe; -of-listen opens once it stops answering")
+		probeEvery = flag.Duration("probe-interval", 500*time.Millisecond, "standby: primary liveness probe interval")
+		probeFails = flag.Int("probe-failures", 3, "standby: consecutive probe failures before promotion")
 	)
 	flag.Parse()
 
@@ -80,26 +100,30 @@ func main() {
 	switches.HandlePacketIn = ctrl.HandlePacketIn
 	switches.Metrics = openflow.NewMetrics(reg)
 	switches.Logf = log.Printf
-	d := &daemon{
-		ctrl:       ctrl,
-		switches:   switches,
-		reoptAfter: *reoptAfter,
-	}
 
-	// Route-server frontend over live BGP.
+	// The frontend sequences and applies every input; the replica hangs the
+	// two-stage reaction of §4.3.2 on it. A follower has no speaker: its
+	// input is the leader's sequence.
+	follower := *logAddr != ""
 	localID := netip.MustParseAddr("10.255.255.254")
 	if cfg.RouterID != "" {
 		localID = netip.MustParseAddr(cfg.RouterID)
 	}
-	speaker := bgp.NewSpeaker(bgp.SessionConfig{
-		LocalAS:  cfg.LocalAS,
-		LocalID:  localID,
-		HoldTime: bgp.DefaultHoldTime,
-		Metrics:  bgp.NewMetrics(reg),
-	})
+	var speaker *bgp.Speaker
+	if !follower {
+		speaker = bgp.NewSpeaker(bgp.SessionConfig{
+			LocalAS:  cfg.LocalAS,
+			LocalID:  localID,
+			HoldTime: bgp.DefaultHoldTime,
+			Metrics:  bgp.NewMetrics(reg),
+		})
+	}
 	fe := routeserver.NewFrontend(rs, speaker)
 	fe.EnableTelemetry(reg)
-	fe.NextHop = ctrl.NextHopFor
+	rep := core.NewReplica(ctrl, switches)
+	rep.Logf = log.Printf
+	rep.EnableTelemetry(reg)
+	rep.Drive(fe)
 	owns := cfg.Ownership()
 	fe.Ownership = func(p routeserver.ID, prefix netip.Prefix) bool {
 		for _, owned := range owns[string(p)] {
@@ -109,8 +133,6 @@ func main() {
 		}
 		return false
 	}
-	fe.OnPrefixes = d.onRoutePrefixes
-	d.frontend = fe
 	for _, pc := range cfg.Participants {
 		for _, port := range pc.Ports {
 			if err := fe.RegisterPeer(netip.MustParseAddr(port.RouterIP), routeserver.ID(pc.ID)); err != nil {
@@ -118,11 +140,6 @@ func main() {
 			}
 		}
 	}
-	bgpAddr, err := speaker.Listen(*bgpListen)
-	if err != nil {
-		log.Fatalf("bgp listen: %v", err)
-	}
-	log.Printf("route server listening on %v (AS%d, id %v)", bgpAddr, cfg.LocalAS, localID)
 
 	if *telemetryAddr != "" {
 		var mounts []telemetry.Mount
@@ -146,10 +163,107 @@ func main() {
 		log.Printf("pprof on http://%v/debug/pprof/", psrv.Addr())
 	}
 
-	// Initial compilation.
-	if _, err := d.recompile(); err != nil {
-		log.Fatalf("initial compilation: %v", err)
+	// stop is closed once the participant sessions have been told goodbye;
+	// everything else unwinds from it.
+	stop := make(chan struct{})
+	closeOnStop := func(ln net.Listener) {
+		go func() {
+			<-stop
+			ln.Close()
+		}()
 	}
+	// reopt is the background stage's burst detector: every quick-stage
+	// reaction pushes the next compile point reoptAfter into the future.
+	// Only the leader runs one; followers compile where the leader did.
+	var reopt *time.Timer
+
+	if follower {
+		c := &replog.Consumer{Addr: *logAddr, Apply: fe.Apply, Logf: log.Printf}
+		c.EnableTelemetry(reg, "follower")
+		go func() {
+			if err := c.Run(stop); err != nil {
+				log.Fatalf("log consumer: %v", err)
+			}
+		}()
+		log.Printf("following the input log at %v", *logAddr)
+	} else {
+		if *logListen != "" {
+			fe.Log = replog.NewLog()
+			fe.Log.EnableTelemetry(reg)
+			logLn, err := net.Listen("tcp", *logListen)
+			if err != nil {
+				log.Fatalf("log listen: %v", err)
+			}
+			log.Printf("input log streaming on %v", logLn.Addr())
+			closeOnStop(logLn)
+			go (&replog.StreamServer{Log: fe.Log, Logf: log.Printf}).Serve(logLn)
+		}
+		reopt = time.AfterFunc(*reoptAfter, func() {
+			if err := fe.Mark(); err != nil {
+				log.Printf("background recompilation: %v", err)
+			}
+		})
+		reopt.Stop()
+		react := fe.OnPrefixes
+		fe.OnPrefixes = func(prefixes []netip.Prefix) {
+			react(prefixes)
+			reopt.Reset(*reoptAfter)
+		}
+		// The initial compilation is the compile point at sequence 1, so a
+		// follower replays it too.
+		if err := fe.Mark(); err != nil {
+			log.Fatalf("initial compilation: %v", err)
+		}
+		bgpAddr, err := speaker.Listen(*bgpListen)
+		if err != nil {
+			log.Fatalf("bgp listen: %v", err)
+		}
+		log.Printf("route server listening on %v (AS%d, id %v)", bgpAddr, cfg.LocalAS, localID)
+	}
+
+	// Graceful teardown on SIGINT/SIGTERM, in dependency order: stop the
+	// pending background recompilation, send CEASE / Administrative Shutdown
+	// (RFC 4486 subcode 2) to every participant session so their routers
+	// drop our routes without waiting out hold timers, then close the
+	// listeners, which unblocks the accept loop below.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		sig := <-sigc
+		log.Printf("%v: shutting down", sig)
+		if !follower {
+			reopt.Stop()
+			speaker.Shutdown()
+		}
+		close(stop)
+	}()
+
+	// A standby holds the desired state but no switches while the primary
+	// answers TCP probes. The active controller and its standby share one
+	// -of-listen address: the dead primary frees it, so the switches' redial
+	// loops land on whichever replica is active.
+	if *primaryAddr != "" {
+		log.Printf("standby: probing primary %v every %v", *primaryAddr, *probeEvery)
+		failures := 0
+		for failures < *probeFails {
+			select {
+			case <-stop:
+				log.Printf("shutdown complete")
+				return
+			case <-time.After(*probeEvery):
+			}
+			conn, err := net.DialTimeout("tcp", *primaryAddr, *probeEvery)
+			if err != nil {
+				failures++
+				log.Printf("standby: primary probe failed (%d/%d): %v", failures, *probeFails, err)
+				continue
+			}
+			conn.Close()
+			failures = 0
+		}
+		log.Printf("standby: primary unreachable, promoting at log seq %d", fe.Applied())
+	}
+	rep.Promote()
 
 	// OpenFlow switch connections.
 	ln, err := net.Listen("tcp", *ofListen)
@@ -157,22 +271,7 @@ func main() {
 		log.Fatalf("openflow listen: %v", err)
 	}
 	log.Printf("openflow listening on %v", ln.Addr())
-
-	// Graceful teardown on SIGINT/SIGTERM, in dependency order: stop the
-	// pending background recompilation, send CEASE / Administrative Shutdown
-	// (RFC 4486 subcode 2) to every participant session so their routers
-	// drop our routes without waiting out hold timers, then close the
-	// OpenFlow listener, which unblocks the accept loop below.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigc
-		log.Printf("%v: shutting down (sending CEASE administrative shutdown to peers)", sig)
-		d.stopReopt()
-		speaker.Shutdown()
-		ln.Close()
-	}()
-
+	closeOnStop(ln)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -187,72 +286,4 @@ func main() {
 		// deletes of stale entries), and runs the PACKET_IN loop.
 		go switches.Serve(conn)
 	}
-}
-
-// daemon holds the controller's runtime state shared between the BGP and
-// OpenFlow sides. Switch-facing state (live channels, last committed base,
-// outstanding fast-path rules) lives in the core.SwitchServer.
-type daemon struct {
-	ctrl       *core.Controller
-	switches   *core.SwitchServer
-	frontend   *routeserver.Frontend
-	reoptAfter time.Duration
-
-	mu     sync.Mutex
-	reoptT *time.Timer
-}
-
-// stopReopt cancels any pending background recompilation timer so shutdown
-// does not race a recompile against the closing switch connections.
-func (d *daemon) stopReopt() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.reoptT != nil {
-		d.reoptT.Stop()
-	}
-}
-
-// recompile runs the full pipeline and diff-pushes the base table to every
-// connected switch.
-func (d *daemon) recompile() (*core.CompileResult, error) {
-	res, err := d.ctrl.Compile()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.switches.SetBase(res); err != nil {
-		return nil, err
-	}
-	// The per-compile summary line (duration, rules, FECs, parallelism) is
-	// emitted by the controller's tracer, which mirrors to this log.
-	// Refresh participants whose virtual next hops moved; unchanged groups
-	// kept their VNHs, so this is mostly idempotent.
-	if d.frontend != nil {
-		go d.frontend.ReadvertiseAll()
-	}
-	return res, nil
-}
-
-// onRoutePrefixes is the two-stage reaction of §4.3.2: the quick stage
-// compiles and installs rules for the affected prefixes immediately; the
-// background stage reruns the full pipeline once the burst has quiesced.
-func (d *daemon) onRoutePrefixes(prefixes []netip.Prefix) {
-	fast, err := d.ctrl.FastReact(prefixes)
-	if err != nil {
-		log.Printf("fast path: %v", err)
-		return
-	}
-	if err := d.switches.PushFastAll(fast); err != nil {
-		log.Printf("pushing fast rules: %v", err)
-	}
-	d.mu.Lock()
-	if d.reoptT != nil {
-		d.reoptT.Stop()
-	}
-	d.reoptT = time.AfterFunc(d.reoptAfter, func() {
-		if _, err := d.recompile(); err != nil {
-			log.Printf("background recompilation: %v", err)
-		}
-	})
-	d.mu.Unlock()
-	// The quick-stage summary line is the tracer's "fastpath" event.
 }

@@ -57,10 +57,12 @@ func failoverController(t *testing.T) *Controller {
 	return c
 }
 
-// failoverReplica is one controller replica consuming the shared log over
-// TCP, with an OpenFlow listener it opens only while active.
+// failoverReplica is one controller replica — a follower frontend driving a
+// Replica — consuming the shared log over TCP, with an OpenFlow listener it
+// opens only while active.
 type failoverReplica struct {
 	rep      *Replica
+	fe       *routeserver.Frontend
 	consumer *replog.Consumer
 	stop     chan struct{}
 	stopped  sync.Once
@@ -80,13 +82,16 @@ func newFailoverReplica(t *testing.T, logAddr string, reg *telemetry.Registry) *
 	srv := NewSwitchServer(reg)
 	rep := NewReplica(ctrl, srv)
 	rep.EnableTelemetry(reg)
+	fe := routeserver.NewFrontend(ctrl.RouteServer(), nil)
+	rep.Drive(fe)
 	fr := &failoverReplica{
 		rep:  rep,
+		fe:   fe,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 		consumer: &replog.Consumer{
 			Addr:       logAddr,
-			Apply:      rep.Apply,
+			Apply:      fe.Apply,
 			MinBackoff: time.Millisecond,
 			MaxBackoff: 10 * time.Millisecond,
 		},
@@ -163,7 +168,7 @@ func TestChaosClusterFailover(t *testing.T) {
 		}
 	}
 	waitFor("replicas to commit the seed compilation", func() bool {
-		return primary.rep.Applied() >= 1 && standby.rep.Applied() >= 1 && reference.rep.Applied() >= 1
+		return primary.fe.Applied() >= 1 && standby.fe.Applied() >= 1 && reference.fe.Applied() >= 1
 	})
 
 	// The victim dials whichever replica is currently active, through a
@@ -235,7 +240,7 @@ func TestChaosClusterFailover(t *testing.T) {
 
 	head := log.Head()
 	waitFor("standby and reference to drain the log", func() bool {
-		return standby.rep.Applied() == head && reference.rep.Applied() == head
+		return standby.fe.Applied() == head && reference.fe.Applied() == head
 	})
 	waitFor("victim to re-home to the standby", func() bool {
 		return standby.rep.Switches.Switches() == 1

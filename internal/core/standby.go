@@ -1,26 +1,26 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 	"sync/atomic"
 
-	"sdx/internal/replog"
 	"sdx/internal/routeserver"
 	"sdx/internal/telemetry"
 )
 
-// Replica is one controller in an active-standby pair (or a reference
-// replica in a test): a Controller plus a SwitchServer, driven entirely by
-// the replicated UPDATE log. Because the decision process and the policy
-// compiler are deterministic, every replica that applies the same entry
-// sequence holds byte-identical desired state — including the
-// history-dependent VNH/VMAC assignment, provided compiles happen at the
-// log's KindMark positions rather than on local timers.
+// Replica is one controller in a replicated deployment (or a reference
+// replica in a test): a Controller plus a SwitchServer whose two-stage
+// reaction is driven by a routeserver.Frontend — sessions on the leader, the
+// leader's log on a follower, the same transition function on both. Because
+// the decision process and the policy compiler are deterministic, every
+// replica that applies the same entry sequence holds byte-identical desired
+// state — including the history-dependent VNH/VMAC assignment, since
+// compiles happen at the sequence's KindMark positions rather than on local
+// timers.
 //
 // The active replica has switches attached to its SwitchServer; a standby
-// applies the same log with no switches (every push is a no-op against an
-// empty switch set). Promotion is therefore not a state transfer: the
+// applies the same entries with no switches (every push is a no-op against
+// an empty switch set). Promotion is therefore not a state transfer: the
 // standby already holds the desired state, and the PR 4 reconciliation in
 // SwitchServer.Serve replays it into each switch that re-homes to the new
 // primary — flow-stats dump, replay of desired adds, strict delete of
@@ -28,10 +28,10 @@ import (
 type Replica struct {
 	Ctrl     *Controller
 	Switches *SwitchServer
-	// Logf, when set, receives apply/promotion diagnostics.
+	// Logf, when set, receives reaction/promotion diagnostics.
 	Logf func(format string, args ...any)
 
-	applied     atomic.Uint64
+	fe          *routeserver.Frontend
 	promoted    atomic.Bool
 	mPromotions telemetry.Counter
 }
@@ -42,14 +42,43 @@ func NewReplica(ctrl *Controller, switches *SwitchServer) *Replica {
 	return &Replica{Ctrl: ctrl, Switches: switches}
 }
 
-// Applied returns the sequence number of the last applied log entry.
-func (r *Replica) Applied() uint64 { return r.applied.Load() }
+// Drive installs the two-stage reaction of §4.3.2 on fe, which must front
+// the controller's own route server: update and flush entries run the quick
+// stage for the touched prefixes, compile points run the full compilation
+// and commit the base table, and advertised next hops are the controller's
+// VNHs. Reaction errors are logged, not returned: a dead switch channel
+// reconciles on reattach, and a follower that logs and continues is in the
+// same state as the leader that did.
+func (r *Replica) Drive(fe *routeserver.Frontend) {
+	r.fe = fe
+	fe.NextHop = r.Ctrl.NextHopFor
+	fe.OnPrefixes = func(prefixes []netip.Prefix) {
+		fast, err := r.Ctrl.FastReact(prefixes)
+		if err != nil {
+			r.logf("core: fast path: %v", err)
+			return
+		}
+		if err := r.Switches.PushFastAll(fast); err != nil {
+			r.logf("core: pushing fast rules: %v", err)
+		}
+	}
+	fe.OnMark = func() {
+		res, err := r.Ctrl.Compile()
+		if err != nil {
+			r.logf("core: compiling: %v", err)
+			return
+		}
+		if err := r.Switches.SetBase(res); err != nil {
+			r.logf("core: pushing base: %v", err)
+		}
+	}
+}
 
 // Promoted reports whether Promote has been called.
 func (r *Replica) Promoted() bool { return r.promoted.Load() }
 
-// Promote marks the standby active. The desired state is already current
-// (the log was being applied all along), so promotion itself is only a
+// Promote marks the replica active. The desired state is already current
+// (the entries were being applied all along), so promotion itself is only a
 // role flip plus whatever listener the caller now opens; each switch that
 // dials the new primary is reconciled by SwitchServer.Serve.
 func (r *Replica) Promote() {
@@ -57,60 +86,7 @@ func (r *Replica) Promote() {
 		return
 	}
 	r.mPromotions.Inc()
-	r.logf("core: standby promoted at log seq %d", r.applied.Load())
-}
-
-// Apply replays one log entry, mirroring the single-process daemon's
-// two-stage reaction: updates and flushes run the fast path for the
-// touched prefixes; marks run a full compilation and commit the base
-// table. Apply must be called from a single goroutine in sequence order —
-// exactly the contract replog.Consumer provides.
-func (r *Replica) Apply(e *replog.Entry) error {
-	rs := r.Ctrl.RouteServer()
-	switch e.Kind {
-	case replog.KindUpdate:
-		routes := routeserver.RoutesFromUpdate(e.Update, e.PeerAS, e.PeerID)
-		touched, err := rs.ApplyUpdateTouched(routeserver.ID(e.From), e.Update.Withdrawn, routes)
-		if err != nil {
-			return fmt.Errorf("core: applying log seq %d: %w", e.Seq, err)
-		}
-		if err := r.fastReact(touched); err != nil {
-			return err
-		}
-	case replog.KindFlush:
-		if err := r.fastReact(rs.FlushParticipant(routeserver.ID(e.From))); err != nil {
-			return err
-		}
-	case replog.KindMark:
-		res, err := r.Ctrl.Compile()
-		if err != nil {
-			return fmt.Errorf("core: compiling at log seq %d: %w", e.Seq, err)
-		}
-		if err := r.Switches.SetBase(res); err != nil {
-			r.logf("core: pushing base at seq %d: %v", e.Seq, err)
-		}
-	default:
-		return fmt.Errorf("core: unknown log entry kind %d at seq %d", e.Kind, e.Seq)
-	}
-	r.applied.Store(e.Seq)
-	return nil
-}
-
-// fastReact runs the quick stage for the touched prefixes and pushes the
-// resulting rules. Push failures are logged, not fatal: a dead switch
-// channel reconciles on reattach.
-func (r *Replica) fastReact(prefixes []netip.Prefix) error {
-	if len(prefixes) == 0 {
-		return nil
-	}
-	fast, err := r.Ctrl.FastReact(prefixes)
-	if err != nil {
-		return fmt.Errorf("core: fast path: %w", err)
-	}
-	if err := r.Switches.PushFastAll(fast); err != nil {
-		r.logf("core: pushing fast rules: %v", err)
-	}
-	return nil
+	r.logf("core: replica promoted at log seq %d", r.fe.Applied())
 }
 
 func (r *Replica) logf(format string, args ...any) {
@@ -129,8 +105,8 @@ func (r *Replica) EnableTelemetry(reg *telemetry.Registry) {
 		"Standby-to-active promotions on this replica.",
 		func() float64 { return float64(r.mPromotions.Value()) })
 	reg.GaugeFunc("sdx_core_replica_applied_seq",
-		"Last replicated-log sequence number applied by this replica.",
-		func() float64 { return float64(r.Applied()) })
+		"Sequence number of the last entry this replica's frontend applied.",
+		func() float64 { return float64(r.fe.Applied()) })
 	reg.GaugeFunc("sdx_core_replica_active",
 		"1 when this replica has been promoted to active.",
 		func() float64 {

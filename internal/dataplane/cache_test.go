@@ -253,7 +253,7 @@ func TestFlowTableCountersExactUnderConcurrentInject(t *testing.T) {
 		t.Error("concurrent dumper never completed a dump")
 	}
 	st := sw.Table.CacheStats()
-	if st.Hits+st.Misses < uint64(total) {
+	if st.Hits+st.MegaflowHits+st.Misses < uint64(total) {
 		t.Errorf("cache saw %d lookups, want >= %d", st.Hits+st.Misses, total)
 	}
 	if st.Invalidations == 0 {

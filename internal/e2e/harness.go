@@ -1,5 +1,5 @@
 // Package e2e boots the repository's daemons — sdx-controller, sdx-bgpd,
-// sdx-switch, sdx-cluster — as real operating-system processes wired over
+// sdx-switch — as real operating-system processes wired over
 // real TCP and UDP sockets, and drives end-to-end scenarios against them:
 // multicast group delivery across the fabric, multi-tenant VRF isolation at
 // the route server, and graceful-versus-hard daemon shutdown (RFC 4486
@@ -70,7 +70,7 @@ func Binaries(names ...string) (map[string]string, error) {
 			return
 		}
 		args := []string{"build", "-o", dir + string(filepath.Separator),
-			"./cmd/sdx-controller", "./cmd/sdx-bgpd", "./cmd/sdx-switch", "./cmd/sdx-cluster"}
+			"./cmd/sdx-controller", "./cmd/sdx-bgpd", "./cmd/sdx-switch"}
 		cmd := exec.Command("go", args...)
 		cmd.Dir = root
 		if out, err := cmd.CombinedOutput(); err != nil {

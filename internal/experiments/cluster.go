@@ -16,15 +16,16 @@ import (
 )
 
 // ClusterResult reports the route-server cluster experiment: live BGP
-// sessions terminated by a thin LogFrontend, fanned into the replicated
-// UPDATE log, and streamed over TCP to sharded worker replicas — one of
-// which loses its stream mid-run and must resume from its last applied
-// sequence. The acceptance gates are correctness properties, not rates:
-// every worker must drain the log, the severed worker must redial, and
-// every participant's Adj-RIB-Out rendered by its owning worker must be
-// byte-identical to a single-process reference that replayed the same log
-// in-process. Throughput and lag are reported for the record but not gated
-// — they depend on the host, and the cluster's contract is equivalence.
+// sessions terminated by a leader Frontend, which sequences and applies
+// every input and fans it into the replicated log, streamed over TCP to
+// follower Frontends — one of which loses its stream mid-run and must
+// resume from its last applied sequence. The acceptance gates are
+// correctness properties, not rates: every follower must drain the log, the
+// severed follower must redial, and every participant's Adj-RIB-Out rendered
+// by every follower must be byte-identical to the leader's own engine.
+// Throughput and lag are reported for the record but not gated — they depend
+// on the host, and the cluster's contract is equivalence. ("Worker" in the
+// field names is the follower role's old name; the JSON shape is kept.)
 type ClusterResult struct {
 	Participants int `json:"participants"`
 	Workers      int `json:"workers"`
@@ -51,15 +52,15 @@ type ClusterResult struct {
 	// Pass/fail gates (sdx-benchjson -validate requires every *_ok true):
 	// all workers applied the full log; the severed worker reconnected at
 	// least once; a session death was replicated as a flush entry; every
-	// participant's Adj-RIB-Out is byte-identical across worker and
-	// reference.
+	// participant's Adj-RIB-Out is byte-identical across every worker and
+	// the leader.
 	DrainedOK     bool `json:"drained_ok"`
 	ResumeOK      bool `json:"resume_ok"`
 	FlushOK       bool `json:"flush_ok"`
 	EquivalenceOK bool `json:"equivalence_ok"`
 }
 
-// Cluster runs the sharded route-server topology end to end. nBursts
+// Cluster runs the replicated route-server topology end to end. nBursts
 // bounds the churn trace; <=0 picks a default sized for a CI smoke run.
 func Cluster(cfg Config, nBursts int) (*ClusterResult, error) {
 	if nBursts <= 0 {
@@ -73,13 +74,19 @@ func Cluster(cfg Config, nBursts int) (*ClusterResult, error) {
 	rng := cfg.rng()
 
 	ex := workload.GenerateExchange(rng, nParticipants, nPrefixes)
-	parts := make([]routeserver.ClusterParticipant, nParticipants)
-	for i, m := range ex.Members {
-		parts[i] = routeserver.ClusterParticipant{ID: m.ID, AS: m.AS}
+	// Every replica starts from the same registry and an empty table.
+	newEngine := func() (*routeserver.Server, error) {
+		rs := routeserver.New(nil)
+		for _, m := range ex.Members {
+			if err := rs.AddParticipant(m.ID, m.AS); err != nil {
+				return nil, err
+			}
+		}
+		return rs, nil
 	}
 
-	// Ingest tier: the log, its TCP stream server, and the thin frontend
-	// terminating the participants' BGP sessions.
+	// Ingest tier: the leader frontend terminating the participants' BGP
+	// sessions, its log, and the log's TCP stream server.
 	log := replog.NewLog()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -93,18 +100,25 @@ func Cluster(cfg Config, nBursts int) (*ClusterResult, error) {
 		LocalID: netip.AddrFrom4([4]byte{10, 255, 255, 254}),
 	})
 	defer speaker.Close()
-	lf := routeserver.NewLogFrontend(log, speaker)
+	leaderEngine, err := newEngine()
+	if err != nil {
+		return nil, err
+	}
+	leader := routeserver.NewFrontend(leaderEngine, speaker)
+	leader.Log = log
 	for _, m := range ex.Members {
-		lf.RegisterPeer(m.Ports[0].RouterIP, m.ID)
+		if err := leader.RegisterPeer(m.Ports[0].RouterIP, m.ID); err != nil {
+			return nil, err
+		}
 	}
 	bgpAddr, err := speaker.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
 
-	// Worker tier: nWorkers full replicas consuming the log over TCP.
-	// Worker 0's first connection is severed mid-stream to force a resume.
-	workers := make([]*routeserver.Worker, nWorkers)
+	// Follower tier: nWorkers full replicas consuming the log over TCP.
+	// Follower 0's first connection is severed mid-stream to force a resume.
+	workers := make([]*routeserver.Frontend, nWorkers)
 	consumers := make([]*replog.Consumer, nWorkers)
 	stop := make(chan struct{})
 	defer close(stop)
@@ -115,10 +129,11 @@ func Cluster(cfg Config, nBursts int) (*ClusterResult, error) {
 		}
 	}
 	for i := range workers {
-		w, err := routeserver.NewWorker(i, nWorkers, parts)
+		engine, err := newEngine()
 		if err != nil {
 			return nil, err
 		}
+		w := routeserver.NewFrontend(engine, nil)
 		workers[i] = w
 		c := &replog.Consumer{
 			Addr:       ln.Addr().String(),
@@ -182,8 +197,8 @@ func Cluster(cfg Config, nBursts int) (*ClusterResult, error) {
 	}
 	res.IngestSeconds = time.Since(start).Seconds()
 
-	// Kill the victim's session: the frontend must replicate the loss as a
-	// flush entry so every worker drops its routes at the same position.
+	// Kill the victim's session: the leader must replicate the loss as a
+	// flush entry so every follower drops its routes at the same position.
 	preFlushHead := log.Head()
 	clients[victim].Close()
 	flushDeadline := time.Now().Add(10 * time.Second)
@@ -207,28 +222,13 @@ func Cluster(cfg Config, nBursts int) (*ClusterResult, error) {
 		res.EntriesPerSec = float64(head) / res.IngestSeconds
 	}
 
-	// Reference: a single-process replica replaying the identical log
-	// in-process — the ground truth the TCP workers must match byte for byte.
-	refWorker, err := routeserver.NewWorker(0, 1, parts)
-	if err != nil {
-		return nil, err
-	}
-	for seq := uint64(1); seq <= head; seq++ {
-		e, ok := log.Get(seq)
-		if !ok {
-			return nil, fmt.Errorf("cluster: log entry %d missing", seq)
-		}
-		if err := refWorker.Apply(e); err != nil {
-			return nil, fmt.Errorf("cluster: reference apply seq %d: %w", seq, err)
-		}
-	}
-
-	// Drain: every worker (including the severed one, post-resume) must
-	// reach the final head.
+	// Drain: every follower (including the severed one, post-resume) must
+	// reach the final head, and the leader must have finished applying what
+	// it appended last.
 	drainStart := time.Now()
 	drainDeadline := drainStart.Add(30 * time.Second)
 	for {
-		res.MaxFinalLag = 0
+		res.MaxFinalLag = head - leader.Applied()
 		for _, c := range consumers {
 			if lag := head - c.Applied(); lag > res.MaxFinalLag {
 				res.MaxFinalLag = lag
@@ -247,28 +247,24 @@ func Cluster(cfg Config, nBursts int) (*ClusterResult, error) {
 	res.SeveredWorkerDials = uint64(severDialer.Dials())
 	res.ResumeOK = res.SeveredWorkerDials >= 2
 
-	// Equivalence: per participant, the owning worker's canonical
-	// Adj-RIB-Out against the reference's.
+	// Equivalence: per participant, every follower's canonical Adj-RIB-Out
+	// against the leader's own engine.
 	res.EquivalenceOK = res.DrainedOK
-	ids := make([]routeserver.ID, 0, len(parts))
-	for _, p := range parts {
-		ids = append(ids, p.ID)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		w := workers[routeserver.ShardOf(id, nWorkers)]
-		want, err := routeserver.AdjRIBOut(refWorker.Server, id, nil)
+	for _, id := range leaderEngine.Participants() {
+		want, err := routeserver.AdjRIBOut(leaderEngine, id, nil)
 		if err != nil {
 			return nil, err
 		}
-		got, err := routeserver.AdjRIBOut(w.Server, id, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(want, got) {
-			res.EquivalenceOK = false
-			cfg.printf("cluster: participant %s: worker %d Adj-RIB-Out differs from reference (%d vs %d bytes)\n",
-				id, w.Index, len(got), len(want))
+		for i, w := range workers {
+			got, err := routeserver.AdjRIBOut(w.Server, id, nil)
+			if err != nil {
+				return nil, err
+			}
+			if !bytes.Equal(want, got) {
+				res.EquivalenceOK = false
+				cfg.printf("cluster: participant %s: follower %d Adj-RIB-Out differs from the leader (%d vs %d bytes)\n",
+					id, i, len(got), len(want))
+			}
 		}
 	}
 

@@ -1,26 +1,26 @@
-// Package replog implements the sequenced, replicated UPDATE log that
-// fans one BGP ingest stream out to N route-server worker processes and
-// to standby controllers.
+// Package replog implements the sequenced, replicated input log that fans
+// one controller's input stream out to its followers.
 //
-// The design leans on PR 5's determinism guarantee: Server.ApplyUpdateTouched is a
+// The design leans on PR 5's determinism guarantee: applying an entry is a
 // pure function of the entry sequence, so any replica that applies the same
 // entries in the same order reaches byte-identical engine state. The log
 // therefore carries *inputs* (the UPDATE wire bytes plus the session
-// identity the frontend learned them from), never derived state. Entries
+// identity the leader learned them from), never derived state. Entries
 // are assigned monotonically increasing sequence numbers at append time;
 // consumers resume from any sequence number after a reconnect (stream.go).
 //
-// Three entry kinds cover everything a replica needs to mirror the
-// single-process frontend:
+// The leader's routeserver.Frontend applies exactly these entries itself —
+// it builds one for every input, appends it here, and runs it through the
+// same apply a follower runs — so the three kinds are everything that
+// changes routing state:
 //
-//   - KindUpdate: one BGP UPDATE from one participant session.
-//   - KindFlush: a participant's session died; flush its routes
-//     (Frontend.onDown → Server.FlushParticipant).
+//   - KindUpdate: one BGP UPDATE from one participant session (or one
+//     route the SDX originates on a participant's behalf).
+//   - KindFlush: a participant's session died; flush its routes.
 //   - KindMark: a compile point. Virtual next-hop assignment is
 //     history-dependent (pool order), so replicated controllers must run
-//     Compile at identical logical positions in the stream; the frontend
-//     (or a churn driver) appends a mark wherever the single-process daemon
-//     would have recompiled.
+//     Compile at identical logical positions in the stream; the leader
+//     sequences a mark wherever it recompiles.
 package replog
 
 import (
@@ -50,8 +50,7 @@ type Entry struct {
 	// (empty for KindMark).
 	From string
 	// PeerAS and PeerID are the BGP session identity the UPDATE arrived
-	// on; replicas stamp them into the bgp.Route they apply, exactly as
-	// Frontend.onUpdate does.
+	// on, stamped into the bgp.Route every replica applies.
 	PeerAS uint32
 	PeerID netip.Addr
 	// Update is the UPDATE body (KindUpdate only).

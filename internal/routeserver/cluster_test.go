@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,35 +16,12 @@ import (
 	"sdx/internal/replog"
 )
 
-func TestShardOfStableAndInRange(t *testing.T) {
-	for n := 1; n <= 8; n++ {
-		for i := 0; i < 100; i++ {
-			id := ID(fmt.Sprintf("P%02d", i))
-			s := ShardOf(id, n)
-			if s < 0 || s >= n {
-				t.Fatalf("ShardOf(%q, %d) = %d out of range", id, n, s)
-			}
-			if s != ShardOf(id, n) {
-				t.Fatalf("ShardOf(%q, %d) unstable", id, n)
-			}
-		}
-	}
-	// All shards of a reasonably sized cluster should get members.
-	used := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		used[ShardOf(ID(fmt.Sprintf("P%02d", i)), 4)] = true
-	}
-	if len(used) != 4 {
-		t.Fatalf("64 participants landed on %d of 4 shards", len(used))
-	}
-}
-
 // TestClusterEquivalence is the tentpole property test: the same randomized
 // burst sequence is fed (a) directly into a single-process Server via
 // ApplyUpdateTouched and (b) through the replicated log over real TCP into four
-// sharded workers — one of which has its stream severed mid-run and must
-// resume. Every participant's Adj-RIB-Out, rendered by the worker owning
-// its shard, must be byte-identical to the single-process server's.
+// follower Frontends — one of which has its stream severed mid-run and must
+// resume. Every participant's Adj-RIB-Out, rendered by every follower, must
+// be byte-identical to the single-process server's.
 func TestClusterEquivalence(t *testing.T) {
 	const (
 		nParts   = 8
@@ -51,11 +30,24 @@ func TestClusterEquivalence(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(42))
 
-	parts := make([]ClusterParticipant, nParts)
+	type part struct {
+		ID ID
+		AS uint32
+	}
+	parts := make([]part, nParts)
 	peerIDs := make([]netip.Addr, nParts)
 	for i := range parts {
-		parts[i] = ClusterParticipant{ID: ID(fmt.Sprintf("P%d", i)), AS: uint32(65001 + i)}
+		parts[i] = part{ID: ID(fmt.Sprintf("P%d", i)), AS: uint32(65001 + i)}
 		peerIDs[i] = netip.AddrFrom4([4]byte{172, 0, 0, byte(i + 1)})
+	}
+	newEngine := func() *Server {
+		rs := New(nil)
+		for _, p := range parts {
+			if err := rs.AddParticipant(p.ID, p.AS); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rs
 	}
 	prefixPool := make([]netip.Prefix, 100)
 	for i := range prefixPool {
@@ -63,14 +55,9 @@ func TestClusterEquivalence(t *testing.T) {
 	}
 
 	// Reference: the single-process server, fed routes built by hand (the
-	// workers go through RoutesFromUpdate, so the test also pins that
+	// followers go through RoutesFromUpdate, so the test also pins that
 	// against an independent construction).
-	ref := New(nil)
-	for _, p := range parts {
-		if err := ref.AddParticipant(p.ID, p.AS); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ref := newEngine()
 
 	// Cluster: one log streamed over TCP to four full replicas.
 	log := replog.NewLog()
@@ -81,16 +68,13 @@ func TestClusterEquivalence(t *testing.T) {
 	defer ln.Close()
 	go (&replog.StreamServer{Log: log}).Serve(ln)
 
-	workers := make([]*Worker, nWorkers)
+	workers := make([]*Frontend, nWorkers)
 	consumers := make([]*replog.Consumer, nWorkers)
 	stop := make(chan struct{})
 	defer close(stop)
 	var severDialer *faultnet.Dialer
 	for i := range workers {
-		w, err := NewWorker(i, nWorkers, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := NewFrontend(newEngine(), nil)
 		workers[i] = w
 		c := &replog.Consumer{
 			Addr:       ln.Addr().String(),
@@ -204,35 +188,46 @@ func TestClusterEquivalence(t *testing.T) {
 	}
 
 	for _, p := range parts {
-		w := workers[ShardOf(p.ID, nWorkers)]
-		if !w.Owns(p.ID) {
-			t.Fatalf("shard routing inconsistent for %s", p.ID)
-		}
 		want, err := AdjRIBOut(ref, p.ID, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AdjRIBOut(w.Server, p.ID, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("participant %s: worker %d Adj-RIB-Out differs from single-process server (%d vs %d bytes)",
-				p.ID, w.Index, len(got), len(want))
+		for i, w := range workers {
+			got, err := AdjRIBOut(w.Server, p.ID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, got) {
+				t.Errorf("participant %s: worker %d Adj-RIB-Out differs from single-process server (%d vs %d bytes)",
+					p.ID, i, len(got), len(want))
+			}
 		}
 	}
 }
 
-// TestLogFrontendFansSessionsIntoLog drives a live BGP session into a
-// LogFrontend and checks the UPDATE lands in the log with the right
-// attribution, that a deregistered (deprovisioned) peer is cut with Cease
-// at its next UPDATE, and that a session death appends a flush entry.
-func TestLogFrontendFansSessionsIntoLog(t *testing.T) {
+// TestFrontendFansSessionsIntoLog drives live BGP sessions into a
+// Frontend with a Log attached and checks the UPDATE lands in the log with
+// the right attribution, that a deprovisioned participant is cut with Cease
+// at its next UPDATE without that UPDATE being sequenced, that a session
+// death appends a flush entry, that an originated route is an update entry
+// stamped with the synthetic origin identity — and that the frontend applied
+// exactly what it logged.
+func TestFrontendFansSessionsIntoLog(t *testing.T) {
 	log := replog.NewLog()
+	rs := New(nil)
+	for id, as := range map[ID]uint32{"A": 65001, "B": 65002} {
+		if err := rs.AddParticipant(id, as); err != nil {
+			t.Fatal(err)
+		}
+	}
 	speaker := bgp.NewSpeaker(bgp.SessionConfig{LocalAS: 65000, LocalID: ma("10.0.0.100")})
-	lf := NewLogFrontend(log, speaker)
-	lf.RegisterPeer(ma("10.0.0.1"), "A")
-	lf.RegisterPeer(ma("10.0.0.2"), "B")
+	fe := NewFrontend(rs, speaker)
+	fe.Log = log
+	for bgpID, id := range map[string]ID{"10.0.0.1": "A", "10.0.0.2": "B"} {
+		if err := fe.RegisterPeer(ma(bgpID), id); err != nil {
+			t.Fatal(err)
+		}
+	}
 	addr, err := speaker.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +250,7 @@ func TestLogFrontendFansSessionsIntoLog(t *testing.T) {
 		_, ok := speaker.Peer("10.0.0.2")
 		return ok
 	})
-	lf.DeregisterPeer(ma("10.0.0.2"))
+	rs.RemoveParticipant("B")
 	advertise(t, b, "12.0.0.0/8", 65002)
 	waitFor(t, 5*time.Second, "B torn down after rejection", func() bool {
 		select {
@@ -265,7 +260,7 @@ func TestLogFrontendFansSessionsIntoLog(t *testing.T) {
 			return false
 		}
 	})
-	if lf.Rejected() == 0 {
+	if fe.mRejectedUpdates.Value() == 0 {
 		t.Fatal("rejection not counted")
 	}
 
@@ -280,12 +275,107 @@ func TestLogFrontendFansSessionsIntoLog(t *testing.T) {
 		e, _ := log.Get(h)
 		return e.Kind == replog.KindFlush && e.From == "A"
 	})
-	// B's rejected UPDATE must not have landed.
+
+	// An originated route is one more update entry, attributed to the
+	// participant and stamped with its synthetic origin identity.
+	if err := fe.Originate("A", mp("74.125.0.0/16"), ma("203.0.113.9")); err != nil {
+		t.Fatal(err)
+	}
+	e, _ = log.Get(log.Head())
+	if e.Kind != replog.KindUpdate || e.From != "A" || e.PeerAS != 65001 ||
+		e.PeerID != originPeerID(65001) || len(e.Update.NLRI) != 1 || e.Update.NLRI[0] != mp("74.125.0.0/16") {
+		t.Fatalf("originated route logged as %+v", e)
+	}
+	if _, ok := rs.AdvertisedRoute("A", mp("74.125.0.0/16")); !ok {
+		t.Fatal("originated route was logged but not applied")
+	}
+
+	// B's rejected UPDATE (and its session's death) must not have landed.
 	for seq := uint64(1); seq <= log.Head(); seq++ {
 		e, _ := log.Get(seq)
-		if e.From == "B" && e.Kind == replog.KindUpdate {
-			t.Fatalf("rejected UPDATE reached the log at seq %d", seq)
+		if e.From == "B" {
+			t.Fatalf("entry for the deprovisioned participant reached the log at seq %d: %+v", seq, e)
 		}
+	}
+	if fe.Applied() != log.Head() {
+		t.Fatalf("frontend applied seq %d, log head %d", fe.Applied(), log.Head())
+	}
+}
+
+// TestFrontendSerializesReactions pins the ordering contract: with three
+// sessions advertising and compile points arriving concurrently, the
+// quick-stage hook and the compile-point hook never run at the same time
+// (each entry's apply and reaction are atomic with respect to every other
+// entry), every input is sequenced exactly once, and at rest the frontend
+// has applied exactly what its log holds.
+func TestFrontendSerializesReactions(t *testing.T) {
+	fe, addr := newLiveRouteServer(t, nil)
+	fe.Log = replog.NewLog()
+	var (
+		busy                    atomic.Bool
+		overlaps, quick, points atomic.Int64
+	)
+	hook := func(calls *atomic.Int64) {
+		if !busy.CompareAndSwap(false, true) {
+			overlaps.Add(1)
+		}
+		time.Sleep(20 * time.Microsecond) // widen the window another reaction would land in
+		busy.Store(false)
+		calls.Add(1)
+	}
+	fe.OnPrefixes = func([]netip.Prefix) { hook(&quick) }
+	fe.OnMark = func() { hook(&points) }
+
+	const sessions, perSession = 3, 40
+	clients := [sessions]*testClient{
+		dialClient(t, addr, 65001, "10.0.0.1"),
+		dialClient(t, addr, 65002, "10.0.0.2"),
+		dialClient(t, addr, 65003, "10.0.0.3"),
+	}
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < perSession; n++ {
+				err := c.peer.Send(&bgp.Update{
+					Attrs: bgp.PathAttrs{
+						NextHop: ma("192.0.2.9"),
+						ASPath:  []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{uint32(65001 + i)}}},
+					},
+					NLRI: []netip.Prefix{mp(fmt.Sprintf("%d.%d.0.0/16", 20+i, n))},
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	// Compile points keep arriving for as long as the sessions' input does.
+	// The last one is submitted after the last quick-stage reaction was
+	// seen, so it queues behind that entry and returns with everything
+	// applied.
+	marks := int64(0)
+	deadline := time.Now().Add(10 * time.Second)
+	for drained := false; !drained && time.Now().Before(deadline); marks++ {
+		drained = quick.Load() == sessions*perSession
+		if err := fe.Mark(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+
+	want := uint64(sessions*perSession + marks)
+	if fe.Log.Head() != want || fe.Applied() != want {
+		t.Errorf("log head %d, applied %d, want both %d", fe.Log.Head(), fe.Applied(), want)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("reactions overlapped %d times", n)
+	}
+	if quick.Load() != sessions*perSession || points.Load() != marks {
+		t.Errorf("quick-stage reactions %d (want %d), compile points %d (want %d)",
+			quick.Load(), sessions*perSession, points.Load(), marks)
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sdx/internal/bgp"
+	"sdx/internal/replog"
 	"sdx/internal/telemetry"
 )
 
@@ -21,20 +23,26 @@ type NextHopResolver func(receiver ID, prefix netip.Prefix, route bgp.Route) net
 // originates it (the paper's RPKI check for the load-balancing application).
 type OwnershipChecker func(participant ID, prefix netip.Prefix) bool
 
-// Frontend glues a Server to live BGP sessions: it maps peers to
-// participants, feeds their UPDATEs into the engine, and re-advertises
-// the touched prefixes with rewritten next hops.
+// Frontend is the one place an input is sequenced and applied: every
+// session UPDATE, session death, originated route and compile point becomes
+// a replog.Entry, gets the next sequence number, and runs through the one
+// apply — engine mutation, then the controller's reaction, then
+// re-advertisement with rewritten next hops. Every deployment role is an
+// instance of it: a leader has live BGP sessions (and a Log when followers
+// replicate it); a follower is NewFrontend(server, nil) fed the leader's
+// entries through Apply.
 //
-// Ordering. Ingestion is naturally serialized per session (each session's
-// callbacks run on its own read goroutine), the engine shards its apply
-// path by prefix, and emission is serialized per RECEIVING peer: every
-// re-advertisement re-reads the engine's current best route under the
-// receiver's emit lock before being sent. Two sessions' bursts may
-// therefore interleave in the engine, but whichever emission runs last for
-// a given receiver carries the freshest decision, so a peer can never be
-// left holding a stale route — the invariant the old global processing
-// lock enforced, without cross-session serialization. Emissions pack NLRI
-// sharing identical attributes into minimal UPDATE messages (RFC 4271).
+// Ordering. One mutex covers sequence, apply and reaction, so entries take
+// effect one at a time in sequence order: two sessions' UPDATEs never
+// interleave between an engine mutation and its reaction, and a compile
+// point sees exactly the entries sequenced before it — which is what lets a
+// follower replaying the same entries reach the same state. Session reads
+// therefore stall while a compile point runs. Emission stays outside that
+// mutex, serialized per RECEIVING peer: every re-advertisement re-reads the
+// engine's current best route under the receiver's emit lock before being
+// sent, so whichever emission runs last for a receiver carries the freshest
+// decision. Emissions pack NLRI sharing identical attributes into minimal
+// UPDATE messages (RFC 4271).
 type Frontend struct {
 	Server  *Server
 	Speaker *bgp.Speaker
@@ -42,11 +50,19 @@ type Frontend struct {
 	// NextHop, when set, rewrites advertised next hops (VNH installation).
 	NextHop NextHopResolver
 	// OnPrefixes, when set, is invoked with the touched prefixes of each
-	// batch BEFORE they are re-advertised (the paper's §5.1 ordering: the
-	// policy compiler computes fresh virtual next hops first); batches are
-	// serialized so the controller observes them in a consistent order.
-	// It feeds Controller.FastReact.
+	// update or flush entry BEFORE they are re-advertised (the paper's §5.1
+	// ordering: the policy compiler computes fresh virtual next hops
+	// first). It feeds Controller.FastReact. Like OnMark it runs under the
+	// sequencing mutex, so it must not submit input (Originate, Mark).
 	OnPrefixes func([]netip.Prefix)
+	// OnMark, when set, is invoked at each compile point (the background
+	// stage: full compilation and base-table commit) before every route is
+	// re-advertised.
+	OnMark func()
+	// Log, when set, receives every entry at the moment it is sequenced, for
+	// followers to replay. It is fan-out only: the same apply runs here with
+	// or without it.
+	Log *replog.Log
 	// Ownership gates Originate; nil allows everything (test/demo mode).
 	Ownership OwnershipChecker
 	// Tracer, when set, records rejected updates and other noteworthy
@@ -67,8 +83,10 @@ type Frontend struct {
 	// emitters holds one live coalescing emitter per connected peer.
 	emitters map[ID]*peerEmitter
 
-	// changeMu serializes OnPrefixes batches.
-	changeMu sync.Mutex
+	// seqMu orders input: an entry's sequence number, its apply and its
+	// reaction happen under it, atomically with respect to every other entry.
+	seqMu   sync.Mutex
+	applied atomic.Uint64 // written under seqMu
 
 	// Intrusive instruments, exported via EnableTelemetry.
 	mUpdatesOut      telemetry.Counter
@@ -78,7 +96,8 @@ type Frontend struct {
 }
 
 // NewFrontend wires a Server to a Speaker. The Speaker's callbacks are
-// installed here, so create the Frontend before any session is accepted.
+// installed here, so create the Frontend before any session is accepted. A
+// nil speaker makes a follower: no sessions, input arrives through Apply.
 func NewFrontend(server *Server, speaker *bgp.Speaker) *Frontend {
 	f := &Frontend{
 		Server:    server,
@@ -89,9 +108,11 @@ func NewFrontend(server *Server, speaker *bgp.Speaker) *Frontend {
 		emitLocks: make(map[ID]*sync.Mutex),
 		emitters:  make(map[ID]*peerEmitter),
 	}
-	speaker.OnEstablished = f.onEstablished
-	speaker.OnUpdate = f.onUpdate
-	speaker.OnDown = f.onDown
+	if speaker != nil {
+		speaker.OnEstablished = f.onEstablished
+		speaker.OnUpdate = f.onUpdate
+		speaker.OnDown = f.onDown
+	}
 	return f
 }
 
@@ -226,8 +247,10 @@ func (f *Frontend) onDown(p *bgp.Peer, _ error) {
 	// Flush the downed participant's routes from the engine and recompute
 	// best routes: the fabric keeps forwarding on installed rules, but new
 	// best-route decisions must stop preferring a next hop that can no
-	// longer speak for itself.
-	f.propagatePrefixes(f.Server.FlushParticipant(id))
+	// longer speak for itself. A refusal means the participant was
+	// deprovisioned under its session (RemoveParticipant already withdrew
+	// its routes) or the log closed at shutdown.
+	_ = f.submit(&replog.Entry{Kind: replog.KindFlush, From: string(id)})
 }
 
 func (f *Frontend) onUpdate(p *bgp.Peer, u *bgp.Update) {
@@ -239,14 +262,77 @@ func (f *Frontend) onUpdate(p *bgp.Peer, u *bgp.Update) {
 		f.rejectUpdate("", p, u, errUnknownParticipant)
 		return
 	}
-	routes := RoutesFromUpdate(u, p.Session.PeerAS(), p.Session.PeerID())
-	touched, err := f.Server.ApplyUpdateTouched(id, u.Withdrawn, routes)
+	err := f.submit(&replog.Entry{
+		Kind: replog.KindUpdate, From: string(id),
+		PeerAS: p.Session.PeerAS(), PeerID: p.Session.PeerID(), Update: u,
+	})
 	if err != nil {
 		f.rejectUpdate(id, p, u, err)
-		return
 	}
-	f.propagatePrefixes(touched)
 }
+
+// submit sequences one input and applies it. An entry no follower could
+// apply (its participant is not registered) is refused BEFORE it gets a
+// sequence number, so it never reaches the log. The sequence number is the
+// Log's when one is attached for followers, applied+1 otherwise.
+func (f *Frontend) submit(e *replog.Entry) error {
+	f.seqMu.Lock()
+	defer f.seqMu.Unlock()
+	if e.Kind != replog.KindMark {
+		if _, ok := f.Server.AS(ID(e.From)); !ok {
+			return fmt.Errorf("routeserver: unknown participant %q", e.From)
+		}
+	}
+	if f.Log == nil {
+		e.Seq = f.applied.Load() + 1
+	} else if f.Log.Append(e) == 0 {
+		return errors.New("routeserver: replicated log is closed")
+	}
+	return f.apply(e)
+}
+
+// Apply applies one entry sequenced elsewhere — the follower's input path,
+// with the contract replog.Consumer provides: entries arrive in sequence
+// order. An error means this replica can no longer mirror its leader.
+func (f *Frontend) Apply(e *replog.Entry) error {
+	f.seqMu.Lock()
+	defer f.seqMu.Unlock()
+	return f.apply(e)
+}
+
+// apply is the one transition function, run by leader and follower alike.
+// Caller holds seqMu.
+func (f *Frontend) apply(e *replog.Entry) error {
+	switch e.Kind {
+	case replog.KindUpdate:
+		routes := RoutesFromUpdate(e.Update, e.PeerAS, e.PeerID)
+		touched, err := f.Server.ApplyUpdateTouched(ID(e.From), e.Update.Withdrawn, routes)
+		if err != nil {
+			return fmt.Errorf("routeserver: applying log seq %d: %w", e.Seq, err)
+		}
+		f.propagatePrefixes(touched)
+	case replog.KindFlush:
+		f.propagatePrefixes(f.Server.FlushParticipant(ID(e.From)))
+	case replog.KindMark:
+		if f.OnMark != nil {
+			f.OnMark()
+		}
+		f.ReadvertiseAll()
+	default:
+		return fmt.Errorf("routeserver: unknown log entry kind %d at seq %d", e.Kind, e.Seq)
+	}
+	f.applied.Store(e.Seq)
+	return nil
+}
+
+// Mark sequences a compile point: OnMark runs with exactly the entries
+// before it applied, here and at the same position on every follower.
+func (f *Frontend) Mark() error {
+	return f.submit(&replog.Entry{Kind: replog.KindMark})
+}
+
+// Applied returns the sequence number of the last applied entry.
+func (f *Frontend) Applied() uint64 { return f.applied.Load() }
 
 // errUnknownParticipant is the rejection cause when an established session
 // has no participant behind it anymore.
@@ -293,31 +379,28 @@ func (f *Frontend) Originate(participant ID, prefix netip.Prefix, nextHop netip.
 	if !ok {
 		return fmt.Errorf("routeserver: unknown participant %q", participant)
 	}
-	touched, err := f.Server.Advertise(participant, bgp.Route{
-		Prefix: prefix,
-		Attrs: bgp.Intern(bgp.PathAttrs{
-			Origin:  bgp.OriginIGP,
-			ASPath:  []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{as}}},
-			NextHop: nextHop,
-		}),
-		PeerAS: as,
-		PeerID: originPeerID(as),
+	return f.submit(&replog.Entry{
+		Kind: replog.KindUpdate, From: string(participant),
+		PeerAS: as, PeerID: originPeerID(as),
+		Update: &bgp.Update{
+			Attrs: bgp.PathAttrs{
+				Origin:  bgp.OriginIGP,
+				ASPath:  []bgp.ASPathSegment{{Type: bgp.ASSequence, ASNs: []uint32{as}}},
+				NextHop: nextHop,
+			},
+			NLRI: []netip.Prefix{prefix},
+		},
 	})
-	if err != nil {
-		return err
-	}
-	f.propagatePrefixes(touched)
-	return nil
 }
 
 // WithdrawOrigin retracts a route previously injected with Originate.
 func (f *Frontend) WithdrawOrigin(participant ID, prefix netip.Prefix) error {
-	touched, err := f.Server.Withdraw(participant, prefix)
-	if err != nil {
-		return err
-	}
-	f.propagatePrefixes(touched)
-	return nil
+	as, _ := f.Server.AS(participant) // submit refuses an unknown participant
+	return f.submit(&replog.Entry{
+		Kind: replog.KindUpdate, From: string(participant),
+		PeerAS: as, PeerID: originPeerID(as),
+		Update: &bgp.Update{Withdrawn: []netip.Prefix{prefix}},
+	})
 }
 
 // peerEmitter coalesces re-advertisement work for one receiving peer. Route
@@ -456,15 +539,13 @@ func (f *Frontend) connectedEmitters() []*peerEmitter {
 // participant, not only those whose best path flipped: the fast path mints a
 // fresh VNH for the prefix, and a next-hop change is a BGP UPDATE even when
 // the AS path is unchanged. So each touched prefix is re-advertised to every
-// connected participant.
+// connected participant. Caller holds seqMu.
 func (f *Frontend) propagatePrefixes(prefixes []netip.Prefix) {
 	if len(prefixes) == 0 {
 		return
 	}
 	if f.OnPrefixes != nil {
-		f.changeMu.Lock()
 		f.OnPrefixes(prefixes)
-		f.changeMu.Unlock()
 	}
 	for _, e := range f.connectedEmitters() {
 		e.enqueue(prefixes)
@@ -533,10 +614,9 @@ func (f *Frontend) resolveAttrs(receiver ID, prefix netip.Prefix, best bgp.Route
 
 // ReadvertiseAll re-sends the current best route for every prefix to every
 // connected participant, applying the NextHop resolver afresh, packed into
-// minimal UPDATEs. The SDX controller calls this after a background
-// recompilation so participants whose virtual next hops moved pick up the
-// new mapping; participants whose routes are byte-identical simply refresh
-// their RIBs (BGP updates are idempotent).
+// minimal UPDATEs. Every compile point ends with it, so participants whose
+// virtual next hops moved pick up the new mapping; participants whose routes
+// are byte-identical simply refresh their RIBs (BGP updates are idempotent).
 func (f *Frontend) ReadvertiseAll() {
 	prefixes := f.Server.Prefixes()
 	for _, e := range f.connectedEmitters() {
