@@ -127,7 +127,7 @@ func (p *pipeline) run() (*CompileResult, []*FEC, []netip.Addr, error) {
 	res.Stats.PrefixGroups = len(fecs)
 
 	polStart := time.Now()
-	global, err := p.buildGlobalPolicy(sets, fecs)
+	global, err := p.buildGlobalPolicy(sets, fecs, p.routerMACDefaults())
 	if err != nil {
 		return nil, nil, fresh, err
 	}
@@ -172,7 +172,11 @@ func (p *pipeline) run() (*CompileResult, []*FEC, []netip.Addr, error) {
 // The per-participant rewrites are independent of each other and fan out
 // across the snapshot's worker pool; results are assembled in registration
 // order, so the composed policy is identical to the sequential build.
-func (p *pipeline) buildGlobalPolicy(sets []reachSet, fecs []*FEC) (policy.Policy, error) {
+//
+// Both compiler stages assemble here: the background stage over the refreshed
+// reach sets, every class and routerMACDefaults(); the quick stage over
+// singleton reach sets, its one fresh class and no untagged defaults.
+func (p *pipeline) buildGlobalPolicy(sets []reachSet, fecs []*FEC, untagged []policy.Policy) (policy.Policy, error) {
 	// One BGP filter per next hop, shared across every policy that forwards
 	// there: the reused subtree is what the policy compiler's memo table
 	// (§4.3.1 "many policy idioms appear more than once") capitalizes on.
@@ -236,7 +240,7 @@ func (p *pipeline) buildGlobalPolicy(sets []reachSet, fecs []*FEC) (policy.Polic
 	outbound := compactPolicies(pols1)
 	inbound := compactPolicies(pols2)
 
-	pass1 := policy.WithDefault(policy.Par(outbound...), p.sharedDefaultOut(fecs))
+	pass1 := policy.WithDefault(policy.Par(outbound...), p.sharedDefaultOut(fecs, untagged))
 	pass2Parts := []policy.Policy{
 		policy.WithDefault(policy.Par(inbound...), p.sharedDefaultIn()),
 	}
@@ -258,12 +262,15 @@ func compactPolicies(pols []policy.Policy) []policy.Policy {
 	return out
 }
 
-// sharedDefaultOut is the first-stage default: traffic follows its tag (or
-// the destination router's MAC) to the best advertiser's virtual switch.
-// The only port-dependent piece is the override for the best advertiser's
-// OWN traffic, whose default route is the second-best advertiser. The
-// per-class rules are independent and fan out across the worker pool.
-func (p *pipeline) sharedDefaultOut(fecs []*FEC) policy.Policy {
+// sharedDefaultOut is the first-stage default: traffic follows its tag to
+// the best advertiser's virtual switch. The only port-dependent piece is the
+// override for the best advertiser's OWN traffic, whose default route is the
+// second-best advertiser. The per-class rules are independent and fan out
+// across the worker pool. untagged, appended to the base after them, is the
+// caller's: only a view holding every class carries traffic without a class
+// tag. The quick stage keeps nothing but the rules matching its one tag, so
+// a branch per router MAC there would be compiled only to be thrown away.
+func (p *pipeline) sharedDefaultOut(fecs []*FEC, untagged []policy.Policy) policy.Policy {
 	baseSlots := make([]policy.Policy, len(fecs))
 	overrideSlots := make([]policy.Policy, len(fecs))
 	fanOut(p.workers, len(fecs), func(i int) {
@@ -288,17 +295,24 @@ func (p *pipeline) sharedDefaultOut(fecs []*FEC) policy.Policy {
 			policy.Fwd(p.vports[f.Second]),
 		)
 	})
-	base := compactPolicies(baseSlots)
+	base := append(compactPolicies(baseSlots), untagged...)
 	overrides := compactPolicies(overrideSlots)
+	return policy.WithDefault(policy.Par(overrides...), policy.Par(base...))
+}
+
+// routerMACDefaults are the first-stage defaults for untagged traffic: a
+// frame addressed to a router's real MAC goes to that router's participant.
+func (p *pipeline) routerMACDefaults() []policy.Policy {
+	var out []policy.Policy
 	for _, other := range p.parts {
 		for _, port := range other.Ports {
-			base = append(base, policy.SeqOf(
+			out = append(out, policy.SeqOf(
 				policy.MatchPolicy(policy.MatchAll.DstMAC(port.MAC)),
 				policy.Fwd(p.vports[other.ID]),
 			))
 		}
 	}
-	return policy.WithDefault(policy.Par(overrides...), policy.Par(base...))
+	return out
 }
 
 // sharedDefaultIn is the second-stage default: traffic at a participant's
@@ -396,14 +410,8 @@ func (p *pipeline) rewriteMod(m *policy.Mod, owner ID, sets []reachSet, fecs []*
 		return nil, fmt.Errorf("policy forwards to raw physical port %d; use EgressPort or FwdTo", port)
 	}
 	// fwd(B): restrict to the prefixes B exported to the policy's owner.
-	var hop ID
-	for id, v := range p.vports {
-		if v == port {
-			hop = id
-			break
-		}
-	}
-	if hop == "" {
+	hop, ok := p.byVPort[port]
+	if !ok {
 		return nil, fmt.Errorf("forward to unknown virtual port %d", port)
 	}
 	if sets == nil {
@@ -488,13 +496,4 @@ func (p *pipeline) flatten(cl policy.Classifier) ([]policy.Rule, error) {
 		out = append(out, policy.Rule{Match: r.Match, Actions: actions})
 	}
 	return out, nil
-}
-
-// prefixesOf is a small helper for tests and the bench harness.
-func prefixesOf(ps ...string) []netip.Prefix {
-	out := make([]netip.Prefix, len(ps))
-	for i, s := range ps {
-		out[i] = netip.MustParsePrefix(s)
-	}
-	return out
 }

@@ -72,15 +72,14 @@ type Controller struct {
 	groups     map[string]*Group
 	groupOrder []string
 
-	pool     *netutil.IPPool
-	fecs     *FECTable
-	fastPath *fastPathState
+	pool *netutil.IPPool
+	fecs *FECTable
 	// mds caches the incremental MDS inputs (reach sets, universe,
 	// signatures) between background passes; invalidated alongside
 	// fastCache on configuration changes.
 	mds *fecState
-	// fastCache memoizes quick-stage slice compilations by reachability
-	// signature; invalidated by any configuration change and by every
+	// fastCache memoizes quick-stage compilations by MDS signature;
+	// invalidated by any configuration change and by every
 	// full-compilation commit.
 	fastCache fastPathCache
 
@@ -109,7 +108,6 @@ func NewController(rs *routeserver.Server, opts Options) *Controller {
 		nextVirtual:  virtualBase,
 		pool:         pool,
 		fecs:         newFECTable(),
-		fastPath:     newFastPathState(),
 		mds:          newFECState(),
 		tracer:       opts.Tracer,
 	}

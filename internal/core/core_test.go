@@ -51,7 +51,13 @@ func routeFrom(as uint32, routerIP string, prefix netip.Prefix, pathLen int) bgp
 // split ({p1,p2,p4}→C, {p3}→B).
 func figure1(t *testing.T, opts Options) *Controller {
 	t.Helper()
-	rs := routeserver.New(nil)
+	return figure1On(t, routeserver.New(nil), opts)
+}
+
+// figure1On is figure1 on a caller-built route server (one carrying an
+// export policy, say).
+func figure1On(t *testing.T, rs *routeserver.Server, opts Options) *Controller {
+	t.Helper()
 	c := NewController(rs, opts)
 
 	add := func(p Participant) {

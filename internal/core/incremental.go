@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"strings"
 	"sync"
 	"time"
 
@@ -12,30 +11,22 @@ import (
 	"sdx/internal/telemetry"
 )
 
-// fastPathState tracks what the quick reaction stage has installed since
-// the last full compilation, so the background pass can account for (and
-// eventually retire) it.
-type fastPathState struct {
-	mu    sync.Mutex
-	rules []policy.Rule
-	fecs  []*FEC
-}
-
 // fastTemplate is one memoized quick-stage compilation: the rules produced
-// for a prefix whose reachability signature (who advertises it, who the
-// best and backup next hops are) matched the key, together with the VMAC
-// they were compiled against. Under BGP churn the same few signatures recur
-// for thousands of prefixes, so reuse turns the per-prefix policy
-// compilation into a rule clone with the fresh FEC's tag substituted.
+// for a prefix whose MDS signature (renderSig: which policy reach sets hold
+// it, who the best and backup next hops are, which domain) matched the key,
+// together with the VMAC they were compiled against. Under BGP churn the
+// same few signatures recur for thousands of prefixes, so reuse turns the
+// per-prefix policy compilation into a rule clone with the fresh FEC's tag
+// substituted.
 type fastTemplate struct {
 	vmac  netutil.MAC
 	rules []policy.Rule
 }
 
-// fastPathCache memoizes quick-stage compilations by reachability
-// signature. Every input the compiled slice depends on beyond the signature
-// — participant policies, port maps, virtual port numbers — is controller
-// configuration, and any mutation of those invalidates the whole cache.
+// fastPathCache memoizes quick-stage compilations by MDS signature. Every
+// input the compiled rules depend on beyond the signature — participant
+// policies, port maps, virtual port numbers — is controller configuration,
+// and any mutation of those invalidates the whole cache.
 type fastPathCache struct {
 	mu        sync.Mutex
 	templates map[string]*fastTemplate
@@ -65,35 +56,11 @@ func (fc *fastPathCache) store(key string, t *fastTemplate) {
 }
 
 // invalidate drops every template. Called whenever controller configuration
-// that feeds the compiled slices changes.
+// that feeds the compiled rules changes.
 func (fc *fastPathCache) invalidate() {
 	fc.mu.Lock()
 	fc.templates = nil
 	fc.mu.Unlock()
-}
-
-func newFastPathState() *fastPathState { return &fastPathState{} }
-
-func (f *fastPathState) reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rules = nil
-	f.fecs = nil
-}
-
-func (f *fastPathState) record(rules []policy.Rule, fecs []*FEC) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rules = append(f.rules, rules...)
-	f.fecs = append(f.fecs, fecs...)
-}
-
-// FastPathRules returns the rules the quick stage has added since the last
-// full compilation — the paper's Figure 9 "additional forwarding rules".
-func (c *Controller) FastPathRules() []policy.Rule {
-	c.fastPath.mu.Lock()
-	defer c.fastPath.mu.Unlock()
-	return append([]policy.Rule(nil), c.fastPath.rules...)
 }
 
 // FastPathResult is the outcome of one quick-stage reaction to a burst of
@@ -112,20 +79,21 @@ type FastPathResult struct {
 // FastReact is the quick reaction stage of §4.3.2: for every touched prefix
 // (what the route server's apply path returns) it mints a fresh virtual next
 // hop (bypassing minimum-disjoint-subset optimization entirely) and
-// recompiles only the policy slices that can carry that prefix's traffic.
-// The returned rules go in at higher priority than the base table;
+// recompiles only the parts of the policy that can carry that prefix's
+// traffic. The returned rules go in at higher priority than the base table;
 // Reoptimize later recomputes the optimal tables in the background. The
 // prefix list must already be deduplicated.
 func (c *Controller) FastReact(affected []netip.Prefix) (*FastPathResult, error) {
 	start := time.Now()
 	// The read lock is held for the whole reaction: it keeps the quick
-	// stage's allocate-compile-record sequence atomic with respect to a
+	// stage's allocate-and-compile sequence atomic with respect to a
 	// background compilation's commit, which takes the write lock. It does
 	// NOT serialize against the compile's compute phase, which runs
 	// lock-free on its own snapshot.
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	snap := c.snapshotLocked()
+	keys := snap.reachSetKeys()
 
 	// With tenancy active the same bare prefix may need a reaction in
 	// several domains; the work list is the cross product, which collapses
@@ -152,23 +120,20 @@ func (c *Controller) FastReact(affected []netip.Prefix) (*FastPathResult, error)
 	}
 	slots := make([]slot, len(work))
 	fanOut(snap.workers, len(work), func(i int) {
-		fec, rules, err := snap.fastPathForPrefix(work[i].vrf, work[i].pfx, &c.fastCache)
+		fec, rules, err := snap.fastPathForPrefix(work[i].vrf, work[i].pfx, keys, &c.fastCache)
 		slots[i] = slot{fec: fec, rules: rules, err: err}
 	})
 
 	res := &FastPathResult{}
-	var newFecs []*FEC
 	for _, s := range slots {
 		if s.err != nil {
 			return nil, s.err
 		}
 		if s.fec != nil {
-			newFecs = append(newFecs, s.fec)
 			res.NewFECs = append(res.NewFECs, *s.fec)
 		}
 		res.Rules = append(res.Rules, s.rules...)
 	}
-	c.fastPath.record(res.Rules, newFecs)
 	res.Elapsed = time.Since(start)
 	c.metrics.fastpathDone(res)
 	c.tracer.Emit("fastpath",
@@ -180,10 +145,10 @@ func (c *Controller) FastReact(affected []netip.Prefix) (*FastPathResult, error)
 }
 
 // fastPathForPrefix assigns prefix a fresh singleton FEC in one isolation
-// domain and produces the slice of the global policy that concerns it —
-// compiled once per reachability signature and cloned from the template
-// cache thereafter.
-func (p *pipeline) fastPathForPrefix(vrf VRF, prefix netip.Prefix, cache *fastPathCache) (*FEC, []policy.Rule, error) {
+// domain and runs the background stage's policy assembly over that one
+// class: reach sets narrowed to the prefix, compiled once per MDS signature
+// and cloned from the template cache thereafter. keys is reachSetKeys().
+func (p *pipeline) fastPathForPrefix(vrf VRF, prefix netip.Prefix, keys []reachKey, cache *fastPathCache) (*FEC, []policy.Rule, error) {
 	prefix = prefix.Masked()
 	first, second := p.rs.BestTwoIn(vrf, prefix)
 	if first == "" {
@@ -212,13 +177,23 @@ func (p *pipeline) fastPathForPrefix(vrf VRF, prefix netip.Prefix, cache *fastPa
 	}
 	p.fecs.add(fec)
 
-	// The compiled slice depends on the prefix only through its
-	// reachability signature: which participants advertise it (that is
-	// what rewriteForPrefix consults) and the best/backup next hops the
-	// default rules forward to. Everything else — policies, ports, virtual
-	// port numbers — is fixed controller configuration whose mutation
-	// invalidates the cache.
-	key := p.signatureKey(vrf, prefix, first, second)
+	// The prefix's view of the reach sets: hop's set holds it exactly when
+	// hop exports it to the participant, guarded by the key's domain as
+	// fecState.sigKey guards its bits. The same bits are the memo key — the
+	// compiled rules depend on the prefix only through its signature;
+	// everything else is controller configuration whose mutation invalidates
+	// the cache.
+	only := netutil.NewPrefixSet()
+	only.Add(prefix)
+	sets := make([]reachSet, len(keys))
+	for i, k := range keys {
+		sets[i] = reachSet{participant: k.participant, hop: k.hop}
+		if p.vrfOf(k.hop) == vrf && p.rs.Exports(k.hop, k.participant, prefix) {
+			sets[i].set = only
+		}
+	}
+	member := func(i int) bool { return sets[i].set != nil }
+	key := renderSig(len(sets), member, vrf, first, second)
 	if tpl, ok := cache.lookup(key); ok {
 		rules := make([]policy.Rule, len(tpl.rules))
 		for i, r := range tpl.rules {
@@ -230,7 +205,8 @@ func (p *pipeline) fastPathForPrefix(vrf VRF, prefix netip.Prefix, cache *fastPa
 		return fec, rules, nil
 	}
 
-	mini, err := p.buildPrefixSlicePolicy(prefix, fec)
+	// No untagged defaults: one class has no untagged traffic.
+	mini, err := p.buildGlobalPolicy(sets, []*FEC{fec}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -251,165 +227,9 @@ func (p *pipeline) fastPathForPrefix(vrf VRF, prefix netip.Prefix, cache *fastPa
 	return fec, rules, nil
 }
 
-// signatureKey renders the reachability signature the quick-stage template
-// cache is keyed by: the domain, the same-domain participants currently
-// advertising the prefix (in registration order, so the rendering is
-// canonical), and the best and backup next-hop participants. Advertisers in
-// other domains are invisible to this slice, so they stay out of the key.
-func (p *pipeline) signatureKey(vrf VRF, prefix netip.Prefix, first, second ID) string {
-	var b strings.Builder
-	for _, part := range p.parts {
-		if p.vrfOf(part.ID) != vrf {
-			continue
-		}
-		if _, ok := p.rs.AdvertisedRoute(part.ID, prefix); ok {
-			b.WriteString(string(part.ID))
-			b.WriteByte(0)
-		}
-	}
-	b.WriteByte(1)
-	b.WriteString(string(first))
-	b.WriteByte(0)
-	b.WriteString(string(second))
-	b.WriteByte(0)
-	b.WriteString(string(vrf))
-	return b.String()
-}
-
-// buildPrefixSlicePolicy assembles the two-stage policy restricted to
-// traffic tagged with the prefix's fresh VMAC: each participant's outbound
-// policy with forwards filtered to "does that hop export this prefix to
-// me", plus single-class defaults, composed with the normal inbound stage.
-func (p *pipeline) buildPrefixSlicePolicy(prefix netip.Prefix, fec *FEC) (policy.Policy, error) {
-	tag := policy.MatchPolicy(policy.MatchAll.DstMAC(fec.VMAC))
-	var pols1, pols2 []policy.Policy
-	for _, part := range p.parts {
-		if p.vrfOf(part.ID) != fec.VRF {
-			continue // other domains never see this tag
-		}
-		if part.Outbound != nil && len(part.Ports) > 0 {
-			rewritten, err := p.rewriteForPrefix(part.Outbound, part.ID, prefix, tag)
-			if err != nil {
-				return nil, fmt.Errorf("core: fast path policy of %q: %w", part.ID, err)
-			}
-			pols1 = append(pols1, policy.SeqOf(ingressFilter(part), rewritten))
-		}
-		if part.Inbound != nil {
-			rewritten, err := p.rewritePolicy(part.Inbound, part.ID, nil, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			atVirtual := policy.MatchPolicy(policy.MatchAll.Port(p.vports[part.ID]))
-			pols2 = append(pols2, policy.SeqOf(atVirtual, rewritten))
-		}
-	}
-	// Single-class shared default: the tag's base rule plus the best
-	// advertiser's own-traffic override.
-	var overrides, base []policy.Policy
-	base = append(base, policy.SeqOf(tag, policy.Fwd(p.vports[fec.First])))
-	if fec.Second != "" {
-		if firstP := p.byID[fec.First]; firstP != nil && len(firstP.Ports) > 0 {
-			overrides = append(overrides, policy.SeqOf(
-				ingressFilter(firstP), tag, policy.Fwd(p.vports[fec.Second])))
-		}
-	}
-	defOut := policy.WithDefault(policy.Par(overrides...), policy.Par(base...))
-
-	pass1 := policy.WithDefault(policy.Par(pols1...), defOut)
-	pass2Parts := []policy.Policy{
-		policy.WithDefault(policy.Par(pols2...), p.sharedDefaultIn()),
-	}
-	for _, n := range p.sortedPortNumbers() {
-		pass2Parts = append(pass2Parts, policy.MatchPolicy(policy.MatchAll.Port(EgressPort(n))))
-	}
-	return policy.SeqOf(pass1, policy.Par(pass2Parts...)), nil
-}
-
-// rewriteForPrefix is rewritePolicy specialized to a single prefix: fwd(B)
-// becomes tag-match >> fwd(B) when B currently exports the prefix to the
-// owner, and drop otherwise.
-func (p *pipeline) rewriteForPrefix(pol policy.Policy, owner ID, prefix netip.Prefix, tag policy.Policy) (policy.Policy, error) {
-	switch v := pol.(type) {
-	case *policy.Test, policy.Drop, policy.Pass:
-		return pol, nil
-	case *policy.Mod:
-		port, ok := v.Mods.GetPort()
-		if !ok {
-			return pol, nil
-		}
-		if phys, isEgress := IsEgress(port); isEgress {
-			if _, has := v.Mods.GetDstMAC(); has {
-				return pol, nil
-			}
-			mac, known := p.portMACs[phys]
-			if !known {
-				return nil, fmt.Errorf("egress to unknown physical port %d", phys)
-			}
-			return policy.ModPolicy(v.Mods.SetDstMAC(mac)), nil
-		}
-		var hop ID
-		for id, vp := range p.vports {
-			if vp == port {
-				hop = id
-				break
-			}
-		}
-		if hop == "" {
-			return nil, fmt.Errorf("forward to unknown virtual port %d", port)
-		}
-		if _, exports := p.rs.AdvertisedRoute(hop, prefix); !exports || hop == owner || !p.sameVRF(hop, owner) {
-			return policy.Drop{}, nil
-		}
-		return policy.SeqOf(tag, v), nil
-	case *policy.Union:
-		out := make([]policy.Policy, len(v.Children))
-		for i, ch := range v.Children {
-			r, err := p.rewriteForPrefix(ch, owner, prefix, tag)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return policy.Par(out...), nil
-	case *policy.Seq:
-		out := make([]policy.Policy, len(v.Children))
-		for i, ch := range v.Children {
-			r, err := p.rewriteForPrefix(ch, owner, prefix, tag)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return policy.SeqOf(out...), nil
-	case *policy.If:
-		then, err := p.rewriteForPrefix(v.Then, owner, prefix, tag)
-		if err != nil {
-			return nil, err
-		}
-		els, err := p.rewriteForPrefix(v.Else, owner, prefix, tag)
-		if err != nil {
-			return nil, err
-		}
-		return policy.IfThenElse(v.Pred, then, els), nil
-	case *policy.Fallback:
-		prim, err := p.rewriteForPrefix(v.Primary, owner, prefix, tag)
-		if err != nil {
-			return nil, err
-		}
-		def, err := p.rewriteForPrefix(v.Default, owner, prefix, tag)
-		if err != nil {
-			return nil, err
-		}
-		return policy.WithDefault(prim, def), nil
-	default:
-		return nil, fmt.Errorf("unsupported policy node %T", pol)
-	}
-}
-
 // Reoptimize is the background stage: a full recompilation that rebuilds
-// the minimal equivalence classes and tables, clearing the fast path's
-// accumulated state. Callers swap the result into the data plane and drop
-// the fast-path priority band.
+// the minimal equivalence classes and tables. Callers swap the result into
+// the data plane and drop the fast-path priority band.
 func (c *Controller) Reoptimize() (*CompileResult, error) {
 	return c.Compile()
 }

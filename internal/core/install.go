@@ -9,11 +9,12 @@ import (
 )
 
 // Priority bands. Base-table rules occupy [basePriority, fastPriority);
-// fast-path rules sit above them so a quick reaction wins until the
-// background pass swaps in fresh base tables.
+// fast-path rules sit above them, every push counting down from fastTop, so
+// a quick reaction wins until the background pass swaps in fresh base tables.
 const (
 	basePriority uint16 = 0x1000
 	fastPriority uint16 = 0xf000
+	fastTop      uint16 = 0xfffe
 )
 
 // FlowModsForRules lowers an ordered rule list (highest priority first) to
@@ -50,7 +51,7 @@ func InstallBase(sw *dataplane.Switch, res *CompileResult) error {
 // InstallFast adds a fast-path result above the base band (batched, like
 // InstallBase).
 func InstallFast(sw *dataplane.Switch, res *FastPathResult) error {
-	fms, err := FlowModsForRules(res.Rules, 0xfffe)
+	fms, err := FlowModsForRules(res.Rules, fastTop)
 	if err != nil {
 		return err
 	}
@@ -81,15 +82,9 @@ func PushBase(conn *openflow.Conn, res *CompileResult) error {
 
 // PushFast writes a fast-path band over an OpenFlow connection.
 func PushFast(conn *openflow.Conn, res *FastPathResult) error {
-	fms, err := FlowModsForRules(res.Rules, 0xfffe)
+	fms, err := FlowModsForRules(res.Rules, fastTop)
 	if err != nil {
 		return err
 	}
-	for _, fm := range fms {
-		if err := conn.SendFlowMod(fm); err != nil {
-			return err
-		}
-	}
-	_, err = conn.SendBarrier()
-	return err
+	return pushDiff(conn, fms, nil)
 }

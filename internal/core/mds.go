@@ -271,23 +271,35 @@ func (st *fecState) patchLocked(p *pipeline, touched []netip.Prefix) {
 // rendering is stable across incremental and full passes, so interned
 // pointers are interchangeable.
 func (st *fecState) sigKey(p *pipeline, ukey vrfPrefix) (string, ID, ID) {
+	first, second := p.rs.BestTwoIn(ukey.vrf, ukey.prefix)
+	member := func(i int) bool {
+		return st.keyVRFs[i] == ukey.vrf && st.sets[i].Contains(ukey.prefix)
+	}
+	return renderSig(len(st.sets), member, ukey.vrf, first, second), first, second
+}
+
+// renderSig is the one rendering of an MDS signature: a membership bit per
+// policy reach key (in reachSetKeys order), the advertisers of the best and
+// second-best routes, and the isolation domain. The background stage interns
+// it to define the classes; the quick stage keys its template memo with it —
+// two prefixes with equal signatures compile to the same rules up to the tag.
+func renderSig(n int, member func(int) bool, vrf VRF, first, second ID) string {
 	var b strings.Builder
-	b.Grow(len(st.sets) + len(ukey.vrf) + 16)
-	for i, set := range st.sets {
-		if st.keyVRFs[i] == ukey.vrf && set.Contains(ukey.prefix) {
+	b.Grow(n + len(first) + len(second) + len(vrf) + 3)
+	for i := 0; i < n; i++ {
+		if member(i) {
 			b.WriteByte('1')
 		} else {
 			b.WriteByte('0')
 		}
 	}
-	first, second := p.rs.BestTwoIn(ukey.vrf, ukey.prefix)
 	b.WriteByte('|')
 	b.WriteString(string(first))
 	b.WriteByte('|')
 	b.WriteString(string(second))
 	b.WriteByte('|')
-	b.WriteString(string(ukey.vrf))
-	return b.String(), first, second
+	b.WriteString(string(vrf))
+	return b.String()
 }
 
 func (st *fecState) intern(key string, vrf VRF, first, second ID) *fecSig {
@@ -318,10 +330,8 @@ func (p *pipeline) reachSetKeys() []reachKey {
 			if !IsVirtual(loc) {
 				continue
 			}
-			for id, v := range p.vports {
-				if v == loc {
-					hops = append(hops, id)
-				}
+			if id, ok := p.byVPort[loc]; ok {
+				hops = append(hops, id)
 			}
 		}
 		sort.Slice(hops, func(a, b int) bool { return hops[a] < hops[b] })

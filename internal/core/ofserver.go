@@ -94,13 +94,6 @@ func (s *SwitchServer) logf(format string, args ...any) {
 	}
 }
 
-// Last returns the last committed compilation.
-func (s *SwitchServer) Last() *CompileResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
-}
-
 // Switches returns the number of live switch channels.
 func (s *SwitchServer) Switches() int {
 	s.mu.Lock()
@@ -169,7 +162,7 @@ func (s *SwitchServer) SetBase(res *CompileResult) error {
 // PushFastAll pushes a quick-stage result to every live switch and records
 // its rules as part of the desired table.
 func (s *SwitchServer) PushFastAll(res *FastPathResult) error {
-	fms, err := FlowModsForRules(res.Rules, 0xfffe)
+	fms, err := FlowModsForRules(res.Rules, fastTop)
 	if err != nil {
 		return err
 	}

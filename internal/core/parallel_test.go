@@ -21,9 +21,18 @@ import (
 // counts can be compared output-for-output.
 func buildExchange(t testing.TB, opts core.Options, seed int64, participants, prefixes int, mult float64, broad bool) *core.Controller {
 	t.Helper()
+	ctrl, _, _ := buildExchangeOn(t, routeserver.New(nil), opts, seed, participants, prefixes, mult, broad)
+	return ctrl
+}
+
+// buildExchangeOn is buildExchange on a caller-built route server; it also
+// returns the exchange and the rng (positioned after policy installation)
+// for tests that go on to generate a trace.
+func buildExchangeOn(t testing.TB, rs *routeserver.Server, opts core.Options, seed int64, participants, prefixes int, mult float64, broad bool) (*core.Controller, *workload.Exchange, *rand.Rand) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ex := workload.GenerateExchange(rng, participants, prefixes)
-	ctrl := core.NewController(routeserver.New(nil), opts)
+	ctrl := core.NewController(rs, opts)
 	if err := ex.Populate(ctrl); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +42,7 @@ func buildExchange(t testing.TB, opts core.Options, seed int64, participants, pr
 	if _, err := workload.InstallPolicies(rng, ex, ctrl, mix); err != nil {
 		t.Fatal(err)
 	}
-	return ctrl
+	return ctrl, ex, rng
 }
 
 // TestParallelCompileEquality checks the tentpole invariant: the parallel

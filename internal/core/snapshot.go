@@ -58,6 +58,7 @@ type pipeline struct {
 	parts    []*Participant // registration order; value copies
 	byID     map[ID]*Participant
 	vports   map[ID]uint16
+	byVPort  map[uint16]ID // vports inverted: which participant a fwd() names
 	portMACs map[uint16]netutil.MAC
 	// vrfs maps each participant to its isolation domain; vrfList is the
 	// distinct domains in sorted order (the fan-out axis for per-domain
@@ -74,9 +75,6 @@ type pipeline struct {
 // vrfOf returns a participant's isolation domain (the default domain for
 // unknown IDs, which keeps test pipelines without tenancy working).
 func (p *pipeline) vrfOf(id ID) VRF { return p.vrfs[id] }
-
-// sameVRF reports whether two participants share an isolation domain.
-func (p *pipeline) sameVRF(a, b ID) bool { return p.vrfs[a] == p.vrfs[b] }
 
 // vrfDomains returns the snapshot's domain list, never empty.
 func (p *pipeline) vrfDomains() []VRF {
@@ -104,6 +102,7 @@ func (c *Controller) snapshotLocked() *pipeline {
 		parts:    make([]*Participant, 0, len(c.order)),
 		byID:     make(map[ID]*Participant, len(c.order)),
 		vports:   make(map[ID]uint16, len(c.vports)),
+		byVPort:  make(map[uint16]ID, len(c.vports)),
 		portMACs: make(map[uint16]netutil.MAC, len(c.portMACs)),
 		workers:  c.opts.Compile.Workers(),
 	}
@@ -128,6 +127,7 @@ func (c *Controller) snapshotLocked() *pipeline {
 	}
 	for id, v := range c.vports {
 		p.vports[id] = v
+		p.byVPort[v] = id
 	}
 	for n, mac := range c.portMACs {
 		p.portMACs[n] = mac
@@ -136,10 +136,9 @@ func (c *Controller) snapshotLocked() *pipeline {
 }
 
 // commit installs a compilation's equivalence classes under the write lock:
-// the table is replaced, VNHs not carried over are returned to the pool,
-// and the fast path's accumulated state is cleared. Holding the write lock
-// makes the swap atomic with respect to FastReact, which holds the
-// read lock across its allocate-and-record sequence.
+// the table is replaced and VNHs not carried over are returned to the pool.
+// Holding the write lock makes the swap atomic with respect to FastReact,
+// which holds the read lock across its allocate-and-compile sequence.
 func (c *Controller) commit(fecs []*FEC) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -154,9 +153,9 @@ func (c *Controller) commit(fecs []*FEC) {
 			c.pool.Release(f.VNH)
 		}
 	}
-	c.fastPath.reset()
-	// Templates were cloned from FECs of the epoch just retired; they are
-	// keyed only by reachability signature, which survives the commit, but
-	// dropping them keeps the cache from pinning the old rule slices.
+	// Templates own their rule slices and are keyed by a signature that
+	// survives the commit, so nothing here makes them stale. Dropping them is
+	// the memo's only size bound: it holds one template per signature seen
+	// and nothing else evicts.
 	c.fastCache.invalidate()
 }

@@ -125,8 +125,8 @@ func TestCompileRouteChangeRace(t *testing.T) {
 		}
 	}()
 
-	// Monitoring reader: concurrent observers of the FEC table and the
-	// fast-path rule set (what a stats endpoint or the ARP responder does).
+	// Monitoring reader: a concurrent observer of the FEC table (what a
+	// stats endpoint or the ARP responder does).
 	// On a single-CPU box the lock contention this adds also forces
 	// scheduler switches inside the compile commit, making the pre-fix
 	// pool race show up reliably under -race.
@@ -140,7 +140,6 @@ func TestCompileRouteChangeRace(t *testing.T) {
 			default:
 			}
 			_ = ctrl.FECs()
-			_ = ctrl.FastPathRules()
 		}
 	}()
 
