@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: loc build test race vet bench bench-smoke e2e chaos check
+.PHONY: loc build test race vet bench-harness bench bench-smoke e2e chaos check
 
 # Non-test Go lines under internal/ and cmd/: ROADMAP counts net-negative
 # internal/ lines as a success metric, so every check log carries the number
@@ -30,6 +30,12 @@ vet:
 # TestParallelCompileStress).
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness exactly as BENCHMARK.json's command runs it, every
+# workload for one second: it exits non-zero on any oracle or validity
+# failure, so a harness that stops running fails the check.
+bench-harness:
+	bash benchmark/run.sh --workload all --seed 1 --seconds 1 --trace 0
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
@@ -107,4 +113,4 @@ chaos:
 	$(GO) test -race -count=20 -run 'TestChaosControlPlaneConvergence|TestChaosClusterFailover' ./internal/core/
 	SDX_E2E_SOAK=1 $(GO) test ./e2e -run TestE2ESoak -count=1 -timeout 10m -v
 
-check: loc vet test race
+check: loc vet test race bench-harness

@@ -223,7 +223,13 @@ func (s *Speaker) addPeer(sess *Session) *Peer {
 	s.mu.Lock()
 	displaced := s.peers[p.Key()]
 	s.peers[p.Key()] = p
+	closed, subcode := s.closed, s.closeSubcode
 	s.mu.Unlock()
+	// A handshake that finished after Close took its snapshot of the peers
+	// would otherwise leave a session nobody closes, and Close waiting on it.
+	if closed {
+		sess.CloseCease(subcode)
+	}
 	// A second session from the same BGP identifier is a reconnect: the
 	// fresh session wins, and the stale one is closed so its hold timer
 	// does not keep it half-alive alongside its replacement.

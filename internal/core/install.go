@@ -35,10 +35,11 @@ func FlowModsForRules(rules []policy.Rule, top uint16) ([]*openflow.FlowMod, err
 }
 
 // InstallBase replaces the base priority band of the switch with the
-// compilation result in one batched table swap: a full compilation at
-// Figure-7 scale installs thousands of rules, and the batch path sorts and
-// invalidates the lookup cache once instead of per rule. Fast-path rules
-// (if any) are also cleared: a full compilation subsumes them.
+// compilation result in one batched table write: a full compilation at
+// Figure-7 scale installs thousands of rules, and the batch merges them into
+// the table and invalidates the lookup cache once instead of per rule.
+// Fast-path rules (if any) are also cleared: a full compilation subsumes
+// them.
 func InstallBase(sw *dataplane.Switch, res *CompileResult) error {
 	fms, err := FlowModsForRules(res.Rules, fastPriority-1)
 	if err != nil {

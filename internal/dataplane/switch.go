@@ -741,7 +741,8 @@ func (s *Switch) InstallFlowMod(fm *openflow.FlowMod) error {
 
 // InstallFlowMods applies a sequence of flow modifications, coalescing runs
 // of consecutive adds/modifies into single AddBatch table operations so a
-// full-table swap sorts and invalidates once instead of per rule.
+// run takes the table lock and invalidates the caches once instead of per
+// rule. Deletes apply one at a time; a strict delete touches one entry.
 func (s *Switch) InstallFlowMods(fms []*openflow.FlowMod) error {
 	var batch []*FlowEntry
 	flush := func() {

@@ -6,9 +6,11 @@
 package dataplane
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,6 +38,10 @@ type FlowEntry struct {
 	Priority uint16
 	Actions  []openflow.Action
 	Cookie   uint64
+
+	// seq is the entry's installation order in its table (the tie-break
+	// among equal priorities), assigned under the table's write lock.
+	seq uint64
 }
 
 func (e *FlowEntry) String() string {
@@ -218,14 +224,13 @@ type CacheStats struct {
 type FlowTable struct {
 	mu      sync.RWMutex
 	entries []*FlowEntry // priority desc, then installation order asc
-	seq     uint64
-	order   map[*FlowEntry]uint64
+	seq     uint64       // last installation order handed out
 	byRule  map[ruleKey]*FlowEntry
 
 	// Match index over entries; each bucket is in table order. A rule lives
 	// in exactly one bucket: its dst-MAC bucket if it constrains the
 	// destination MAC, else its in-port bucket if it constrains the port,
-	// else the residual list.
+	// else the residual list. The maps hold no empty buckets.
 	byDstMAC map[netutil.MAC][]*FlowEntry
 	byPort   map[uint16][]*FlowEntry
 	residual []*FlowEntry
@@ -252,7 +257,6 @@ type FlowTable struct {
 // NewFlowTable returns an empty table.
 func NewFlowTable() *FlowTable {
 	return &FlowTable{
-		order:    make(map[*FlowEntry]uint64),
 		byRule:   make(map[ruleKey]*FlowEntry),
 		byDstMAC: make(map[netutil.MAC][]*FlowEntry),
 		byPort:   make(map[uint16][]*FlowEntry),
@@ -261,11 +265,17 @@ func NewFlowTable() *FlowTable {
 
 // less reports whether a precedes b in table order: priority descending,
 // then installation order ascending (the tie-break invariant).
-func (t *FlowTable) less(a, b *FlowEntry) bool {
+func less(a, b *FlowEntry) bool {
 	if a.Priority != b.Priority {
 		return a.Priority > b.Priority
 	}
-	return t.order[a] < t.order[b]
+	return a.seq < b.seq
+}
+
+// search returns e's position in a table-ordered list: its index if the
+// list holds it, else the index it would be inserted at.
+func search(list []*FlowEntry, e *FlowEntry) int {
+	return sort.Search(len(list), func(i int) bool { return !less(list[i], e) })
 }
 
 // invalidateLocked bumps the table generation, invalidating every cached
@@ -275,51 +285,47 @@ func (t *FlowTable) invalidateLocked() {
 	t.cacheInvalidations.Inc()
 }
 
-// bucketInsertLocked places e into its index bucket at its table-order
-// position.
-func (t *FlowTable) bucketInsertLocked(e *FlowEntry) {
-	if mac, ok := e.Match.GetDstMAC(); ok {
-		t.byDstMAC[mac] = t.insertSorted(t.byDstMAC[mac], e)
-		return
-	}
-	if p, ok := e.Match.GetPort(); ok {
-		t.byPort[p] = t.insertSorted(t.byPort[p], e)
-		return
-	}
-	t.residual = t.insertSorted(t.residual, e)
-}
-
-// bucketReplaceLocked swaps old for e inside old's bucket. Because e
-// inherits old's priority and installation order, the position is unchanged.
-func (t *FlowTable) bucketReplaceLocked(old, e *FlowEntry) {
-	var list []*FlowEntry
-	if mac, ok := old.Match.GetDstMAC(); ok {
-		list = t.byDstMAC[mac]
-	} else if p, ok := old.Match.GetPort(); ok {
-		list = t.byPort[p]
-	} else {
-		list = t.residual
-	}
-	for i, cur := range list {
-		if cur == old {
-			list[i] = e
-			return
-		}
-	}
-}
-
 // insertSorted inserts e into a table-ordered list, keeping it sorted.
-func (t *FlowTable) insertSorted(list []*FlowEntry, e *FlowEntry) []*FlowEntry {
-	i := sort.Search(len(list), func(i int) bool { return t.less(e, list[i]) })
+func insertSorted(list []*FlowEntry, e *FlowEntry) []*FlowEntry {
+	i := search(list, e)
 	list = append(list, nil)
 	copy(list[i+1:], list[i:])
 	list[i] = e
 	return list
 }
 
+// removeSorted removes e from a table-ordered list that holds it. The
+// vacated slot is cleared so the backing array does not keep e reachable.
+func removeSorted(list []*FlowEntry, e *FlowEntry) []*FlowEntry {
+	i := search(list, e)
+	copy(list[i:], list[i+1:])
+	list[len(list)-1] = nil
+	return list[:len(list)-1]
+}
+
+// bucketUpdateLocked stores f(bucket) back as e's index bucket, deleting a
+// map bucket that f leaves empty.
+func (t *FlowTable) bucketUpdateLocked(e *FlowEntry, f func([]*FlowEntry) []*FlowEntry) {
+	if mac, ok := e.Match.GetDstMAC(); ok {
+		updateBucket(t.byDstMAC, mac, f)
+	} else if p, ok := e.Match.GetPort(); ok {
+		updateBucket(t.byPort, p, f)
+	} else {
+		t.residual = f(t.residual)
+	}
+}
+
+func updateBucket[K comparable](m map[K][]*FlowEntry, k K, f func([]*FlowEntry) []*FlowEntry) {
+	if list := f(m[k]); len(list) > 0 {
+		m[k] = list
+	} else {
+		delete(m, k)
+	}
+}
+
 // rebuildIndexLocked reconstructs the match index from the sorted entries
-// slice. O(n); used by the bulk paths (AddBatch, Delete, Clear) where
-// incremental maintenance would not be cheaper.
+// slice. O(n): only the wildcard Delete and Clear use it, and both already
+// touch the whole table.
 func (t *FlowTable) rebuildIndexLocked() {
 	t.byDstMAC = make(map[netutil.MAC][]*FlowEntry)
 	t.byPort = make(map[uint16][]*FlowEntry)
@@ -336,116 +342,103 @@ func (t *FlowTable) rebuildIndexLocked() {
 	}
 }
 
-// Add installs a rule. An existing rule with the same match and priority is
-// replaced (counters reset), mirroring OFPFC_ADD semantics.
+// Add installs a rule: an AddBatch of one.
 func (t *FlowTable) Add(e *FlowEntry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.addLocked(e)
-	t.invalidateLocked()
+	t.AddBatch([]*FlowEntry{e})
 }
 
-func (t *FlowTable) addLocked(e *FlowEntry) {
-	k := ruleKey{e.Match, e.Priority}
-	if old, ok := t.byRule[k]; ok {
-		if old == e {
-			return
-		}
-		// Locate old before touching the order map: the comparator needs
-		// old's installation order to binary-search the sorted slice.
-		i := sort.Search(len(t.entries), func(i int) bool { return !t.less(t.entries[i], old) })
-		t.order[e] = t.order[old]
-		delete(t.order, old)
-		t.byRule[k] = e
-		t.entries[i] = e
-		t.bucketReplaceLocked(old, e)
-		return
-	}
-	t.seq++
-	t.order[e] = t.seq
-	t.byRule[k] = e
-	// The new rule carries the highest installation order, so it lands
-	// after every existing rule of its priority.
-	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Priority < e.Priority })
-	t.entries = append(t.entries, nil)
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = e
-	t.bucketInsertLocked(e)
-}
-
-// AddBatch installs many rules in one table operation: a single lock
-// acquisition, a single sort, a single index rebuild, and a single cache
-// invalidation. Full-table swaps (core.InstallBase, the OpenFlow FLOW_MOD
-// stream) use it to avoid the O(n² log n) cost of per-insert ordering.
-// Replacement semantics match repeated Add calls, including duplicates
-// within the batch (the last one wins).
+// AddBatch installs rules under one lock acquisition and one cache
+// invalidation, at a cost proportional to what changes. A rule with the
+// match and priority of an installed one (or of an earlier rule in the
+// batch) replaces it in place, keeping its installation order and resetting
+// its counters, mirroring OFPFC_ADD; the last of several duplicates wins.
+// Fresh rules are sorted among themselves, merged into the table from the
+// back in one pass, and inserted into their index buckets.
 func (t *FlowTable) AddBatch(es []*FlowEntry) {
 	if len(es) == 0 {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	replaced := make(map[*FlowEntry]*FlowEntry)
+	first := t.seq + 1 // installation order of this batch's first fresh rule
+	var fresh []*FlowEntry
 	for _, e := range es {
 		k := ruleKey{e.Match, e.Priority}
-		if old, ok := t.byRule[k]; ok {
-			if old == e {
-				continue
-			}
-			t.order[e] = t.order[old]
-			delete(t.order, old)
-			t.byRule[k] = e
-			replaced[old] = e
+		old, ok := t.byRule[k]
+		if old == e {
 			continue
 		}
-		t.seq++
-		t.order[e] = t.seq
 		t.byRule[k] = e
-		t.entries = append(t.entries, e)
-	}
-	if len(replaced) > 0 {
-		for i, e := range t.entries {
-			// Follow replacement chains: a rule replaced twice within the
-			// batch resolves to the final entry.
-			for {
-				n, ok := replaced[e]
-				if !ok {
-					break
-				}
-				e = n
-			}
-			t.entries[i] = e
+		switch {
+		case !ok:
+			t.seq++
+			e.seq = t.seq
+			fresh = append(fresh, e)
+		case old.seq >= first: // fresh earlier in this batch; fresh is in seq order
+			e.seq = old.seq
+			fresh[old.seq-first] = e
+		default:
+			e.seq = old.seq
+			t.entries[search(t.entries, old)] = e
+			t.bucketUpdateLocked(old, func(list []*FlowEntry) []*FlowEntry {
+				list[search(list, old)] = e
+				return list
+			})
 		}
 	}
-	sort.SliceStable(t.entries, func(i, j int) bool { return t.less(t.entries[i], t.entries[j]) })
-	t.rebuildIndexLocked()
+	slices.SortFunc(fresh, func(a, b *FlowEntry) int {
+		return cmp.Or(cmp.Compare(b.Priority, a.Priority), cmp.Compare(a.seq, b.seq))
+	})
+	// Fresh rules carry the newest installation orders, so they go after
+	// every installed rule of their priority.
+	n := len(t.entries)
+	t.entries = append(t.entries, fresh...)
+	for i, j, k := n-1, len(fresh)-1, len(t.entries)-1; j >= 0; k-- {
+		if i >= 0 && less(fresh[j], t.entries[i]) {
+			t.entries[k] = t.entries[i]
+			i--
+		} else {
+			t.entries[k] = fresh[j]
+			j--
+		}
+	}
+	for _, e := range fresh {
+		t.bucketUpdateLocked(e, func(list []*FlowEntry) []*FlowEntry { return insertSorted(list, e) })
+	}
 	t.invalidateLocked()
 }
 
 // Delete removes rules whose match equals m (strict) at the given priority;
 // with strict=false it removes every rule subsumed by m regardless of
-// priority, mirroring OFPFC_DELETE.
+// priority, mirroring OFPFC_DELETE. A strict delete touches one entry: it
+// is found by key and binary-searched out of the table and its bucket.
 func (t *FlowTable) Delete(m policy.Match, priority uint16, strict bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	kept := t.entries[:0]
-	removed := 0
-	for _, e := range t.entries {
-		del := false
-		if strict {
-			del = e.Match == m && e.Priority == priority
-		} else {
-			del = m.Subsumes(e.Match)
+	if strict {
+		k := ruleKey{m, priority}
+		e, ok := t.byRule[k]
+		if !ok {
+			return 0
 		}
-		if del {
-			removed++
-			delete(t.order, e)
+		delete(t.byRule, k)
+		t.entries = removeSorted(t.entries, e)
+		t.bucketUpdateLocked(e, func(list []*FlowEntry) []*FlowEntry { return removeSorted(list, e) })
+		t.invalidateLocked()
+		return 1
+	}
+	kept := t.entries[:0]
+	for _, e := range t.entries {
+		if m.Subsumes(e.Match) {
 			delete(t.byRule, ruleKey{e.Match, e.Priority})
 			continue
 		}
 		kept = append(kept, e)
 	}
+	removed := len(t.entries) - len(kept)
 	if removed > 0 {
+		// The vacated tail would otherwise keep the removed entries reachable.
+		clear(t.entries[len(kept):])
 		t.entries = kept
 		t.rebuildIndexLocked()
 		t.invalidateLocked()
@@ -458,7 +451,6 @@ func (t *FlowTable) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.entries = nil
-	t.order = make(map[*FlowEntry]uint64)
 	t.byRule = make(map[ruleKey]*FlowEntry)
 	t.seq = 0
 	t.rebuildIndexLocked()
@@ -741,7 +733,7 @@ func (t *FlowTable) classifyLocked(pkt policy.Packet) (*FlowEntry, lookupMask) {
 // packet with the same masked projection).
 func (t *FlowTable) scanBucket(list []*FlowEntry, pkt policy.Packet, best *FlowEntry, mask *lookupMask) *FlowEntry {
 	for _, e := range list {
-		if best != nil && !t.less(e, best) {
+		if best != nil && !less(e, best) {
 			break
 		}
 		mask.add(e.Match)

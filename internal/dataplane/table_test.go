@@ -1,0 +1,386 @@
+package dataplane
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"sdx/internal/netutil"
+	"sdx/internal/openflow"
+	"sdx/internal/policy"
+)
+
+// checkTableInvariants verifies the table's internal structure: entries is
+// strictly in table order with a cleared tail, byRule and entries are in
+// bijection, and every entry sits in exactly one index bucket — the one its
+// match selects — with every bucket in table order and no empty map bucket.
+func checkTableInvariants(ft *FlowTable) error {
+	ft.mu.RLock()
+	defer ft.mu.RUnlock()
+	if err := checkOrdered("entries", ft.entries); err != nil {
+		return err
+	}
+	if len(ft.byRule) != len(ft.entries) {
+		return fmt.Errorf("byRule holds %d rules, entries %d", len(ft.byRule), len(ft.entries))
+	}
+	for _, e := range ft.entries {
+		if ft.byRule[ruleKey{e.Match, e.Priority}] != e {
+			return fmt.Errorf("byRule does not map %v to its entry", e)
+		}
+	}
+	seen := make(map[*FlowEntry]bool, len(ft.entries))
+	bucket := func(name string, list []*FlowEntry, belongs func(*FlowEntry) bool) error {
+		if err := checkOrdered(name, list); err != nil {
+			return err
+		}
+		for _, e := range list {
+			if !belongs(e) {
+				return fmt.Errorf("%s holds %v, which belongs elsewhere", name, e)
+			}
+			if seen[e] {
+				return fmt.Errorf("%v sits in more than one bucket", e)
+			}
+			if ft.byRule[ruleKey{e.Match, e.Priority}] != e {
+				return fmt.Errorf("%s holds %v, which is not installed", name, e)
+			}
+			seen[e] = true
+		}
+		return nil
+	}
+	for mac, list := range ft.byDstMAC {
+		if len(list) == 0 {
+			return fmt.Errorf("empty dst-MAC bucket %v", mac)
+		}
+		if err := bucket(fmt.Sprintf("dst-MAC bucket %v", mac), list, func(e *FlowEntry) bool {
+			m, ok := e.Match.GetDstMAC()
+			return ok && m == mac
+		}); err != nil {
+			return err
+		}
+	}
+	for p, list := range ft.byPort {
+		if len(list) == 0 {
+			return fmt.Errorf("empty in-port bucket %d", p)
+		}
+		if err := bucket(fmt.Sprintf("in-port bucket %d", p), list, func(e *FlowEntry) bool {
+			_, mac := e.Match.GetDstMAC()
+			q, ok := e.Match.GetPort()
+			return !mac && ok && q == p
+		}); err != nil {
+			return err
+		}
+	}
+	if err := bucket("residual", ft.residual, func(e *FlowEntry) bool {
+		_, mac := e.Match.GetDstMAC()
+		_, port := e.Match.GetPort()
+		return !mac && !port
+	}); err != nil {
+		return err
+	}
+	if len(seen) != len(ft.entries) {
+		return fmt.Errorf("buckets hold %d entries, the table %d", len(seen), len(ft.entries))
+	}
+	return nil
+}
+
+// checkOrdered reports a list out of strict table order, or one whose
+// backing array past its length still points at entries.
+func checkOrdered(name string, list []*FlowEntry) error {
+	for i := 1; i < len(list); i++ {
+		if !less(list[i-1], list[i]) {
+			return fmt.Errorf("%s out of order at %d: %v before %v", name, i, list[i-1], list[i])
+		}
+	}
+	if n := liveTail(list); n > 0 {
+		return fmt.Errorf("%s keeps %d entries reachable past its length", name, n)
+	}
+	return nil
+}
+
+// liveTail counts the non-nil pointers between len(list) and cap(list).
+func liveTail(list []*FlowEntry) int {
+	n := 0
+	for _, e := range list[len(list):cap(list)] {
+		if e != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// modelRule is one rule of the reference table model.
+type modelRule struct {
+	match    policy.Match
+	priority uint16
+	cookie   uint64
+	actions  []openflow.Action
+	order    uint64
+}
+
+// tableModel is a reference flow table that shares no code or state with
+// FlowTable: a plain slice, its own installation counter, and a from-scratch
+// sort whenever it is read.
+type tableModel struct {
+	rules []modelRule
+	seq   uint64
+}
+
+func (m *tableModel) add(e *FlowEntry) {
+	for i, r := range m.rules {
+		if r.match == e.Match && r.priority == e.Priority {
+			m.rules[i].cookie, m.rules[i].actions = e.Cookie, e.Actions
+			return
+		}
+	}
+	m.seq++
+	m.rules = append(m.rules, modelRule{e.Match, e.Priority, e.Cookie, e.Actions, m.seq})
+}
+
+func (m *tableModel) delete(match policy.Match, priority uint16, strict bool) int {
+	var kept []modelRule
+	for _, r := range m.rules {
+		if strict && r.match == match && r.priority == priority || !strict && match.Subsumes(r.match) {
+			continue
+		}
+		kept = append(kept, r)
+	}
+	removed := len(m.rules) - len(kept)
+	m.rules = kept
+	return removed
+}
+
+func (m *tableModel) sorted() []modelRule {
+	out := slices.Clone(m.rules)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].priority != out[j].priority {
+			return out[i].priority > out[j].priority
+		}
+		return out[i].order < out[j].order
+	})
+	return out
+}
+
+// TestFlowTableMutationModel drives seeded random writes — Add, AddBatch
+// with in-batch duplicates and replacements, strict and wildcard Delete,
+// Clear — into a FlowTable and a reference model side by side. After every
+// step Entries() must equal the model rule for rule (match, priority,
+// cookie, actions, position) and the table's internal invariants must hold.
+func TestFlowTableMutationModel(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ft := NewFlowTable()
+		var model tableModel
+		var nextCookie uint64
+		fresh := func(m policy.Match, prio uint16) *FlowEntry {
+			nextCookie++
+			return &FlowEntry{Match: m, Priority: prio, Cookie: nextCookie,
+				Actions: []openflow.Action{openflow.Output(uint16(rng.Intn(4)))}}
+		}
+		// installed returns a random installed entry (nil on an empty table).
+		installed := func() *FlowEntry {
+			ft.mu.RLock()
+			defer ft.mu.RUnlock()
+			if len(ft.entries) == 0 {
+				return nil
+			}
+			return ft.entries[rng.Intn(len(ft.entries))]
+		}
+		for step := 0; step < 600; step++ {
+			var op string
+			switch r := rng.Intn(20); {
+			case r < 5:
+				op = "Add"
+				e := fresh(randMatch(rng), uint16(1+rng.Intn(8)))
+				if old := installed(); old != nil && rng.Intn(3) == 0 {
+					e = fresh(old.Match, old.Priority) // replacement
+				}
+				ft.Add(e)
+				model.add(e)
+			case r < 11:
+				op = "AddBatch"
+				// Sorts of up to 12 elements are insertion sorts, which are
+				// stable; larger batches make the sort rely on the tie-break.
+				n := 1 + rng.Intn(12)
+				if rng.Intn(4) == 0 {
+					n = 13 + rng.Intn(48)
+				}
+				batch := make([]*FlowEntry, 0, n)
+				for len(batch) < n {
+					old := installed()
+					switch k := rng.Intn(10); {
+					case k < 2 && len(batch) > 0: // replaces a rule added earlier in this batch
+						prev := batch[rng.Intn(len(batch))]
+						batch = append(batch, fresh(prev.Match, prev.Priority))
+					case k < 3 && len(batch) > 0: // the same entry twice
+						batch = append(batch, batch[rng.Intn(len(batch))])
+					case k < 5 && old != nil: // replaces an installed rule
+						batch = append(batch, fresh(old.Match, old.Priority))
+					case k < 6 && old != nil: // re-adds an installed entry
+						batch = append(batch, old)
+					default:
+						batch = append(batch, fresh(randMatch(rng), uint16(1+rng.Intn(8))))
+					}
+				}
+				ft.AddBatch(batch)
+				for _, e := range batch {
+					model.add(e)
+				}
+			case r < 16:
+				op = "strict Delete"
+				m, prio := randMatch(rng), uint16(1+rng.Intn(8))
+				if old := installed(); old != nil && rng.Intn(4) != 0 {
+					m, prio = old.Match, old.Priority
+				}
+				if got, want := ft.Delete(m, prio, true), model.delete(m, prio, true); got != want {
+					t.Fatalf("seed %d step %d: strict Delete removed %d, model %d", seed, step, got, want)
+				}
+			case r < 19:
+				op = "wildcard Delete"
+				m := randMatch(rng)
+				if got, want := ft.Delete(m, 0, false), model.delete(m, 0, false); got != want {
+					t.Fatalf("seed %d step %d: wildcard Delete removed %d, model %d", seed, step, got, want)
+				}
+			default:
+				op = "Clear"
+				ft.Clear()
+				model.rules = nil
+			}
+			if err := checkTableInvariants(ft); err != nil {
+				t.Fatalf("seed %d step %d (%s): %v\ntable:\n%s", seed, step, op, err, ft.Dump())
+			}
+			got, want := ft.Entries(), model.sorted()
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d (%s): table holds %d rules, model %d", seed, step, op, len(got), len(want))
+			}
+			for i, w := range want {
+				g := got[i]
+				if g.Match != w.match || g.Priority != w.priority || g.Cookie != w.cookie ||
+					!reflect.DeepEqual(g.Actions, w.actions) {
+					t.Fatalf("seed %d step %d (%s): rule %d = %v cookie %d, model %v priority %d cookie %d\ntable:\n%s",
+						seed, step, op, i, g.String(), g.Cookie, w.match, w.priority, w.cookie, ft.Dump())
+				}
+			}
+		}
+	}
+}
+
+// TestDeleteReleasesEntries: a delete must not keep the removed entries
+// reachable from the backing array past the table's length.
+func TestDeleteReleasesEntries(t *testing.T) {
+	ft := NewFlowTable()
+	batch := make([]*FlowEntry, 64)
+	for i := range batch {
+		batch[i] = &FlowEntry{Match: policy.MatchAll.Port(uint16(1 + i%2)).DstPort(uint16(i)),
+			Priority: uint16(100 - i), Actions: []openflow.Action{openflow.Output(3)}}
+	}
+	ft.AddBatch(batch)
+	if n := ft.Delete(policy.MatchAll.Port(1), 0, false); n != 32 {
+		t.Fatalf("wildcard Delete removed %d rules, want 32", n)
+	}
+	if n := liveTail(ft.entries); n != 0 {
+		t.Fatalf("after a wildcard Delete, %d pointers past len(entries) are live, want 0", n)
+	}
+	if n := ft.Delete(batch[1].Match, batch[1].Priority, true); n != 1 {
+		t.Fatalf("strict Delete removed %d rules, want 1", n)
+	}
+	if n := liveTail(ft.entries); n != 0 {
+		t.Fatalf("after a strict Delete, %d pointers past len(entries) are live, want 0", n)
+	}
+}
+
+// sdxFlowMods returns n FLOW_MOD adds shaped like a compiled base table:
+// rules keyed by a VMAC tag (from tag0 on), eight per tag on eight ingress
+// ports, at positional priorities counting down from the top of the band.
+func sdxFlowMods(n int, tag0 uint32) []*openflow.FlowMod {
+	fms := make([]*openflow.FlowMod, n)
+	for i := range fms {
+		fms[i] = &openflow.FlowMod{
+			Match:    openflow.MatchFromPolicy(policy.MatchAll.DstMAC(netutil.VMAC(tag0 + uint32(i/8))).Port(uint16(1 + i%8))),
+			Command:  openflow.FlowModAdd,
+			Priority: uint16(0xefff - i),
+			Actions:  []openflow.Action{openflow.Output(uint16(1 + i%8))},
+		}
+	}
+	return fms
+}
+
+// TestTableWritesAreLocal is the locality gate: one strict Delete plus a
+// one-rule AddBatch costs the same number of allocations on a 1k-rule and a
+// 16k-rule table, and only a handful.
+func TestTableWritesAreLocal(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race: the instrumentation allocates")
+	}
+	var allocs []float64
+	for _, n := range []int{1 << 10, 1 << 14} {
+		sw := NewSwitch(1)
+		if err := sw.InstallFlowMods(sdxFlowMods(n, 0)); err != nil {
+			t.Fatal(err)
+		}
+		victim := sw.Table.Entries()[n/2]
+		got := testing.AllocsPerRun(200, func() {
+			if sw.Table.Delete(victim.Match, victim.Priority, true) != 1 {
+				t.Fatal("strict Delete missed the installed rule")
+			}
+			sw.Table.AddBatch([]*FlowEntry{{Match: victim.Match, Priority: victim.Priority, Actions: victim.Actions}})
+		})
+		if err := checkTableInvariants(sw.Table); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rules=%d: %.0f allocs per strict Delete + one-rule AddBatch", n, got)
+		allocs = append(allocs, got)
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 8 {
+		t.Fatalf("allocs per write = %v at 1k/16k rules, want equal and <= 8", allocs)
+	}
+}
+
+// BenchmarkFlowTableDiffPush times one SetBase-shaped diff through
+// InstallFlowMods: n/4 adds followed by n/4 strict deletes on an n-rule
+// table. Iterations alternate between swapping a quarter of the base out
+// for fresh rules at the same priorities and swapping it back, so the table
+// stays at n rules.
+func BenchmarkFlowTableDiffPush(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
+		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
+			base := sdxFlowMods(n, 0)
+			var quarter []*openflow.FlowMod
+			for i := 0; i < n; i += 4 {
+				quarter = append(quarter, base[i])
+			}
+			others := sdxFlowMods(len(quarter), uint32(n))
+			for i, fm := range others {
+				fm.Priority = quarter[i].Priority
+			}
+			deletes := func(fms []*openflow.FlowMod) []*openflow.FlowMod {
+				out := make([]*openflow.FlowMod, len(fms))
+				for i, fm := range fms {
+					out[i] = &openflow.FlowMod{Match: fm.Match, Priority: fm.Priority, Command: openflow.FlowModDeleteStrict}
+				}
+				return out
+			}
+			diffs := [2][]*openflow.FlowMod{
+				append(slices.Clone(others), deletes(quarter)...),
+				append(slices.Clone(quarter), deletes(others)...),
+			}
+			sw := NewSwitch(1)
+			if err := sw.InstallFlowMods(base); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sw.InstallFlowMods(diffs[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if got := sw.Table.Len(); got != n {
+				b.Fatalf("table holds %d rules, want %d", got, n)
+			}
+		})
+	}
+}
