@@ -7,21 +7,13 @@
 //	sdx-bench -experiment fig8 -participants 100,200,300 -seed 7
 //
 // Experiments: table1, fig5a, fig5b, fig6, fig7 (alias fig8), fig9, fig10,
-// ablation, churn, fullscale, analytics, all. Scale multiplies the default
-// prefix counts; 1.0 keeps the laptop-sized defaults documented in
-// EXPERIMENTS.md (except fullscale and analytics, whose defaults ARE the
-// full-scale configurations — a 1M-prefix DFZ table and a million-client
-// traffic run — and which must be selected explicitly; -json writes their
-// result files).
-//
-// The e2e-shutdown, e2e-vrf, and e2e-multicast experiments boot REAL daemon
-// processes (sdx-controller, sdx-bgpd, sdx-switch) over real TCP/UDP and are
-// likewise explicit-only; they need the go toolchain on PATH to build the
-// daemon binaries.
+// ablation, all. Scale multiplies the default prefix counts; 1.0 keeps the
+// laptop-sized defaults documented in EXPERIMENTS.md. Performance of the
+// running system is measured by benchmark/ (see BENCHMARK.json), and the
+// daemon-level scenarios run under `make e2e`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,12 +27,10 @@ import (
 
 func main() {
 	var (
-		experiment   = flag.String("experiment", "all", "table1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|ablation|churn|fullscale|analytics|linerate|cluster|e2e-shutdown|e2e-vrf|e2e-multicast|all")
+		experiment   = flag.String("experiment", "all", "table1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|ablation|all")
 		seed         = flag.Int64("seed", 42, "random seed")
 		scale        = flag.Float64("scale", 1.0, "prefix-count multiplier (1.0 = defaults)")
 		participants = flag.String("participants", "", "comma-separated participant counts (default per experiment)")
-		bursts       = flag.Int("bursts", 200, "update bursts for the churn experiment")
-		jsonOut      = flag.String("json", "", "write the fullscale/analytics/linerate/cluster result as JSON to this file")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address for the run")
 	)
 	flag.Parse()
@@ -103,127 +93,14 @@ func main() {
 		any = true
 		run("fig10", func() error { _, err := experiments.Fig10(cfg, counts, 0); return err })
 	}
-	if want("churn") {
-		any = true
-		run("churn", func() error { _, err := experiments.Churn(cfg, *bursts); return err })
-	}
 	if want("ablation") {
 		any = true
 		run("ablation", func() error { _, err := experiments.Ablation(cfg, 0, 0); return err })
-	}
-	// The full-DFZ scale experiment is explicit-only: at the default scale
-	// it loads a 1M-prefix table, which does not belong in "all".
-	if *experiment == "fullscale" {
-		any = true
-		run("fullscale", func() error {
-			res, err := experiments.FullScale(cfg, 0, 0, 0)
-			if res != nil && *jsonOut != "" {
-				if werr := writeJSON(*jsonOut, res); werr != nil && err == nil {
-					err = werr
-				}
-			}
-			return err
-		})
-	}
-	// The million-client traffic experiment is likewise explicit-only.
-	if *experiment == "analytics" {
-		any = true
-		run("analytics", func() error {
-			res, err := experiments.Analytics(cfg, 0, 0)
-			if res != nil && *jsonOut != "" {
-				if werr := writeJSON(*jsonOut, res); werr != nil && err == nil {
-					err = werr
-				}
-			}
-			return err
-		})
-	}
-	// The single-switch forwarding-rate experiment is likewise explicit-only.
-	if *experiment == "linerate" {
-		any = true
-		run("linerate", func() error {
-			res, err := experiments.Linerate(cfg, 0, 0)
-			if res != nil && *jsonOut != "" {
-				if werr := writeJSON(*jsonOut, res); werr != nil && err == nil {
-					err = werr
-				}
-			}
-			return err
-		})
-	}
-	// The sharded route-server cluster experiment is likewise explicit-only:
-	// it opens live TCP listeners and BGP sessions.
-	if *experiment == "cluster" {
-		any = true
-		run("cluster", func() error {
-			res, err := experiments.Cluster(cfg, *bursts)
-			if res != nil && *jsonOut != "" {
-				if werr := writeJSON(*jsonOut, res); werr != nil && err == nil {
-					err = werr
-				}
-			}
-			return err
-		})
-	}
-	// The daemon-level e2e experiments are explicit-only: each boots real
-	// processes over real sockets (and builds the binaries first).
-	if *experiment == "e2e-shutdown" {
-		any = true
-		run("e2e-shutdown", func() error {
-			res, err := experiments.E2EShutdown(cfg)
-			if res != nil && *jsonOut != "" {
-				if werr := writeJSON(*jsonOut, res); werr != nil && err == nil {
-					err = werr
-				}
-			}
-			if err == nil && !(res.GracefulOK && res.HardOK) {
-				err = fmt.Errorf("shutdown gates failed: graceful_ok=%v hard_ok=%v", res.GracefulOK, res.HardOK)
-			}
-			return err
-		})
-	}
-	if *experiment == "e2e-vrf" {
-		any = true
-		run("e2e-vrf", func() error {
-			res, err := experiments.E2EVRF(cfg)
-			if res != nil && *jsonOut != "" {
-				if werr := writeJSON(*jsonOut, res); werr != nil && err == nil {
-					err = werr
-				}
-			}
-			if err == nil && !res.OK() {
-				err = fmt.Errorf("VRF isolation gates failed")
-			}
-			return err
-		})
-	}
-	if *experiment == "e2e-multicast" {
-		any = true
-		run("e2e-multicast", func() error {
-			res, err := experiments.E2EMulticast(cfg)
-			if res != nil && *jsonOut != "" {
-				if werr := writeJSON(*jsonOut, res); werr != nil && err == nil {
-					err = werr
-				}
-			}
-			if err == nil && !res.OK() {
-				err = fmt.Errorf("multicast gates failed")
-			}
-			return err
-		})
 	}
 	if !any {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func parseCounts(s string) ([]int, error) {

@@ -1,8 +1,7 @@
 // Package e2e_test runs the daemon-level end-to-end suite: every scenario
 // boots real sdx binaries as separate processes wired over real TCP/UDP on
 // localhost, then asserts on their logs and /metrics. `make e2e` runs these;
-// the same scenarios are exposed as sdx-bench experiments (e2e-multicast,
-// e2e-vrf, e2e-shutdown) for JSON-gated CI.
+// the scenarios themselves are package e2e's Run* functions.
 package e2e_test
 
 import (
@@ -10,7 +9,7 @@ import (
 	"os"
 	"testing"
 
-	"sdx/internal/e2e"
+	"sdx/e2e"
 )
 
 // logWriter adapts t.Logf so scenario progress lands in test output.

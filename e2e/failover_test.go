@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"sdx/internal/e2e"
+	"sdx/e2e"
 )
 
 // failoverConfig: A receives, B announces; A's outbound policy makes the

@@ -7,9 +7,8 @@
 // in-process; this package is the only place the actual shipped binaries,
 // their flag surfaces, and their signal handling are executed together.
 //
-// The scenarios live here rather than in the test files so that
-// cmd/sdx-bench can run each one as a named e2e-* experiment gate; the e2e/
-// test package wraps the same functions for `go test` and `make e2e`.
+// The scenarios are this package's Run* functions; e2e_test.go and
+// failover_test.go drive them for `go test ./e2e` and `make e2e`.
 package e2e
 
 import (
@@ -28,8 +27,8 @@ import (
 )
 
 // repoRoot walks up from the working directory to the module root (go.mod).
-// Both `go test ./e2e` and `make`-driven sdx-bench runs start somewhere
-// inside the repository, so the walk always terminates at the right place.
+// `go test ./e2e` runs in the package directory, inside the repository, so
+// the walk always terminates at the right place.
 func repoRoot() (string, error) {
 	dir, err := os.Getwd()
 	if err != nil {

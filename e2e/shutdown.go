@@ -8,8 +8,7 @@ import (
 )
 
 // ShutdownResult reports one graceful-versus-hard shutdown scenario run.
-// All *_ok fields are acceptance gates (sdx-benchjson -validate requires
-// every one true).
+// All *_ok fields are acceptance gates; OK reports whether every one passed.
 type ShutdownResult struct {
 	Graceful bool `json:"graceful"`
 

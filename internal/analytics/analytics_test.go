@@ -10,7 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"sdx/internal/dataplane"
 	"sdx/internal/flowexport"
+	"sdx/internal/netutil"
+	"sdx/internal/openflow"
+	"sdx/internal/packet"
+	"sdx/internal/policy"
 	"sdx/internal/telemetry"
 )
 
@@ -109,6 +114,59 @@ func TestStoreQueriesScaleBySampleRate(t *testing.T) {
 	}
 	if s.Records() != 15 {
 		t.Errorf("records = %d, want 15", s.Records())
+	}
+}
+
+// A switch's sampled records reach the store with their attribution intact:
+// a forwarded frame counts toward its rule's cookie, and a frame the switch
+// drops counts toward the drop reason on its ingress port.
+func TestSwitchSamplesReachStore(t *testing.T) {
+	sw := dataplane.NewSwitch(1)
+	for _, p := range []uint16{1, 2, 3} {
+		sw.AttachPort(p, func([]byte) {})
+	}
+	sw.Table.Add(&dataplane.FlowEntry{
+		Match: policy.MatchAll.Port(1), Priority: 10, Cookie: 0xAA,
+		Actions: []openflow.Action{openflow.Output(2)},
+	})
+	sw.Table.Add(&dataplane.FlowEntry{
+		Match: policy.MatchAll.Port(2), Priority: 10, Cookie: 0xBB,
+		Actions: []openflow.Action{openflow.Output(999)}, // unattached: no_port
+	})
+	// Port 3 has no rule and there is no controller: no_match.
+	ex := flowexport.New(1, 64)
+	sw.SetFlowExporter(ex)
+	s := New(Config{SampleRate: 1, Window: time.Hour})
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() { s.Run(ex.Records(), stop); close(done) }()
+
+	frame := packet.NewUDP(
+		netutil.MustParseMAC("02:00:00:00:00:01"), netutil.MustParseMAC("02:00:00:00:00:02"),
+		addr4(10, 0, 0, 1), addr4(20, 0, 0, 1), 4000, 80, []byte("x")).Serialize()
+	for port, n := range map[uint16]int{1: 3, 2: 2, 3: 1} {
+		for i := 0; i < n; i++ {
+			if err := sw.Inject(port, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	<-done
+
+	pol := s.Policies()
+	if len(pol) != 1 || pol[0].Cookie != 0xAA || pol[0].Packets != 3 {
+		t.Errorf("policies = %+v, want cookie 0xAA with 3 packets", pol)
+	}
+	drops := map[string]DropStat{}
+	for _, d := range s.Drops() {
+		drops[d.Reason] = d
+	}
+	if d := drops["no_port"]; len(drops) != 2 || d.InPort != 2 || d.Packets != 2 {
+		t.Errorf("drops = %+v, want no_port on port 2 x2 and no_match on port 3 x1", drops)
+	}
+	if d := drops["no_match"]; d.InPort != 3 || d.Packets != 1 {
+		t.Errorf("no_match drop = %+v, want port 3 x1", d)
 	}
 }
 

@@ -288,10 +288,10 @@ const (
 // Cease NOTIFICATION subcodes (RFC 4486). Subcode 0 remains the
 // unspecified legacy value RFC 4271 allows.
 const (
-	CeaseMaxPrefixes       uint8 = 1 // Maximum Number of Prefixes Reached
-	CeaseAdminShutdown     uint8 = 2 // Administrative Shutdown
-	CeaseDeconfigured      uint8 = 3 // Peer De-configured
-	CeaseAdminReset        uint8 = 4 // Administrative Reset
+	CeaseMaxPrefixes        uint8 = 1 // Maximum Number of Prefixes Reached
+	CeaseAdminShutdown      uint8 = 2 // Administrative Shutdown
+	CeaseDeconfigured       uint8 = 3 // Peer De-configured
+	CeaseAdminReset         uint8 = 4 // Administrative Reset
 	CeaseConnectionRejected uint8 = 5 // Connection Rejected
 )
 

@@ -591,8 +591,8 @@ func (t *FlowTable) megaGroup(mask lookupMask) *maskGroup {
 }
 
 // SetMegaflowEnabled turns the megaflow tier on or off (on by default).
-// Disabling also drops the existing groups; the linerate experiment uses it
-// to measure the tier's contribution in one process.
+// Disabling also drops the existing groups, so one process can measure the
+// tier's contribution with and without it.
 func (t *FlowTable) SetMegaflowEnabled(on bool) {
 	t.megaOff.Store(!on)
 	if !on {

@@ -177,63 +177,6 @@ func TestAblationShapes(t *testing.T) {
 	}
 }
 
-// A reduced-scale analytics run: the distinct-client and export-loss gates
-// are enforced at every scale (the pipeline is deterministic, so they must
-// hold exactly); the estimate-accuracy gates are advisory below a million
-// clients and asserted by the full-scale run in bench-smoke.
-func TestAnalyticsShapes(t *testing.T) {
-	var out strings.Builder
-	res, err := Analytics(Config{Seed: 42, Out: &out}, 50_000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Clients != 50_000 || res.DistinctClients != 50_000 {
-		t.Errorf("clients = %d distinct = %d, want 50000 each", res.Clients, res.DistinctClients)
-	}
-	if !res.DistinctOK || !res.ExportOK {
-		t.Errorf("hard gates failed: distinct:%v export:%v", res.DistinctOK, res.ExportOK)
-	}
-	if res.ExportDrops != 0 {
-		t.Errorf("export drops = %d, want 0 (buffer sized for the run)", res.ExportDrops)
-	}
-	if res.Samples == 0 || res.Candidates != res.Frames {
-		t.Errorf("samples = %d candidates = %d frames = %d", res.Samples, res.Candidates, res.Frames)
-	}
-	if len(res.TopTalkers) != res.TopKWanted {
-		t.Errorf("top talkers = %d, want %d", len(res.TopTalkers), res.TopKWanted)
-	}
-	if len(res.Policies) == 0 || len(res.Drops) == 0 {
-		t.Error("policy and drop attributions should be non-empty")
-	}
-	if !strings.Contains(out.String(), "gates") {
-		t.Error("report should print the gate summary")
-	}
-}
-
-// The cluster experiment at its default size: cheap enough to run in the
-// suite, and its gates are correctness properties (drain, resume, flush
-// replication, byte-identical Adj-RIB-Out), so they must hold at any scale.
-func TestClusterShapes(t *testing.T) {
-	var out strings.Builder
-	res, err := Cluster(Config{Seed: 42, Out: &out}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.DrainedOK || !res.ResumeOK || !res.FlushOK || !res.EquivalenceOK {
-		t.Errorf("gates failed: drained:%v resume:%v flush:%v equivalence:%v",
-			res.DrainedOK, res.ResumeOK, res.FlushOK, res.EquivalenceOK)
-	}
-	if res.LogEntries == 0 || res.Events == 0 {
-		t.Errorf("empty run: %d events, %d log entries", res.Events, res.LogEntries)
-	}
-	if res.MaxFinalLag != 0 {
-		t.Errorf("final lag = %d, want 0", res.MaxFinalLag)
-	}
-	if !strings.Contains(out.String(), "gates") {
-		t.Error("report should print the gate summary")
-	}
-}
-
 func TestConfigHelpers(t *testing.T) {
 	c := Config{}
 	if c.scale(100) != 100 {

@@ -155,8 +155,7 @@ func (e *Exporter) Rate() uint64 { return e.rate }
 // Random reports whether the exporter is in seeded-random mode.
 func (e *Exporter) Random() bool { return e != nil && e.random }
 
-// mix64 is the splitmix64 finalizer: a strong 64-bit mixer, the same one
-// loadgen uses for stateless client synthesis.
+// mix64 is the splitmix64 finalizer: a strong 64-bit mixer.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

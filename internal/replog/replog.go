@@ -127,10 +127,9 @@ func DecodeEntry(b []byte) (*Entry, error) {
 
 // Log is the in-memory append-only sequenced log. Appends assign
 // contiguous sequence numbers starting at 1; readers block in WaitFor
-// until the requested entry exists. The log retains every entry — at the
-// DFZ churn rates measured in PR 6 (~81k updates/s) a bounded retention
-// window with snapshot-assisted catch-up is the documented headroom, not
-// a correctness requirement for the cluster experiments.
+// until the requested entry exists. The log retains every entry; a bounded
+// retention window with snapshot-assisted catch-up is headroom, not a
+// correctness requirement.
 type Log struct {
 	mu      sync.Mutex
 	cond    *sync.Cond

@@ -241,10 +241,6 @@ func (d *DFZ) RouteCount() int {
 	return n
 }
 
-// AttrCombos is the number of distinct interned attribute sets the table
-// draws from.
-func (d *DFZ) AttrCombos() int { return len(d.pools) * attrPoolSize }
-
 // Register adds every member to the route server.
 func (d *DFZ) Register(rs *routeserver.Server) error {
 	for _, m := range d.Members {

@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"sdx/internal/bgp"
+	"sdx/internal/routeserver"
 )
 
 func TestGenerateDFZShape(t *testing.T) {
@@ -87,5 +90,49 @@ func TestGenerateDFZDeterministic(t *testing.T) {
 				t.Fatalf("route %d/%d differs across identically seeded generators", i, rank)
 			}
 		}
+	}
+}
+
+// dfzMaxBytesPerPrefix bounds the route server's retained heap per loaded
+// DFZ prefix. The full-DFZ target is 1M prefixes in under 2 GiB resident,
+// about 2,147 bytes a prefix; half of that leaves room for the process
+// around the table.
+const dfzMaxBytesPerPrefix = 1024
+
+// TestDFZFootprint loads a DFZ-shaped table into the route server and bounds
+// the heap it keeps, so a change that bloats per-route state fails here
+// rather than at full scale.
+func TestDFZFootprint(t *testing.T) {
+	const nMembers, nPrefixes = 500, 100_000
+	d := GenerateDFZ(1, nMembers, nPrefixes)
+	rs := routeserver.New(nil)
+	if err := d.Register(rs); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		debug.FreeOSMemory()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	if err := d.Load(rs); err != nil {
+		t.Fatal(err)
+	}
+	// Load journals every prefix for the controller; drain it the way a
+	// compiling controller would, so only the table itself is measured.
+	rs.DrainTouched()
+	retained := heap() - before
+	// Without these the collector may reclaim the table before the second
+	// reading and the test measures an empty heap.
+	runtime.KeepAlive(rs)
+	runtime.KeepAlive(d)
+
+	perPrefix := float64(retained) / nPrefixes
+	t.Logf("%d prefixes, %d routes: %d bytes retained, %.0f B/prefix, %.0f B/route",
+		nPrefixes, d.RouteCount(), retained, perPrefix, float64(retained)/float64(d.RouteCount()))
+	if perPrefix > dfzMaxBytesPerPrefix {
+		t.Fatalf("route server retains %.0f bytes per prefix, want <= %d", perPrefix, dfzMaxBytesPerPrefix)
 	}
 }
