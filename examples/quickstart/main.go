@@ -68,9 +68,9 @@ func main() {
 	}
 
 	fmt.Println("\n== Forwarding equivalence classes ==")
-	for _, f := range res.FECs {
+	for i, f := range res.FECs {
 		fmt.Printf("  group %d: %v  VNH=%v  VMAC=%v  default via %v\n",
-			f.ID, f.Prefixes, f.VNH, f.VMAC, f.First)
+			i+1, f.Prefixes, f.VNH, f.VMAC, f.First)
 	}
 
 	fmt.Printf("\n== Compiled flow rules (%d) ==\n", len(res.Rules))

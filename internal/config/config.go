@@ -17,8 +17,8 @@ import (
 
 // File is the top-level configuration document.
 type File struct {
-	// VNHPool is the virtual next-hop allocation prefix (default
-	// 172.16.0.0/12).
+	// VNHPool is the virtual next-hop allocation prefix, an IPv4 /8 or
+	// longer (default 172.16.0.0/12).
 	VNHPool string `json:"vnhPool,omitempty"`
 	// Parallelism bounds the worker pool the policy compiler fans out
 	// across: 0 or 1 compiles sequentially, N > 1 uses N workers, and any
@@ -140,7 +140,13 @@ func (f *File) validate() error {
 		}
 	}
 	if f.VNHPool != "" {
-		if _, err := netip.ParsePrefix(f.VNHPool); err != nil {
+		p, err := netip.ParsePrefix(f.VNHPool)
+		if err == nil {
+			// The controller's own rule, so a pool it would refuse is a
+			// config error here rather than a panic at start-up.
+			_, err = netutil.NewIPPool(p)
+		}
+		if err != nil {
 			return fmt.Errorf("config: vnhPool: %w", err)
 		}
 	}

@@ -111,6 +111,8 @@ func TestParseErrors(t *testing.T) {
 		{"bad owns", `{"participants": [{"id": "A", "as": 1, "owns": ["x"]}]}`},
 		{"bad routerID", `{"routerID": "zz", "participants": [{"id": "A", "as": 1}]}`},
 		{"bad vnh pool", `{"vnhPool": "zz", "participants": [{"id": "A", "as": 1}]}`},
+		{"ipv6 vnh pool", `{"vnhPool": "2001:db8::/64", "participants": [{"id": "A", "as": 1}]}`},
+		{"vnh pool shorter than /8", `{"vnhPool": "10.0.0.0/7", "participants": [{"id": "A", "as": 1}]}`},
 	}
 	for _, c := range cases {
 		if _, err := Parse([]byte(c.in)); err == nil {

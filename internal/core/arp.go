@@ -12,12 +12,11 @@ import (
 // resolve to their class's virtual MAC (the §4.2 control-plane signalling
 // trick), and participant router addresses resolve to their real interface
 // MACs (proxy-ARP convenience for the emulated deployments). Unknown
-// targets return false.
+// targets, retired VNHs among them, return false. A VNH's VMAC is derived
+// from the address itself, so answering is one pool lookup.
 func (c *Controller) ResolveARP(target netip.Addr) (netutil.MAC, bool) {
-	for _, f := range c.fecs.All() {
-		if f.VNH == target {
-			return f.VMAC, true
-		}
+	if c.pool.Allocated(target) {
+		return vmacOf(c.pool, target), true
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -151,7 +151,7 @@ func TestChaosClusterFailover(t *testing.T) {
 
 	// Seed the base table at seq 1 so every replica commits a compilation
 	// before any switch attaches.
-	log.AppendMark()
+	log.Append(&replog.Entry{Kind: replog.KindMark})
 
 	primaryLn := primary.serveOF(t)
 	referenceLn := reference.serveOF(t)
@@ -206,7 +206,7 @@ func TestChaosClusterFailover(t *testing.T) {
 			},
 			NLRI: []netip.Prefix{pfx},
 		}
-		log.AppendUpdate(from, as, netip.MustParseAddr(routerIP), u)
+		log.Append(&replog.Entry{Kind: replog.KindUpdate, From: from, PeerAS: as, PeerID: netip.MustParseAddr(routerIP), Update: u})
 	}
 	for i := 0; i < 16; i++ {
 		pfx := netip.MustParsePrefix(fmt.Sprintf("%d.0.0.0/8", 60+i))
@@ -216,7 +216,7 @@ func TestChaosClusterFailover(t *testing.T) {
 			appendRoute("C", 65003, "172.31.0.4", pfx, 1+(i+1)%3)
 		}
 		if i%5 == 4 {
-			log.AppendMark()
+			log.Append(&replog.Entry{Kind: replog.KindMark})
 		}
 		if i == 7 {
 			// Kill the primary mid-churn: it stops applying the log, its
@@ -235,8 +235,8 @@ func TestChaosClusterFailover(t *testing.T) {
 	}
 	// One failed participant session, replicated as a flush, then the
 	// final compile point.
-	log.AppendFlush("C")
-	log.AppendMark()
+	log.Append(&replog.Entry{Kind: replog.KindFlush, From: "C"})
+	log.Append(&replog.Entry{Kind: replog.KindMark})
 
 	head := log.Head()
 	waitFor("standby and reference to drain the log", func() bool {

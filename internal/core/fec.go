@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"sync"
 
 	"sdx/internal/netutil"
@@ -15,9 +14,8 @@ import (
 // plane by a virtual MAC and signalled in the control plane by a virtual
 // next-hop IP address.
 type FEC struct {
-	ID       uint32
 	VNH      netip.Addr
-	VMAC     netutil.MAC
+	VMAC     netutil.MAC // derived from VNH by vmacOf
 	Prefixes []netip.Prefix
 	// VRF is the isolation domain the class belongs to: with multi-tenant
 	// VRFs active the same bare prefix may be classed independently in
@@ -52,21 +50,12 @@ func (f *FEC) DefaultNextHop(receiver ID) (ID, bool) {
 	return "", false
 }
 
-// maxFECID bounds the class-ID space: VMAC embeds the ID in its low 24
-// bits, so IDs past 2^24-1 would alias earlier tags in the data plane.
-const maxFECID = 1<<24 - 1
-
 // FECTable is the controller's current class assignment, replaced wholesale
 // by the background pass and appended to by the fast path.
 type FECTable struct {
 	mu       sync.RWMutex
 	byPrefix map[vrfPrefix]*FEC
 	list     []*FEC
-	nextID   uint32
-	// freeIDs holds IDs retired by replace(), sorted ascending so reuse is
-	// deterministic (lowest first). Reclaiming keeps long-lived exchanges
-	// from marching nextID into the 24-bit ceiling.
-	freeIDs []uint32
 }
 
 func newFECTable() *FECTable {
@@ -105,40 +94,10 @@ func (t *FECTable) Len() int {
 	return len(t.list)
 }
 
-// allocID hands out the next class ID, reusing retired IDs first and
-// failing once the 24-bit VMAC tag space is exhausted — silently wrapping
-// here would hand two live classes colliding VMACs.
-func (t *FECTable) allocID() (uint32, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.freeIDs) > 0 {
-		id := t.freeIDs[0]
-		t.freeIDs = t.freeIDs[1:]
-		return id, nil
-	}
-	if t.nextID >= maxFECID {
-		return 0, fmt.Errorf("core: FEC ID space exhausted (%d classes live)", maxFECID)
-	}
-	t.nextID++
-	return t.nextID, nil
-}
-
-// replace installs a fresh class list (the background pass) and reclaims
-// the IDs of classes not carried over, so the tag space is bounded by the
-// number of live classes rather than the total ever allocated.
+// replace installs a fresh class list (the background pass).
 func (t *FECTable) replace(fecs []*FEC) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	kept := make(map[uint32]bool, len(fecs))
-	for _, f := range fecs {
-		kept[f.ID] = true
-	}
-	for _, f := range t.list {
-		if !kept[f.ID] {
-			t.freeIDs = append(t.freeIDs, f.ID)
-		}
-	}
-	sort.Slice(t.freeIDs, func(i, j int) bool { return t.freeIDs[i] < t.freeIDs[j] })
 	t.list = fecs
 	t.byPrefix = make(map[vrfPrefix]*FEC)
 	for _, f := range fecs {
@@ -203,11 +162,11 @@ func collectFwdTargets(pol policy.Policy, into map[uint16]bool) {
 // computeFECs materializes the Minimum Disjoint Subset classes of §4.2
 // from the (already refreshed) fecState grouping: each distinct signature
 // — reach-set membership plus best/second-best advertisers — is one
-// equivalence class. The pass stays sequential on purpose: VNH and
-// class-ID assignment must follow the sorted prefix order exactly for
-// recompilations to be deterministic. Alongside the classes it returns
-// the freshly allocated VNHs (those not carried over from the previous
-// table) so an abandoned compilation can return them to the pool.
+// equivalence class. The pass stays sequential on purpose: VNH assignment
+// must follow the sorted prefix order exactly for recompilations to be
+// deterministic. Alongside the classes it returns the freshly allocated
+// VNHs (those not carried over from the previous table) so an abandoned
+// compilation can return them to the pool.
 func (p *pipeline) computeFECs() ([]*FEC, []netip.Addr, error) {
 	order, groups := p.mds.grouping()
 
@@ -237,7 +196,7 @@ func (p *pipeline) computeFECs() ([]*FEC, []netip.Addr, error) {
 		bucket := old[k]
 		for bi, prev := range bucket {
 			if prefixesEqual(prev.Prefixes, candidate.Prefixes) {
-				candidate.ID, candidate.VNH, candidate.VMAC = prev.ID, prev.VNH, prev.VMAC
+				candidate.VNH, candidate.VMAC = prev.VNH, prev.VMAC
 				old[k] = append(bucket[:bi], bucket[bi+1:]...) // consume: no double reuse
 				reused = true
 				break
@@ -249,17 +208,20 @@ func (p *pipeline) computeFECs() ([]*FEC, []netip.Addr, error) {
 				return nil, fresh, fmt.Errorf("core: allocating VNH: %w", err)
 			}
 			fresh = append(fresh, vnh)
-			id, err := p.fecs.allocID()
-			if err != nil {
-				return nil, fresh, err
-			}
-			candidate.ID = id
 			candidate.VNH = vnh
-			candidate.VMAC = netutil.VMAC(id)
+			candidate.VMAC = vmacOf(p.pool, vnh)
 		}
 		fecs = append(fecs, candidate)
 	}
 	return fecs, fresh, nil
+}
+
+// vmacOf is the one place a class's tag is computed: §4.2's tag is one
+// identity, advertised as the VNH and resolved by ARP to the VMAC, so the
+// VMAC is the VNH's pool offset. A VNH keeps its VMAC however often it is
+// retired and re-minted, and a router's cached ARP answer never goes stale.
+func vmacOf(pool *netutil.IPPool, vnh netip.Addr) netutil.MAC {
+	return netutil.VMAC(pool.Offset(vnh))
 }
 
 // fecIdentKey is the hashed identity of a class: the advertiser pair, the

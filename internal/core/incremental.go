@@ -161,15 +161,9 @@ func (p *pipeline) fastPathForPrefix(vrf VRF, prefix netip.Prefix, keys []reachK
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: fast path VNH: %w", err)
 	}
-	id, err := p.fecs.allocID()
-	if err != nil {
-		p.pool.Release(vnh)
-		return nil, nil, fmt.Errorf("core: fast path: %w", err)
-	}
 	fec := &FEC{
-		ID:       id,
 		VNH:      vnh,
-		VMAC:     netutil.VMAC(id),
+		VMAC:     vmacOf(p.pool, vnh),
 		Prefixes: []netip.Prefix{prefix},
 		VRF:      vrf,
 		First:    first,

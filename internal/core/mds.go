@@ -196,7 +196,7 @@ func (st *fecState) rebuildLocked(p *pipeline, keys []reachKey, epoch uint64) {
 }
 
 // sortVRFPrefixes orders universe keys canonically: by domain first, then
-// by prefix, so the grouping sweep (and therefore VNH/class-ID assignment)
+// by prefix, so the grouping sweep (and therefore VNH assignment)
 // is deterministic across passes.
 func sortVRFPrefixes(keys []vrfPrefix) {
 	sort.Slice(keys, func(i, j int) bool {

@@ -243,10 +243,9 @@ type FlowTable struct {
 	// Megaflow (wildcard) cache tier: one direct-mapped group per distinct
 	// lookup mask. The group list is copy-on-write (append under megaMu,
 	// lock-free reads); slots are gen-validated exactly like the microflow
-	// cache. megaOff disables the tier (experiments measure it both ways).
+	// cache.
 	megaGroups atomic.Pointer[[]*maskGroup]
 	megaMu     sync.Mutex
-	megaOff    atomic.Bool
 
 	cacheHits          telemetry.Counter
 	cacheMisses        telemetry.Counter
@@ -541,9 +540,6 @@ func (t *FlowTable) megaLookup(pkt policy.Packet, gen uint64) (*FlowEntry, bool)
 // the scan. Group creation is copy-on-write under megaMu; at the mask cap
 // the result is simply not cached.
 func (t *FlowTable) megaInstall(mask lookupMask, pkt policy.Packet, gen uint64, e *FlowEntry) {
-	if t.megaOff.Load() {
-		return
-	}
 	g := t.megaGroup(mask)
 	if g == nil {
 		return
@@ -579,7 +575,7 @@ func (t *FlowTable) megaGroup(mask lookupMask) *maskGroup {
 			}
 		}
 	}
-	if t.megaOff.Load() || len(cur) >= maxMegaflowMasks {
+	if len(cur) >= maxMegaflowMasks {
 		return nil
 	}
 	g := &maskGroup{mask: mask}
@@ -588,18 +584,6 @@ func (t *FlowTable) megaGroup(mask lookupMask) *maskGroup {
 	next = append(next, g)
 	t.megaGroups.Store(&next)
 	return g
-}
-
-// SetMegaflowEnabled turns the megaflow tier on or off (on by default).
-// Disabling also drops the existing groups, so one process can measure the
-// tier's contribution with and without it.
-func (t *FlowTable) SetMegaflowEnabled(on bool) {
-	t.megaOff.Store(!on)
-	if !on {
-		t.megaMu.Lock()
-		t.megaGroups.Store(nil)
-		t.megaMu.Unlock()
-	}
 }
 
 // needClassify marks a batch slot that fell through both cache tiers and

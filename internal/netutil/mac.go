@@ -87,15 +87,18 @@ func MACFromUint64(v uint64) MAC {
 // can never collide with a participant router's burned-in address.
 const vmacOUI = 0xa2_53_44 // "SD" + local bit, mnemonic for "SDx"
 
-// VMAC returns the virtual MAC that tags forwarding-equivalence class id.
-// The FEC id occupies the low 24 bits, giving 16M distinct prefix groups,
-// far above the ~1000 the paper's evaluation reaches.
-func VMAC(fecID uint32) MAC {
-	return MACFromUint64(uint64(vmacOUI)<<24 | uint64(fecID&0xffffff))
+// VMAC returns the virtual MAC that tags a forwarding-equivalence class.
+// The low 24 bits are the offset of the class's virtual next hop in the VNH
+// pool (IPPool.Offset), so the tag is a function of the VNH alone; a /8
+// pool gives 16M distinct tags, far above the ~1000 prefix groups the
+// paper's evaluation reaches.
+func VMAC(offset uint32) MAC {
+	return MACFromUint64(uint64(vmacOUI)<<24 | uint64(offset&0xffffff))
 }
 
-// VMACID extracts the FEC id from a virtual MAC minted by VMAC. The second
-// return value reports whether m is in the SDX virtual MAC space at all.
+// VMACID extracts the pool offset from a virtual MAC minted by VMAC. The
+// second return value reports whether m is in the SDX virtual MAC space at
+// all.
 func VMACID(m MAC) (uint32, bool) {
 	v := m.Uint64()
 	if v>>24 != vmacOUI {

@@ -1,6 +1,7 @@
 package netutil
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -20,11 +21,15 @@ type IPPool struct {
 	used map[netip.Addr]bool
 }
 
-// NewIPPool returns a pool over the given IPv4 prefix. The network address
-// itself is never allocated.
+// NewIPPool returns a pool over the given IPv4 prefix, which must be a /8
+// or longer so every address's Offset fits the 24-bit VMAC tag. The network
+// address itself is never allocated.
 func NewIPPool(p netip.Prefix) (*IPPool, error) {
 	if !p.Addr().Is4() {
 		return nil, fmt.Errorf("netutil: IPPool requires an IPv4 prefix, got %v", p)
+	}
+	if p.Bits() < 8 {
+		return nil, fmt.Errorf("netutil: IPPool prefix %v is shorter than /8", p)
 	}
 	p = p.Masked()
 	return &IPPool{
@@ -79,12 +84,11 @@ func (p *IPPool) Release(a netip.Addr) {
 	p.free = append(p.free, a)
 }
 
-// Reserve marks an address as in use regardless of allocation order, for
-// statically configured next hops that must not be minted as VNHs.
-func (p *IPPool) Reserve(a netip.Addr) {
+// Allocated reports whether a is currently allocated from the pool.
+func (p *IPPool) Allocated(a netip.Addr) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.used[a] = true
+	return p.used[a]
 }
 
 // InUse returns the number of currently allocated addresses.
@@ -96,3 +100,11 @@ func (p *IPPool) InUse() int {
 
 // Contains reports whether a falls inside the pool's prefix.
 func (p *IPPool) Contains(a netip.Addr) bool { return p.base.Contains(a) }
+
+// Offset returns a's distance from the pool's network address: 1 for the
+// first address Alloc hands out, and below 2^24 for every address inside
+// the pool. It is meaningful only for addresses inside the pool's prefix.
+func (p *IPPool) Offset(a netip.Addr) uint32 {
+	x, base := a.As4(), p.base.Addr().As4()
+	return binary.BigEndian.Uint32(x[:]) - binary.BigEndian.Uint32(base[:])
+}

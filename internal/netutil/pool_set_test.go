@@ -37,12 +37,47 @@ func TestIPPoolReleaseReuse(t *testing.T) {
 	p.Release(netip.MustParseAddr("10.9.9.9"))
 }
 
-func TestIPPoolReserve(t *testing.T) {
+func TestIPPoolOffset(t *testing.T) {
+	p := MustNewIPPool("10.0.0.0/8")
+	for _, c := range []struct {
+		addr string
+		want uint32
+	}{
+		{"10.0.0.1", 1},
+		{"10.0.1.0", 256},
+		{"10.255.255.255", 1<<24 - 1},
+	} {
+		if got := p.Offset(netip.MustParseAddr(c.addr)); got != c.want {
+			t.Errorf("Offset(%s) = %d, want %d", c.addr, got, c.want)
+		}
+	}
+	a, _ := p.Alloc()
+	if p.Offset(a) != 1 {
+		t.Errorf("first allocation %v has offset %d, want 1", a, p.Offset(a))
+	}
+}
+
+func TestIPPoolAllocated(t *testing.T) {
 	p := MustNewIPPool("172.16.0.0/29")
-	p.Reserve(netip.MustParseAddr("172.16.0.1"))
-	got, _ := p.Alloc()
-	if got.String() != "172.16.0.2" {
-		t.Errorf("Alloc skipped reservation wrong: got %v", got)
+	a, _ := p.Alloc()
+	if !p.Allocated(a) {
+		t.Errorf("%v not reported allocated after Alloc", a)
+	}
+	if p.Allocated(a.Next()) {
+		t.Errorf("%v reported allocated before Alloc", a.Next())
+	}
+	p.Release(a)
+	if p.Allocated(a) {
+		t.Errorf("%v still reported allocated after Release", a)
+	}
+}
+
+func TestIPPoolRejectsShortPrefix(t *testing.T) {
+	if _, err := NewIPPool(netip.MustParsePrefix("10.0.0.0/7")); err == nil {
+		t.Error("NewIPPool should reject a /7: its offsets overflow the 24-bit VMAC tag")
+	}
+	if _, err := NewIPPool(netip.MustParsePrefix("10.0.0.0/8")); err != nil {
+		t.Errorf("NewIPPool rejected a /8: %v", err)
 	}
 }
 

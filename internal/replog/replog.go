@@ -162,21 +162,6 @@ func (l *Log) Append(e *Entry) uint64 {
 	return e.Seq
 }
 
-// AppendUpdate appends a KindUpdate entry for one received UPDATE.
-func (l *Log) AppendUpdate(from string, peerAS uint32, peerID netip.Addr, u *bgp.Update) uint64 {
-	return l.Append(&Entry{Kind: KindUpdate, From: from, PeerAS: peerAS, PeerID: peerID, Update: u})
-}
-
-// AppendFlush appends a KindFlush entry for a dead participant session.
-func (l *Log) AppendFlush(from string) uint64 {
-	return l.Append(&Entry{Kind: KindFlush, From: from})
-}
-
-// AppendMark appends a compile point.
-func (l *Log) AppendMark() uint64 {
-	return l.Append(&Entry{Kind: KindMark})
-}
-
 // Head returns the highest assigned sequence number (0 when empty).
 func (l *Log) Head() uint64 {
 	l.mu.Lock()

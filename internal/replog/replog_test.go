@@ -76,10 +76,10 @@ func TestDecodeEntryRejectsGarbage(t *testing.T) {
 
 func TestLogSequencesAndBlocks(t *testing.T) {
 	l := NewLog()
-	if seq := l.AppendMark(); seq != 1 {
+	if seq := l.Append(&Entry{Kind: KindMark}); seq != 1 {
 		t.Fatalf("first seq = %d, want 1", seq)
 	}
-	if seq := l.AppendFlush("A"); seq != 2 {
+	if seq := l.Append(&Entry{Kind: KindFlush, From: "A"}); seq != 2 {
 		t.Fatalf("second seq = %d, want 2", seq)
 	}
 
@@ -93,7 +93,7 @@ func TestLogSequencesAndBlocks(t *testing.T) {
 		got <- e
 	}()
 	time.Sleep(10 * time.Millisecond)
-	l.AppendUpdate("B", 65002, netip.MustParseAddr("172.0.0.2"), testUpdate(3))
+	l.Append(&Entry{Kind: KindUpdate, From: "B", PeerAS: 65002, PeerID: netip.MustParseAddr("172.0.0.2"), Update: testUpdate(3)})
 	select {
 	case e := <-got:
 		if e.Seq != 3 || e.From != "B" {
@@ -107,7 +107,7 @@ func TestLogSequencesAndBlocks(t *testing.T) {
 	if _, err := l.WaitFor(10); err == nil {
 		t.Fatal("WaitFor past head succeeded on closed log")
 	}
-	if seq := l.AppendMark(); seq != 0 {
+	if seq := l.Append(&Entry{Kind: KindMark}); seq != 0 {
 		t.Fatalf("append to closed log returned seq %d", seq)
 	}
 }
@@ -119,7 +119,7 @@ func TestConsumerResumesAfterSever(t *testing.T) {
 	l := NewLog()
 	const total = 200
 	for i := 0; i < total/2; i++ {
-		l.AppendUpdate("A", 65001, netip.MustParseAddr("172.0.0.1"), testUpdate(i))
+		l.Append(&Entry{Kind: KindUpdate, From: "A", PeerAS: 65001, PeerID: netip.MustParseAddr("172.0.0.1"), Update: testUpdate(i)})
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -161,7 +161,7 @@ func TestConsumerResumesAfterSever(t *testing.T) {
 
 	// Keep appending while the consumer churns through the sever.
 	for i := total / 2; i < total; i++ {
-		l.AppendUpdate("A", 65001, netip.MustParseAddr("172.0.0.1"), testUpdate(i))
+		l.Append(&Entry{Kind: KindUpdate, From: "A", PeerAS: 65001, PeerID: netip.MustParseAddr("172.0.0.1"), Update: testUpdate(i)})
 		time.Sleep(100 * time.Microsecond)
 	}
 

@@ -132,7 +132,7 @@ func TestClusterEquivalence(t *testing.T) {
 		if rng.Intn(25) == 0 {
 			// Occasional session loss: flush the participant everywhere.
 			ref.FlushParticipant(id)
-			log.AppendFlush(string(id))
+			log.Append(&replog.Entry{Kind: replog.KindFlush, From: string(id)})
 			continue
 		}
 		u := randomUpdate(pi)
@@ -160,7 +160,7 @@ func TestClusterEquivalence(t *testing.T) {
 		if _, err := ref.ApplyUpdateTouched(id, du.Withdrawn, routes); err != nil {
 			t.Fatalf("burst %d: reference apply: %v", b, err)
 		}
-		log.AppendUpdate(string(id), parts[pi].AS, peerIDs[pi], du)
+		log.Append(&replog.Entry{Kind: replog.KindUpdate, From: string(id), PeerAS: parts[pi].AS, PeerID: peerIDs[pi], Update: du})
 	}
 
 	head := log.Head()

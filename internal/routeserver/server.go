@@ -853,9 +853,9 @@ func (s *Server) BestTwo(prefix netip.Prefix) (first, second ID) {
 // BestTwoIn is the VRF-scoped BestTwo: the best and second-best
 // advertisers among the candidates in the given isolation domain. With no
 // tenancy configured (and the default domain asked for) it is exactly
-// BestTwo, served from the pair cache; once VRFs are active the candidate
-// slice is scanned directly — uncached, which is cheap because an IXP
-// prefix attracts a handful of candidates.
+// BestTwo, served from the pair cache; once VRFs are active the domain's
+// candidates are run through the same decision (computePair) uncached,
+// which is cheap because an IXP prefix attracts a handful of candidates.
 func (s *Server) BestTwoIn(vrf VRF, prefix netip.Prefix) (first, second ID) {
 	s.partMu.RLock()
 	if s.vrfActive == 0 {
@@ -875,25 +875,14 @@ func (s *Server) BestTwoIn(vrf VRF, prefix netip.Prefix) (first, second ID) {
 		return "", ""
 	}
 	s.mBestRecomputations.Inc()
-	// Same two-pass shape as computePair, restricted to the domain.
-	var firstR, secondR bgp.Route
+	var inVRF []candRoute
 	for _, c := range cands {
-		if s.vrfOfLocked(c.id) != vrf {
-			continue
-		}
-		if first == "" || c.route.Better(firstR) {
-			first, firstR = c.id, c.route
+		if s.vrfOfLocked(c.id) == vrf {
+			inVRF = append(inVRF, c)
 		}
 	}
-	for _, c := range cands {
-		if c.id == first || s.vrfOfLocked(c.id) != vrf {
-			continue
-		}
-		if second == "" || c.route.Better(secondR) {
-			second, secondR = c.id, c.route
-		}
-	}
-	return first, second
+	pr := computePair(inVRF)
+	return pr.firstID, pr.secondID
 }
 
 // Exports reports whether hop's current route for prefix is exported to
