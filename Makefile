@@ -28,7 +28,7 @@ vet:
 
 # Tier-1b: the whole suite under the race detector, including the
 # concurrency stress tests in internal/core (TestCompileRouteChangeRace,
-# TestParallelCompileStress).
+# TestConcurrentCompileStress).
 race:
 	$(GO) test -race ./...
 
@@ -38,6 +38,8 @@ race:
 bench-harness:
 	bash benchmark/run.sh --workload all --seed 1 --seconds 1 --trace 0
 
+# Every benchmark in the root bench_test.go, once: keeps them compiling and
+# running.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
@@ -61,4 +63,4 @@ chaos:
 	$(GO) test -race -count=20 -run 'TestChaosControlPlaneConvergence|TestChaosClusterFailover' ./internal/core/
 	SDX_E2E_SOAK=1 $(GO) test ./e2e -run TestE2ESoak -count=1 -timeout 10m -v
 
-check: loc fmt vet test race bench-harness
+check: loc fmt vet test race bench-harness bench

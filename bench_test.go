@@ -119,45 +119,6 @@ func BenchmarkFig8InitialCompilation(b *testing.B) {
 	b.ReportMetric(float64(groups), "groups")
 }
 
-// --- Parallel compilation ------------------------------------------------------
-
-// benchFig8CompileWorkers is BenchmarkFig8InitialCompilation at a given
-// worker-pool size; the compiled output is byte-identical at every setting
-// (TestParallelCompileEquality), so the variants differ only in wall-clock.
-// Speedups show on multi-core hosts; at GOMAXPROCS=1 the fan-out degrades
-// to the sequential path.
-func benchFig8CompileWorkers(b *testing.B, parallelism int) {
-	rng := rand.New(rand.NewSource(42))
-	ex := workload.GenerateExchange(rng, 200, 5000)
-	opts := core.DefaultOptions()
-	opts.Compile.Parallelism = parallelism
-	ctrl := core.NewController(routeserver.New(nil), opts)
-	if err := ex.Populate(ctrl); err != nil {
-		b.Fatal(err)
-	}
-	mix := workload.DefaultPolicyMix()
-	mix.Multiplier = 2
-	mix.BroadTargets = true
-	if _, err := workload.InstallPolicies(rng, ex, ctrl, mix); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var rules int
-	for i := 0; i < b.N; i++ {
-		res, err := ctrl.Compile()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rules = res.Stats.FlowRules
-	}
-	b.ReportMetric(float64(rules), "flowrules")
-}
-
-func BenchmarkCompileSequential(b *testing.B)       { benchFig8CompileWorkers(b, 1) }
-func BenchmarkCompileParallel2(b *testing.B)        { benchFig8CompileWorkers(b, 2) }
-func BenchmarkCompileParallel4(b *testing.B)        { benchFig8CompileWorkers(b, 4) }
-func BenchmarkCompileParallelMaxProcs(b *testing.B) { benchFig8CompileWorkers(b, -1) }
-
 // --- Figure 9: additional rules after update bursts ---------------------------
 
 func BenchmarkFig9BurstRules(b *testing.B) {

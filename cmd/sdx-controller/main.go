@@ -52,8 +52,6 @@ func main() {
 		ofListen   = flag.String("of-listen", "127.0.0.1:6633", "OpenFlow listen address")
 		reoptAfter = flag.Duration("reoptimize-after", 2*time.Second,
 			"background recompilation delay after the last BGP change (burst detection)")
-		parallelism = flag.Int("parallelism", 0,
-			"policy-compilation workers: 1 sequential, N>1 workers, <0 one per CPU (overrides config)")
 		telemetryAddr = flag.String("telemetry-addr", "",
 			"HTTP listen address for /metrics and /debug/sdx (empty = no listener)")
 		pprofAddr = flag.String("pprof-addr", "",
@@ -75,9 +73,6 @@ func main() {
 	}
 
 	opts := cfg.ControllerOptions()
-	if *parallelism != 0 {
-		opts.Compile.Parallelism = *parallelism
-	}
 
 	// Telemetry is always collected (the instruments are cheap atomics);
 	// -telemetry-addr only controls whether it is served over HTTP. The

@@ -20,11 +20,6 @@ type File struct {
 	// VNHPool is the virtual next-hop allocation prefix, an IPv4 /8 or
 	// longer (default 172.16.0.0/12).
 	VNHPool string `json:"vnhPool,omitempty"`
-	// Parallelism bounds the worker pool the policy compiler fans out
-	// across: 0 or 1 compiles sequentially, N > 1 uses N workers, and any
-	// negative value uses one worker per available CPU. The compiled
-	// classifier is byte-identical at every setting.
-	Parallelism int `json:"parallelism,omitempty"`
 	// LocalAS and RouterID identify the route server's BGP speaker.
 	// 4-octet ASNs are accepted (RFC 6793).
 	LocalAS  uint32 `json:"localAS"`
@@ -150,15 +145,17 @@ func (f *File) validate() error {
 			return fmt.Errorf("config: vnhPool: %w", err)
 		}
 	}
-	seen := map[string]bool{}
+	// Every participant and port first: a branch may name a participant
+	// declared later in the file.
+	ref := branchRefs{portsOf: map[string]int{}, ports: map[uint16]bool{}}
 	for _, p := range f.Participants {
 		if p.ID == "" {
 			return fmt.Errorf("config: participant with empty id")
 		}
-		if seen[p.ID] {
+		if _, dup := ref.portsOf[p.ID]; dup {
 			return fmt.Errorf("config: duplicate participant %q", p.ID)
 		}
-		seen[p.ID] = true
+		ref.portsOf[p.ID] = len(p.Ports)
 		for _, port := range p.Ports {
 			if _, err := netutil.ParseMAC(port.MAC); err != nil {
 				return fmt.Errorf("config: participant %q port %d: %w", p.ID, port.Number, err)
@@ -166,9 +163,12 @@ func (f *File) validate() error {
 			if _, err := netip.ParseAddr(port.RouterIP); err != nil {
 				return fmt.Errorf("config: participant %q port %d routerIP: %w", p.ID, port.Number, err)
 			}
+			ref.ports[port.Number] = true
 		}
+	}
+	for _, p := range f.Participants {
 		for i, br := range append(append([]Branch{}, p.Inbound...), p.Outbound...) {
-			if err := br.validate(); err != nil {
+			if err := br.validate(ref); err != nil {
 				return fmt.Errorf("config: participant %q branch %d: %w", p.ID, i, err)
 			}
 		}
@@ -200,7 +200,7 @@ func (f *File) validate() error {
 			return fmt.Errorf("config: group %q needs at least two members", g.Name)
 		}
 		for _, m := range g.Members {
-			if !seen[m] {
+			if _, ok := ref.portsOf[m]; !ok {
 				return fmt.Errorf("config: group %q member %q is not a participant", g.Name, m)
 			}
 		}
@@ -208,7 +208,14 @@ func (f *File) validate() error {
 	return nil
 }
 
-func (b Branch) validate() error {
+// branchRefs is what a branch's action may name: each participant ID with
+// its port count, and every declared port number.
+type branchRefs struct {
+	portsOf map[string]int
+	ports   map[uint16]bool
+}
+
+func (b Branch) validate(ref branchRefs) error {
 	actions := 0
 	if b.FwdTo != "" {
 		actions++
@@ -224,6 +231,22 @@ func (b Branch) validate() error {
 	}
 	if actions != 1 {
 		return fmt.Errorf("branch needs exactly one of fwdTo/deliver/deliverVia/drop, has %d", actions)
+	}
+	if b.FwdTo != "" {
+		if _, ok := ref.portsOf[b.FwdTo]; !ok {
+			return fmt.Errorf("fwdTo %q is not a participant", b.FwdTo)
+		}
+	}
+	if b.Deliver != 0 && !ref.ports[b.Deliver] {
+		return fmt.Errorf("deliver: no participant declares port %d", b.Deliver)
+	}
+	if b.DeliverVia != "" {
+		switch n, ok := ref.portsOf[b.DeliverVia]; {
+		case !ok:
+			return fmt.Errorf("deliverVia %q is not a participant", b.DeliverVia)
+		case n == 0:
+			return fmt.Errorf("deliverVia %q has no ports", b.DeliverVia)
+		}
 	}
 	if _, err := b.Match.toMatch(); err != nil {
 		return err
@@ -296,7 +319,6 @@ func (f *File) ControllerOptions() core.Options {
 	if f.VNHPool != "" {
 		opts.VNHPool = netip.MustParsePrefix(f.VNHPool) // validated by Parse
 	}
-	opts.Compile.Parallelism = f.Parallelism
 	return opts
 }
 

@@ -3,6 +3,7 @@ package config
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"sdx/internal/core"
@@ -87,6 +88,22 @@ func TestParseAndApply(t *testing.T) {
 	}
 }
 
+// Branch references core would panic on at Apply; Parse must reject them.
+// A branch may still name a participant declared after it.
+const (
+	fwdToUndeclared = `{"participants": [{"id": "A", "as": 1,
+	  "ports": [{"number": 1, "mac": "02:00:00:00:00:01", "routerIP": "10.0.0.1"}],
+	  "outbound": [{"match": {"dstport": 80}, "fwdTo": "NOPE"}]}]}`
+	deliverUndeclaredPort = `{"participants": [{"id": "A", "as": 1,
+	  "ports": [{"number": 1, "mac": "02:00:00:00:00:01", "routerIP": "10.0.0.1"}],
+	  "inbound": [{"match": {}, "deliver": 9}]}]}`
+	deliverViaUndeclared = `{"participants": [{"id": "A", "as": 1,
+	  "inbound": [{"match": {}, "deliverVia": "NOPE"}]}]}`
+	deliverViaPortless = `{"participants": [
+	  {"id": "A", "as": 1, "inbound": [{"match": {}, "deliverVia": "B"}]},
+	  {"id": "B", "as": 2}]}`
+)
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -113,6 +130,10 @@ func TestParseErrors(t *testing.T) {
 		{"bad vnh pool", `{"vnhPool": "zz", "participants": [{"id": "A", "as": 1}]}`},
 		{"ipv6 vnh pool", `{"vnhPool": "2001:db8::/64", "participants": [{"id": "A", "as": 1}]}`},
 		{"vnh pool shorter than /8", `{"vnhPool": "10.0.0.0/7", "participants": [{"id": "A", "as": 1}]}`},
+		{"fwdTo undeclared participant", fwdToUndeclared},
+		{"deliver undeclared port", deliverUndeclaredPort},
+		{"deliverVia undeclared participant", deliverViaUndeclared},
+		{"deliverVia portless participant", deliverViaPortless},
 	}
 	for _, c := range cases {
 		if _, err := Parse([]byte(c.in)); err == nil {
@@ -121,23 +142,13 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// An unknown forward target is a Parse error that names the reference, so
+// it never reaches core, which panics on it.
 func TestApplyUnknownFwdTarget(t *testing.T) {
-	in := `{"participants": [
-	  {"id": "A", "as": 1,
-	   "ports": [{"number": 1, "mac": "02:00:00:00:00:01", "routerIP": "10.0.0.1"}],
-	   "outbound": [{"match": {"dstport": 80}, "fwdTo": "NOPE"}]}
-	]}`
-	f, err := Parse([]byte(in))
-	if err != nil {
-		t.Fatal(err)
+	_, err := Parse([]byte(fwdToUndeclared))
+	if err == nil || !strings.Contains(err.Error(), `"NOPE"`) {
+		t.Fatalf("Parse = %v, want an error naming \"NOPE\"", err)
 	}
-	ctrl := core.NewController(routeserver.New(nil), core.DefaultOptions())
-	defer func() {
-		if recover() == nil {
-			t.Error("Apply with unknown fwd target should panic via FwdTo")
-		}
-	}()
-	f.Apply(ctrl)
 }
 
 func TestLoadMissingFile(t *testing.T) {
@@ -202,4 +213,22 @@ func TestExprPolicyErrors(t *testing.T) {
 	if err := f.Apply(ctrl); err == nil {
 		t.Error("unknown fwd name in expression should fail Apply")
 	}
+}
+
+// FuzzParse drives every document Parse accepts through the daemon's
+// start-up sequence. Any step may return an error; none may panic.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{sample, fwdToUndeclared, deliverUndeclaredPort, deliverViaUndeclared, deliverViaPortless} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cfg, err := Parse(b)
+		if err != nil {
+			return
+		}
+		cfg.Ownership()
+		ctrl := core.NewController(routeserver.New(nil), cfg.ControllerOptions())
+		_ = cfg.Apply(ctrl)
+		_, _ = ctrl.Compile()
+	})
 }

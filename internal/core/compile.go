@@ -132,9 +132,6 @@ func (p *pipeline) run() (*CompileResult, []*FEC, []netip.Addr, error) {
 		return nil, nil, fresh, err
 	}
 	classifier, stats := policy.CompileWithOptions(global, p.opts.Compile)
-	if p.opts.Optimize {
-		classifier = classifier.Optimize()
-	}
 	res.Stats.CompileStats = stats
 	res.Classifier = classifier
 
@@ -169,10 +166,6 @@ func (p *pipeline) run() (*CompileResult, []*FEC, []netip.Addr, error) {
 // advertiser itself). Sharing is what keeps the rule count near the number
 // of prefix groups rather than groups × participants (Figure 7).
 //
-// The per-participant rewrites are independent of each other and fan out
-// across the snapshot's worker pool; results are assembled in registration
-// order, so the composed policy is identical to the sequential build.
-//
 // Both compiler stages assemble here: the background stage over the refreshed
 // reach sets, every class and routerMACDefaults(); the quick stage over
 // singleton reach sets, its one fresh class and no untagged defaults.
@@ -181,64 +174,38 @@ func (p *pipeline) buildGlobalPolicy(sets []reachSet, fecs []*FEC, untagged []po
 	// there: the reused subtree is what the policy compiler's memo table
 	// (§4.3.1 "many policy idioms appear more than once") capitalizes on.
 	// Per-pair export policies make reach sets receiver-specific, which
-	// disables sharing. The cache is built up front — before the rewrites
-	// fan out — so the parallel workers share identical filter subtrees
-	// without synchronizing on the map.
+	// disables sharing.
 	var filterCache map[ID]policy.Policy
 	if !p.rs.HasExportPolicy() {
 		filterCache = make(map[ID]policy.Policy)
-		var hops []ID
-		var hopSets []*netutil.PrefixSet
 		for _, rs := range sets {
 			if rs.set == nil || rs.set.Len() == 0 {
 				continue
 			}
-			if _, done := filterCache[rs.hop]; done {
-				continue
+			if _, done := filterCache[rs.hop]; !done {
+				filterCache[rs.hop] = p.reachFilter(p.vrfOf(rs.hop), rs.set, fecs)
 			}
-			filterCache[rs.hop] = nil // reserve in first-appearance order
-			hops = append(hops, rs.hop)
-			hopSets = append(hopSets, rs.set)
-		}
-		filters := make([]policy.Policy, len(hops))
-		fanOut(p.workers, len(hops), func(i int) {
-			filters[i] = p.reachFilter(p.vrfOf(hops[i]), hopSets[i], fecs)
-		})
-		for i, hop := range hops {
-			filterCache[hop] = filters[i]
 		}
 	}
 
-	pols1 := make([]policy.Policy, len(p.parts))
-	pols2 := make([]policy.Policy, len(p.parts))
-	errs := make([]error, len(p.parts))
-	fanOut(p.workers, len(p.parts), func(i int) {
-		part := p.parts[i]
+	var outbound, inbound []policy.Policy
+	for _, part := range p.parts {
 		if part.Outbound != nil && len(part.Ports) > 0 {
 			rewritten, err := p.rewritePolicy(part.Outbound, part.ID, sets, fecs, filterCache)
 			if err != nil {
-				errs[i] = fmt.Errorf("core: outbound policy of %q: %w", part.ID, err)
-				return
+				return nil, fmt.Errorf("core: outbound policy of %q: %w", part.ID, err)
 			}
-			pols1[i] = policy.SeqOf(ingressFilter(part), rewritten)
+			outbound = append(outbound, policy.SeqOf(ingressFilter(part), rewritten))
 		}
 		if part.Inbound != nil {
 			rewritten, err := p.rewritePolicy(part.Inbound, part.ID, nil, nil, nil)
 			if err != nil {
-				errs[i] = fmt.Errorf("core: inbound policy of %q: %w", part.ID, err)
-				return
+				return nil, fmt.Errorf("core: inbound policy of %q: %w", part.ID, err)
 			}
 			atVirtual := policy.MatchPolicy(policy.MatchAll.Port(p.vports[part.ID]))
-			pols2[i] = policy.SeqOf(atVirtual, rewritten)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			inbound = append(inbound, policy.SeqOf(atVirtual, rewritten))
 		}
 	}
-	outbound := compactPolicies(pols1)
-	inbound := compactPolicies(pols2)
 
 	pass1 := policy.WithDefault(policy.Par(outbound...), p.sharedDefaultOut(fecs, untagged))
 	pass2Parts := []policy.Policy{
@@ -250,53 +217,37 @@ func (p *pipeline) buildGlobalPolicy(sets []reachSet, fecs []*FEC, untagged []po
 	return policy.SeqOf(pass1, policy.Par(pass2Parts...)), nil
 }
 
-// compactPolicies drops the slots left nil by participants without the
-// corresponding policy, preserving order.
-func compactPolicies(pols []policy.Policy) []policy.Policy {
-	out := make([]policy.Policy, 0, len(pols))
-	for _, pol := range pols {
-		if pol != nil {
-			out = append(out, pol)
-		}
-	}
-	return out
-}
-
 // sharedDefaultOut is the first-stage default: traffic follows its tag to
 // the best advertiser's virtual switch. The only port-dependent piece is the
 // override for the best advertiser's OWN traffic, whose default route is the
-// second-best advertiser. The per-class rules are independent and fan out
-// across the worker pool. untagged, appended to the base after them, is the
+// second-best advertiser. untagged, appended to the base after them, is the
 // caller's: only a view holding every class carries traffic without a class
 // tag. The quick stage keeps nothing but the rules matching its one tag, so
 // a branch per router MAC there would be compiled only to be thrown away.
 func (p *pipeline) sharedDefaultOut(fecs []*FEC, untagged []policy.Policy) policy.Policy {
-	baseSlots := make([]policy.Policy, len(fecs))
-	overrideSlots := make([]policy.Policy, len(fecs))
-	fanOut(p.workers, len(fecs), func(i int) {
-		f := fecs[i]
+	var base, overrides []policy.Policy
+	for _, f := range fecs {
 		if f.First == "" {
-			return
+			continue
 		}
-		baseSlots[i] = policy.SeqOf(
+		base = append(base, policy.SeqOf(
 			policy.MatchPolicy(policy.MatchAll.DstMAC(f.VMAC)),
 			policy.Fwd(p.vports[f.First]),
-		)
+		))
 		if f.Second == "" {
-			return
+			continue
 		}
 		firstP := p.byID[f.First]
 		if firstP == nil || len(firstP.Ports) == 0 {
-			return
+			continue
 		}
-		overrideSlots[i] = policy.SeqOf(
+		overrides = append(overrides, policy.SeqOf(
 			ingressFilter(firstP),
 			policy.MatchPolicy(policy.MatchAll.DstMAC(f.VMAC)),
 			policy.Fwd(p.vports[f.Second]),
-		)
-	})
-	base := append(compactPolicies(baseSlots), untagged...)
-	overrides := compactPolicies(overrideSlots)
+		))
+	}
+	base = append(base, untagged...)
 	return policy.WithDefault(policy.Par(overrides...), policy.Par(base...))
 }
 

@@ -25,9 +25,6 @@ type Options struct {
 	// Compile carries the §4.3 optimization toggles through to the policy
 	// compiler.
 	Compile policy.CompileOptions
-	// Optimize runs the O(n²) shadow-elimination pass on the final
-	// classifier (the background re-optimization stage).
-	Optimize bool
 	// Telemetry, when non-nil, registers the controller's metrics (compile
 	// durations and stage splits, classifier and flow-rule counts, FEC
 	// count, VNH pool occupancy, serialization waits) with the registry.

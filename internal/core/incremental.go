@@ -110,29 +110,17 @@ func (c *Controller) FastReact(affected []netip.Prefix) (*FastPathResult, error)
 		}
 	}
 
-	// React to the batch's prefixes concurrently (large withdrawal bursts
-	// touch hundreds), writing into index-addressed slots so the merged
-	// output order stays the arrival order regardless of scheduling.
-	type slot struct {
-		fec   *FEC
-		rules []policy.Rule
-		err   error
-	}
-	slots := make([]slot, len(work))
-	fanOut(snap.workers, len(work), func(i int) {
-		fec, rules, err := snap.fastPathForPrefix(work[i].vrf, work[i].pfx, keys, &c.fastCache)
-		slots[i] = slot{fec: fec, rules: rules, err: err}
-	})
-
+	// React to the batch's prefixes in arrival order.
 	res := &FastPathResult{}
-	for _, s := range slots {
-		if s.err != nil {
-			return nil, s.err
+	for _, w := range work {
+		fec, rules, err := snap.fastPathForPrefix(w.vrf, w.pfx, keys, &c.fastCache)
+		if err != nil {
+			return nil, err
 		}
-		if s.fec != nil {
-			res.NewFECs = append(res.NewFECs, *s.fec)
+		if fec != nil {
+			res.NewFECs = append(res.NewFECs, *fec)
 		}
-		res.Rules = append(res.Rules, s.rules...)
+		res.Rules = append(res.Rules, rules...)
 	}
 	res.Elapsed = time.Since(start)
 	c.metrics.fastpathDone(res)

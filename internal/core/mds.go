@@ -148,9 +148,9 @@ func (st *fecState) rebuildLocked(p *pipeline, keys []reachKey, epoch uint64) {
 		st.keyVRFs[i] = p.vrfOf(k.hop)
 	}
 	st.sets = make([]*netutil.PrefixSet, len(keys))
-	fanOut(p.workers, len(keys), func(i int) {
-		st.sets[i] = p.rs.ReachableVia(keys[i].participant, keys[i].hop)
-	})
+	for i, k := range keys {
+		st.sets[i] = p.rs.ReachableVia(k.participant, k.hop)
+	}
 	st.portless = st.portless[:0]
 	for _, part := range p.parts {
 		if len(part.Ports) == 0 {
@@ -176,21 +176,10 @@ func (st *fecState) rebuildLocked(p *pipeline, keys []reachKey, epoch uint64) {
 	}
 	sortVRFPrefixes(st.sorted)
 
-	// Sign every prefix. Key construction is embarrassingly parallel;
-	// interning is a serial map pass afterwards so the workers never
-	// contend on the hash-cons table.
-	type sigParts struct {
-		key           string
-		first, second ID
-	}
-	parts := make([]sigParts, len(st.sorted))
-	fanOut(p.workers, len(st.sorted), func(i int) {
-		k, f, s := st.sigKey(p, st.sorted[i])
-		parts[i] = sigParts{k, f, s}
-	})
 	st.sigs = make(map[string]*fecSig)
-	for i, key := range st.sorted {
-		st.universe[key] = st.intern(parts[i].key, key.vrf, parts[i].first, parts[i].second)
+	for _, key := range st.sorted {
+		k, first, second := st.sigKey(p, key)
+		st.universe[key] = st.intern(k, key.vrf, first, second)
 	}
 	st.valid = true
 }

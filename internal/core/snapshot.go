@@ -3,41 +3,10 @@ package core
 import (
 	"net/netip"
 	"sort"
-	"sync"
 
 	"sdx/internal/netutil"
 	"sdx/internal/routeserver"
 )
-
-// fanOut runs fn(0..n-1) across at most workers goroutines and returns when
-// every call is done. Indices that cannot get a worker slot run inline on
-// the calling goroutine, so nesting never deadlocks and total goroutines
-// stay bounded. Callers write results into index-addressed slots and merge
-// them in order, keeping output independent of scheduling.
-func fanOut(workers, n int, fn func(int)) {
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		select {
-		case sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				fn(i)
-			}(i)
-		default:
-			fn(i)
-		}
-	}
-	wg.Wait()
-}
 
 // pipeline is an immutable snapshot of the controller state the §4.1
 // compilation pipeline reads. Compile takes one under a brief read lock and
@@ -67,9 +36,6 @@ type pipeline struct {
 	vrfList []VRF
 	// groups are the multicast groups in registration order; value copies.
 	groups []*Group
-
-	// workers is the resolved worker count for the parallel stages (>= 1).
-	workers int
 }
 
 // vrfOf returns a participant's isolation domain (the default domain for
@@ -104,7 +70,6 @@ func (c *Controller) snapshotLocked() *pipeline {
 		vports:   make(map[ID]uint16, len(c.vports)),
 		byVPort:  make(map[uint16]ID, len(c.vports)),
 		portMACs: make(map[uint16]netutil.MAC, len(c.portMACs)),
-		workers:  c.opts.Compile.Workers(),
 	}
 	p.vrfs = make(map[ID]VRF, len(c.order))
 	for _, id := range c.order {

@@ -191,28 +191,11 @@ func pullback(m1 Match, a Mods, m2 Match) (Match, bool) {
 // emitted packet flows through b. Both inputs must be complete classifiers;
 // the result is complete.
 func seqCompose(a, b Classifier) Classifier {
-	return seqComposeBlocks(a, b, nil)
-}
-
-// seqCompose on a compiler fans the independent per-rule blocks out across
-// the worker pool; the sequential compiler takes the plain path.
-func (c *compiler) seqCompose(a, b Classifier) Classifier {
-	if c == nil || c.sem == nil {
-		return seqComposeBlocks(a, b, nil)
-	}
-	return seqComposeBlocks(a, b, c)
-}
-
-// seqComposeBlocks computes one block of output rules per rule of a — each
-// block depends only on that rule and on b — and concatenates the blocks in
-// rule order, so the result is identical however the blocks are scheduled.
-func seqComposeBlocks(a, b Classifier, c *compiler) Classifier {
-	blocks := make([][]Rule, len(a.Rules))
-	one := func(i int) {
-		ra := a.Rules[i]
+	var rules []Rule
+	for _, ra := range a.Rules {
 		if ra.IsDrop() {
-			blocks[i] = []Rule{ra}
-			return
+			rules = append(rules, ra)
+			continue
 		}
 		// For each action of ra, pull b back through the rewrite to get a
 		// partition of ra's region; then union the per-action partitions so
@@ -238,22 +221,7 @@ func seqComposeBlocks(a, b Classifier, c *compiler) Classifier {
 				block = parallelCompose(block, pc)
 			}
 		}
-		blocks[i] = block.Rules
-	}
-	if c != nil {
-		c.fanOut(len(a.Rules), one)
-	} else {
-		for i := range a.Rules {
-			one(i)
-		}
-	}
-	n := 0
-	for _, b := range blocks {
-		n += len(b)
-	}
-	rules := make([]Rule, 0, n)
-	for _, b := range blocks {
-		rules = append(rules, b...)
+		rules = append(rules, block.Rules...)
 	}
 	return Classifier{Rules: dedupMatches(rules)}
 }
@@ -270,31 +238,4 @@ func restrict(c Classifier, m Match) []Rule {
 		out = append(out, Rule{Match: rm, Actions: r.Actions})
 	}
 	return out
-}
-
-// Optimize returns an equivalent classifier with shadowed rules removed:
-// a rule is deleted when an earlier rule's match subsumes it (it can never
-// fire), and trailing drop rules collapse into one catch-all. This is the
-// paper's background re-optimization pass; it is O(n²) and therefore kept
-// out of the fast path.
-func (c Classifier) Optimize() Classifier {
-	kept := make([]Rule, 0, len(c.Rules))
-	for _, r := range c.Rules {
-		shadowed := false
-		for _, k := range kept {
-			if k.Match.Subsumes(r.Match) {
-				shadowed = true
-				break
-			}
-		}
-		if !shadowed {
-			kept = append(kept, r)
-		}
-	}
-	// Collapse the trailing run of drop rules into a single catch-all.
-	kept = stripTail(kept)
-	if len(kept) == 0 || !kept[len(kept)-1].Match.IsAll() {
-		kept = append(kept, Rule{Match: MatchAll})
-	}
-	return Classifier{Rules: kept}
 }

@@ -1,94 +1,26 @@
 package policy
 
-import (
-	"runtime"
-	"sync"
-)
-
 // compiler carries compilation state: the memo table (keyed by node
 // identity, so shared subtrees compile once — the paper's §4.3 "many policy
 // idioms appear more than once" optimization) and counters the evaluation
-// harness reads. When Parallelism enables more than one worker, sem bounds
-// the in-flight goroutines and mu guards the memo tables and counters;
-// compilation is a pure function of the policy tree, so concurrently
-// compiling a shared subtree twice is wasted work but never wrong, and the
-// output classifier is byte-identical to the sequential one because every
-// merge folds results in fixed index order.
+// harness reads. Compilation is sequential and a pure function of the
+// policy tree.
 type compiler struct {
-	mu    sync.Mutex
 	memo  map[Policy]Classifier
 	pmemo map[Predicate]Classifier
 	stats CompileStats
 	opts  CompileOptions
-	sem   chan struct{} // nil => sequential
 }
 
-// CompileOptions toggles the §4.3 control-plane optimizations so the
-// ablation benchmarks can measure each one's contribution.
+// CompileOptions toggles two of the §4.3 control-plane optimizations so the
+// ablation experiment can measure each one's contribution; the zero value
+// enables both.
 type CompileOptions struct {
 	// NoMemo disables memoization of shared subtrees.
 	NoMemo bool
 	// NoDisjoint disables the disjoint-union fast path: every Union falls
 	// back to the quadratic pairwise parallel composition.
 	NoDisjoint bool
-	// Parallelism is the number of worker goroutines the compiler may use
-	// for independent subproblems (union branches, sequential-composition
-	// blocks, fallback arms). 0 and 1 both select the sequential compiler;
-	// values above 1 cap the workers; negative means one worker per
-	// runtime.GOMAXPROCS(0).
-	Parallelism int
-}
-
-// Workers resolves the Parallelism knob to a concrete worker count (>= 1).
-func (o CompileOptions) Workers() int {
-	switch {
-	case o.Parallelism < 0:
-		return runtime.GOMAXPROCS(0)
-	case o.Parallelism <= 1:
-		return 1
-	default:
-		return o.Parallelism
-	}
-}
-
-// fanOut runs fn(0..n-1) across the compiler's worker pool and returns when
-// every call is done. Calls that cannot get a worker token — the pool is
-// exhausted, or the compiler is sequential — run inline on the caller's
-// goroutine, which keeps nested fan-outs deadlock-free and bounds total
-// goroutines at the worker count.
-func (c *compiler) fanOut(n int, fn func(int)) {
-	if c.sem == nil || n < 2 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		select {
-		case c.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-c.sem }()
-				fn(i)
-			}(i)
-		default:
-			fn(i)
-		}
-	}
-	wg.Wait()
-}
-
-// bump increments one stats counter, locking only in parallel mode.
-func (c *compiler) bump(p *int) {
-	if c.sem != nil {
-		c.mu.Lock()
-		*p++
-		c.mu.Unlock()
-		return
-	}
-	*p++
 }
 
 // CompileStats counts the composition operations performed, mirroring the
@@ -115,67 +47,34 @@ func CompileWithOptions(p Policy, opts CompileOptions) (Classifier, CompileStats
 		pmemo: make(map[Predicate]Classifier),
 		opts:  opts,
 	}
-	if w := opts.Workers(); w > 1 {
-		c.sem = make(chan struct{}, w)
-	}
 	cl := p.compile(c)
 	return cl, c.stats
 }
 
 func (c *compiler) compilePolicy(p Policy) Classifier {
 	if !c.opts.NoMemo {
-		if c.sem != nil {
-			c.mu.Lock()
-		}
-		cl, ok := c.memo[p]
-		if ok {
+		if cl, ok := c.memo[p]; ok {
 			c.stats.MemoHits++
-		}
-		if c.sem != nil {
-			c.mu.Unlock()
-		}
-		if ok {
 			return cl
 		}
 	}
 	cl := p.compile(c)
 	if !c.opts.NoMemo {
-		if c.sem != nil {
-			c.mu.Lock()
-		}
 		c.memo[p] = cl
-		if c.sem != nil {
-			c.mu.Unlock()
-		}
 	}
 	return cl
 }
 
 func (c *compiler) compilePredicate(p Predicate) Classifier {
 	if !c.opts.NoMemo {
-		if c.sem != nil {
-			c.mu.Lock()
-		}
-		cl, ok := c.pmemo[p]
-		if ok {
+		if cl, ok := c.pmemo[p]; ok {
 			c.stats.MemoHits++
-		}
-		if c.sem != nil {
-			c.mu.Unlock()
-		}
-		if ok {
 			return cl
 		}
 	}
 	cl := p.compilePred(c)
 	if !c.opts.NoMemo {
-		if c.sem != nil {
-			c.mu.Lock()
-		}
 		c.pmemo[p] = cl
-		if c.sem != nil {
-			c.mu.Unlock()
-		}
 	}
 	return cl
 }
@@ -211,19 +110,14 @@ func (u *Union) compile(c *compiler) Classifier {
 	if len(u.Children) == 0 {
 		return Drop{}.compile(c)
 	}
-	parts := make([]Classifier, len(u.Children))
-	c.fanOut(len(u.Children), func(i int) {
-		parts[i] = c.compilePolicy(u.Children[i])
-	})
-	// The fold stays in child order, so the merged classifier is identical
-	// regardless of which workers compiled the parts.
-	out := parts[0]
-	for _, p := range parts[1:] {
+	out := c.compilePolicy(u.Children[0])
+	for _, ch := range u.Children[1:] {
+		p := c.compilePolicy(ch)
 		if !c.opts.NoDisjoint && nonDropDisjoint(out, p) {
-			c.bump(&c.stats.DisjointCat)
+			c.stats.DisjointCat++
 			out = concatDisjoint(out, p)
 		} else {
-			c.bump(&c.stats.Parallel)
+			c.stats.Parallel++
 			out = parallelCompose(out, p)
 		}
 	}
@@ -256,30 +150,18 @@ func (s *Seq) compile(c *compiler) Classifier {
 	if len(s.Children) == 0 {
 		return Pass{}.compile(c)
 	}
-	parts := make([]Classifier, len(s.Children))
-	c.fanOut(len(s.Children), func(i int) {
-		parts[i] = c.compilePolicy(s.Children[i])
-	})
-	out := parts[0]
-	for _, p := range parts[1:] {
-		c.bump(&c.stats.Sequential)
-		out = c.seqCompose(out, p)
+	out := c.compilePolicy(s.Children[0])
+	for _, ch := range s.Children[1:] {
+		c.stats.Sequential++
+		out = seqCompose(out, c.compilePolicy(ch))
 	}
 	return out
 }
 
 func (i *If) compile(c *compiler) Classifier {
-	var pc, thenC, elseC Classifier
-	c.fanOut(3, func(k int) {
-		switch k {
-		case 0:
-			pc = c.compilePredicate(i.Pred)
-		case 1:
-			thenC = c.compilePolicy(i.Then)
-		case 2:
-			elseC = c.compilePolicy(i.Else)
-		}
-	})
+	pc := c.compilePredicate(i.Pred)
+	thenC := c.compilePolicy(i.Then)
+	elseC := c.compilePolicy(i.Else)
 	var rules []Rule
 	for _, r := range pc.Rules {
 		if r.IsDrop() {
@@ -301,7 +183,7 @@ func (p *MatchPred) compilePred(*compiler) Classifier {
 func (p *OrPred) compilePred(c *compiler) Classifier {
 	out := Classifier{Rules: []Rule{{Match: MatchAll}}}
 	for _, ch := range p.Children {
-		c.bump(&c.stats.Parallel)
+		c.stats.Parallel++
 		out = parallelCompose(out, c.compilePredicate(ch))
 	}
 	return out
@@ -310,8 +192,8 @@ func (p *OrPred) compilePred(c *compiler) Classifier {
 func (p *AndPred) compilePred(c *compiler) Classifier {
 	out := Classifier{Rules: []Rule{{Match: MatchAll, Actions: []Mods{Identity}}}}
 	for _, ch := range p.Children {
-		c.bump(&c.stats.Sequential)
-		out = c.seqCompose(out, c.compilePredicate(ch))
+		c.stats.Sequential++
+		out = seqCompose(out, c.compilePredicate(ch))
 	}
 	return out
 }

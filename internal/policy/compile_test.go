@@ -161,25 +161,6 @@ func TestCompileAgreesWithEval(t *testing.T) {
 	}
 }
 
-// Optimize must preserve semantics.
-func TestOptimizePreservesSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 150; trial++ {
-		pol := randPolicy(rng, 3)
-		cl := Compile(pol)
-		opt := cl.Optimize()
-		if opt.Len() > cl.Len()+1 {
-			t.Fatalf("Optimize grew the classifier: %d -> %d", cl.Len(), opt.Len())
-		}
-		for probe := 0; probe < 40; probe++ {
-			pkt := randPacket(rng)
-			if !packetsEqual(cl.Eval(pkt), opt.Eval(pkt)) {
-				t.Fatalf("trial %d: Optimize changed semantics for %+v\npolicy %s", trial, pkt, pol)
-			}
-		}
-	}
-}
-
 // Disabling the disjoint-concat optimization must not change semantics.
 func TestDisjointOptimizationEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))

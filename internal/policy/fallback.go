@@ -32,14 +32,8 @@ func (f *Fallback) String() string {
 }
 
 func (f *Fallback) compile(c *compiler) Classifier {
-	var prim, def Classifier
-	c.fanOut(2, func(k int) {
-		if k == 0 {
-			prim = c.compilePolicy(f.Primary)
-		} else {
-			def = c.compilePolicy(f.Default)
-		}
-	})
+	prim := c.compilePolicy(f.Primary)
+	def := c.compilePolicy(f.Default)
 	var rules []Rule
 	// The primary's trailing drop run jointly covers "everything else", so
 	// one full copy of the default at the end serves it; only interior
