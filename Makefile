@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: loc fmt build test race vet bench-harness bench e2e chaos check
+.PHONY: loc fmt build test race vet bench-harness bench fuzz e2e chaos check
 
 # Non-test Go lines under internal/, e2e/ and cmd/: ROADMAP counts
 # net-negative internal/ lines as a success metric, so every check log
@@ -43,6 +43,17 @@ bench-harness:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
+# Every Fuzz* target in the module for ten seconds each (plain `go test`
+# runs only their seed corpora). A failing input lands in the package's
+# testdata/fuzz directory, where `go test` replays it from then on.
+fuzz:
+	@set -e; for f in $$(grep -rlE '^func Fuzz' --include='*_test.go' --exclude-dir='.[!.]*' .); do \
+		for t in $$(grep -oE '^func Fuzz[A-Za-z0-9_]*' $$f | cut -d' ' -f2); do \
+			echo "fuzz $$(dirname $$f) $$t"; \
+			$(GO) test $$(dirname $$f) -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s; \
+		done; \
+	done
+
 # Daemon-level end-to-end suite: every scenario boots real sdx binaries as
 # separate processes over real TCP/UDP on localhost and asserts on their
 # logs and /metrics — graceful vs hard-kill shutdown (RFC 4486 Cease
@@ -63,4 +74,4 @@ chaos:
 	$(GO) test -race -count=20 -run 'TestChaosControlPlaneConvergence|TestChaosClusterFailover' ./internal/core/
 	SDX_E2E_SOAK=1 $(GO) test ./e2e -run TestE2ESoak -count=1 -timeout 10m -v
 
-check: loc fmt vet test race bench-harness bench
+check: loc fmt vet test race bench-harness bench fuzz

@@ -15,10 +15,9 @@
 // the fabric on port NUMBER; frames the fabric emits on NUMBER are sent to
 // PEER.
 //
-// With -flow-sample-rate N the switch samples 1-in-N frames (forwarded and
-// dropped) into the analytics store and serves the /debug/sdx/flows query
-// API — top talkers, per-policy hit rates, drop attribution — on
-// -analytics-addr (or on -telemetry-addr when the two coincide).
+// Traffic is observed through the flow table itself: every rule's packet
+// and byte counters (OpenFlow flow stats) plus per-port and per-reason drop
+// counters on -telemetry-addr's /metrics.
 package main
 
 import (
@@ -33,9 +32,7 @@ import (
 	"syscall"
 	"time"
 
-	"sdx/internal/analytics"
 	"sdx/internal/dataplane"
-	"sdx/internal/flowexport"
 	"sdx/internal/telemetry"
 )
 
@@ -78,14 +75,6 @@ func main() {
 			"initial controller-redial backoff")
 		maxBackoff = flag.Duration("reconnect-max-backoff", 30*time.Second,
 			"controller-redial backoff ceiling")
-		sampleRate = flag.Int("flow-sample-rate", 0,
-			"export 1 in N forwarded/dropped frames as flow records (0 = sampling disabled)")
-		sampleRandom = flag.Bool("flow-sample-random", false,
-			"sample each frame independently with probability 1/N (sFlow-style, immune to periodic traffic) instead of every exact N-th frame")
-		sampleSeed = flag.Uint64("flow-sample-seed", 1,
-			"seed for -flow-sample-random (same seed + traffic = same decisions)")
-		analyticsAddr = flag.String("analytics-addr", "",
-			"HTTP listen address for the /debug/sdx/flows query API (empty = no listener; requires -flow-sample-rate)")
 		pprofAddr = flag.String("pprof-addr", "",
 			"HTTP listen address for net/http/pprof (may equal -telemetry-addr to share its mux)")
 		ports portFlag
@@ -95,71 +84,26 @@ func main() {
 	if len(ports.specs) == 0 {
 		log.Fatal("at least one -port is required")
 	}
-	if *analyticsAddr != "" && *sampleRate <= 0 {
-		log.Fatal("-analytics-addr requires -flow-sample-rate > 0")
-	}
 
 	sw := dataplane.NewSwitch(*dpid)
 	reg := telemetry.NewRegistry()
 	sw.EnableTelemetry(reg)
 
-	// Sampled flow export feeds the analytics store, which serves the
-	// /debug/sdx/flows query API. With sampling off the match path pays
-	// nothing; with it on, 1-in-N frames pay one Record build and a
-	// non-blocking channel send.
-	var flowMounts []telemetry.Mount
-	storeStop := make(chan struct{})
-	storeDone := make(chan struct{})
-	close(storeDone) // replaced below when the analytics store runs
-	if *sampleRate > 0 {
-		var ex *flowexport.Exporter
-		if *sampleRandom {
-			ex = flowexport.NewRandom(*sampleRate, 4096, *sampleSeed)
-			log.Printf("flow sampling 1-in-%d (seeded-random, seed %d)", *sampleRate, *sampleSeed)
-		} else {
-			ex = flowexport.New(*sampleRate, 4096)
-			log.Printf("flow sampling 1-in-%d (count-based)", *sampleRate)
-		}
-		sw.SetFlowExporter(ex)
-		store := analytics.New(analytics.Config{SampleRate: *sampleRate})
-		storeDone = make(chan struct{})
-		go func() {
-			defer close(storeDone)
-			store.Run(ex.Records(), storeStop) // drains buffered records on stop
-		}()
-		ex.EnableTelemetry(reg)
-		store.EnableTelemetry(reg)
-		flowMounts = []telemetry.Mount{{Pattern: "/debug/sdx/flows", Handler: store.Handler()}}
-	}
 	if *telemetryAddr != "" {
-		// The flow query API and pprof ride the telemetry listener when the
-		// addresses coincide; otherwise each gets its own listener below.
+		// pprof rides the telemetry listener when the addresses coincide;
+		// otherwise it gets its own listener below.
 		var mounts []telemetry.Mount
-		shareFlows := *analyticsAddr == *telemetryAddr && len(flowMounts) > 0
-		if shareFlows {
-			mounts = flowMounts
-		}
 		if *pprofAddr == *telemetryAddr {
-			mounts = append(mounts, telemetry.PprofMounts()...)
+			mounts = telemetry.PprofMounts()
 		}
 		tsrv, err := telemetry.Serve(*telemetryAddr, reg, nil, mounts...)
 		if err != nil {
 			log.Fatalf("telemetry listen: %v", err)
 		}
 		log.Printf("telemetry on http://%v/metrics", tsrv.Addr())
-		if shareFlows {
-			log.Printf("flow analytics on http://%v/debug/sdx/flows", tsrv.Addr())
-		}
 		if *pprofAddr == *telemetryAddr {
 			log.Printf("pprof on http://%v/debug/pprof/", tsrv.Addr())
 		}
-	}
-	if *analyticsAddr != "" && *analyticsAddr != *telemetryAddr {
-		asrv, err := telemetry.Serve(*analyticsAddr, reg, nil, flowMounts...)
-		if err != nil {
-			log.Fatalf("analytics listen: %v", err)
-		}
-		log.Printf("flow analytics on http://%v/debug/sdx/flows", asrv.Addr())
 	}
 	if *pprofAddr != "" && *pprofAddr != *telemetryAddr {
 		psrv, err := telemetry.Serve(*pprofAddr, reg, nil, telemetry.PprofMounts()...)
@@ -175,9 +119,8 @@ func main() {
 		log.Printf("port %d: %s -> %s", spec.number, spec.listen, spec.peer)
 	}
 
-	// Graceful teardown on SIGINT/SIGTERM: stop the controller redial loop
-	// (severing the OpenFlow session), then drain the sampled-flow channel
-	// into the analytics store so no already-exported records are lost.
+	// Graceful teardown on SIGINT/SIGTERM: stop the controller redial loop,
+	// severing the OpenFlow session.
 	stop := make(chan struct{})
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -203,8 +146,6 @@ func main() {
 		return conn, nil
 	}, stop, dataplane.ReconnectConfig{MinBackoff: *minBackoff, MaxBackoff: *maxBackoff})
 
-	close(storeStop)
-	<-storeDone
 	log.Printf("shutdown complete")
 }
 

@@ -181,9 +181,8 @@ func TestSwitchDrop(t *testing.T) {
 func TestSwitchTableMissWithoutController(t *testing.T) {
 	sw, _ := newTestSwitch()
 	sw.Inject(1, udpFrame(80))
-	noMatch, _ := sw.Dropped()
-	if noMatch != 1 {
-		t.Errorf("droppedNoMatch = %d, want 1", noMatch)
+	if noMatch := sw.DroppedByReason()[DropNoMatch]; noMatch != 1 {
+		t.Errorf("no_match drops = %d, want 1", noMatch)
 	}
 }
 
@@ -225,9 +224,8 @@ func TestSwitchOutputToMissingPort(t *testing.T) {
 	sw.Table.Add(&FlowEntry{Match: policy.MatchAll, Priority: 1,
 		Actions: []openflow.Action{openflow.Output(99)}})
 	sw.Inject(1, udpFrame(80))
-	_, noPort := sw.Dropped()
-	if noPort != 1 {
-		t.Errorf("droppedNoPort = %d, want 1", noPort)
+	if noPort := sw.DroppedByReason()[DropNoPort]; noPort != 1 {
+		t.Errorf("no_port drops = %d, want 1", noPort)
 	}
 }
 

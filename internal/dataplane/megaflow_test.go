@@ -308,4 +308,23 @@ func TestCachedForwardingAllocsZero(t *testing.T) {
 	if st.MegaflowHits == 0 {
 		t.Fatal("aggregate batches never hit the megaflow tier")
 	}
+
+	// A header rewrite copies the frame once and patches it in place: one
+	// allocation, never a decode-and-reserialize.
+	sw.Table.Add(&FlowEntry{
+		Match:    policy.MatchAll.Port(1).DstPort(443),
+		Priority: 10,
+		Actions:  []openflow.Action{setDLDst(macRouter), openflow.Output(2)},
+	})
+	rewritten := udpFrame(443)
+	if err := sw.Inject(1, rewritten); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(500, func() {
+		if err := sw.Inject(1, rewritten); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("warm Inject through SetDLDst allocates %.2f/op, want <= 1", got)
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sdx/internal/flowexport"
 	"sdx/internal/openflow"
 	"sdx/internal/packet"
 	"sdx/internal/policy"
@@ -23,6 +22,33 @@ type PortStats struct {
 	TxBytes   uint64
 }
 
+// DropReason says why the switch dropped a frame. A matched rule with no
+// actions is a policy decision, not a drop, and is counted by its rule.
+type DropReason uint8
+
+// Drop reasons, in the order the dataplane can hit them.
+const (
+	DropNoMatch  DropReason = iota // table miss with no controller ever attached
+	DropNoPort                     // matched rule output to a detached port
+	DropCtrlDown                   // table miss while fail-open (controller channel down)
+
+	// NumDropReasons bounds per-reason counter arrays.
+	NumDropReasons = 3
+)
+
+// String is the reason's metric label.
+func (r DropReason) String() string {
+	switch r {
+	case DropNoMatch:
+		return "no_match"
+	case DropNoPort:
+		return "no_port"
+	case DropCtrlDown:
+		return "ctrl_down"
+	}
+	return "unknown"
+}
+
 type port struct {
 	out     func(frame []byte)
 	rxPkts  atomic.Uint64
@@ -30,8 +56,8 @@ type port struct {
 	txPkts  atomic.Uint64
 	txBytes atomic.Uint64
 	// drops attributes dropped frames to the ingress port they arrived on,
-	// indexed by flowexport.DropReason (slot DropNone unused).
-	drops [flowexport.NumDropReasons]atomic.Uint64
+	// indexed by DropReason.
+	drops [NumDropReasons]atomic.Uint64
 }
 
 // Switch is the software fabric switch. Frames enter through Inject or
@@ -67,11 +93,6 @@ type Switch struct {
 	// connections served by ServeController.
 	ofMetrics *openflow.Metrics
 
-	// exporter, when set, receives sampled flow records from the match and
-	// drop paths. Atomic so SetFlowExporter is safe against concurrent
-	// Inject; when unset the hot path pays one pointer load per frame.
-	exporter atomic.Pointer[flowexport.Exporter]
-
 	// failOpen is set once RunController owns the controller channel: from
 	// then on a table miss with no attached controller means the channel is
 	// down and the switch is running fail-open on its installed table
@@ -81,15 +102,12 @@ type Switch struct {
 
 	// Intrusive counters: always live (an atomic add each), surfaced to a
 	// telemetry registry only when EnableTelemetry adopts them, so the
-	// Inject hot path is identical with and without a registry. The dropped
-	// pair is what Dropped() has always reported.
-	droppedNoMatch  telemetry.Counter
-	droppedNoPort   telemetry.Counter
-	droppedCtrlDown telemetry.Counter
-	matched         telemetry.Counter
-	missed          telemetry.Counter
-	packetIns       telemetry.Counter
-	packetOuts      telemetry.Counter
+	// Inject hot path is identical with and without a registry.
+	dropped    [NumDropReasons]telemetry.Counter // indexed by DropReason
+	matched    telemetry.Counter
+	missed     telemetry.Counter
+	packetIns  telemetry.Counter
+	packetOuts telemetry.Counter
 
 	// Reconnect-loop instruments (RunController).
 	reconnectAttempts telemetry.Counter
@@ -177,30 +195,22 @@ func (s *Switch) Stats(portNo uint16) (PortStats, bool) {
 	}, true
 }
 
-// Dropped returns the counts of frames dropped for want of a matching rule
-// and for output to a missing port. It reads the same telemetry counters
-// EnableTelemetry exposes as sdx_dataplane_dropped_total. Fail-open drops
-// (table miss while the controller channel is down) are a third bucket,
-// reported by DroppedByReason, not folded into noMatch.
-func (s *Switch) Dropped() (noMatch, noPort uint64) {
-	return s.droppedNoMatch.Value(), s.droppedNoPort.Value()
-}
-
 // DroppedByReason returns the switch-wide drop totals indexed by
-// flowexport.DropReason (slot DropNone is always zero).
-func (s *Switch) DroppedByReason() [flowexport.NumDropReasons]uint64 {
-	var out [flowexport.NumDropReasons]uint64
-	out[flowexport.DropNoMatch] = s.droppedNoMatch.Value()
-	out[flowexport.DropNoPort] = s.droppedNoPort.Value()
-	out[flowexport.DropCtrlDown] = s.droppedCtrlDown.Value()
+// DropReason: the counters EnableTelemetry exposes as
+// sdx_dataplane_dropped_total.
+func (s *Switch) DroppedByReason() [NumDropReasons]uint64 {
+	var out [NumDropReasons]uint64
+	for r := range s.dropped {
+		out[r] = s.dropped[r].Value()
+	}
 	return out
 }
 
 // PortDrops returns the per-reason counts of drops attributed to frames
-// that entered on portNo (indexed by flowexport.DropReason), and whether
-// the port is attached.
-func (s *Switch) PortDrops(portNo uint16) ([flowexport.NumDropReasons]uint64, bool) {
-	var out [flowexport.NumDropReasons]uint64
+// that entered on portNo (indexed by DropReason), and whether the port is
+// attached.
+func (s *Switch) PortDrops(portNo uint16) ([NumDropReasons]uint64, bool) {
+	var out [NumDropReasons]uint64
 	p, ok := s.portMap()[portNo]
 	if !ok {
 		return out, false
@@ -209,18 +219,6 @@ func (s *Switch) PortDrops(portNo uint16) ([flowexport.NumDropReasons]uint64, bo
 		out[r] = p.drops[r].Load()
 	}
 	return out, true
-}
-
-// SetFlowExporter installs (or, with nil, removes) the sampled flow
-// exporter. Safe to call while traffic is flowing; frames being processed
-// concurrently use whichever exporter they loaded at match time.
-func (s *Switch) SetFlowExporter(e *flowexport.Exporter) {
-	s.exporter.Store(e)
-}
-
-// FlowExporter returns the installed exporter, or nil.
-func (s *Switch) FlowExporter() *flowexport.Exporter {
-	return s.exporter.Load()
 }
 
 // PortNumbers returns the attached port numbers in ascending order.
@@ -275,9 +273,9 @@ func (s *Switch) EnableTelemetry(reg *telemetry.Registry) {
 		"Frames dropped, by reason.", []string{"reason"},
 		func(emit func([]string, float64)) {
 			counts := s.DroppedByReason()
-			emit([]string{"no_match"}, float64(counts[flowexport.DropNoMatch]))
-			emit([]string{"no_port"}, float64(counts[flowexport.DropNoPort]))
-			emit([]string{"ctrl_down"}, float64(counts[flowexport.DropCtrlDown]))
+			for r := DropReason(0); r < NumDropReasons; r++ {
+				emit([]string{r.String()}, float64(counts[r]))
+			}
 		})
 	reg.CounterVecFunc("sdx_dataplane_port_dropped_total",
 		"Frames dropped, by ingress port and reason.", []string{"port", "reason"},
@@ -288,7 +286,7 @@ func (s *Switch) EnableTelemetry(reg *telemetry.Registry) {
 					continue
 				}
 				p := strconv.Itoa(int(n))
-				for r := flowexport.DropNoMatch; r < flowexport.NumDropReasons; r++ {
+				for r := DropReason(0); r < NumDropReasons; r++ {
 					if v := drops[r]; v > 0 {
 						emit([]string{p, r.String()}, float64(v))
 					}
@@ -394,10 +392,9 @@ func (s *Switch) Inject(inPort uint16, frame []byte) error {
 }
 
 // InjectBatch delivers a batch of frames into the switch on the given
-// ingress port. Matching, counters, sampling and drops are per frame, but
-// the batch amortizes the fixed costs: ingress counters bump once per chunk,
-// the table resolves all lookups with at most one lock acquisition, and the
-// sampler reserves the whole chunk's candidate window in one atomic.
+// ingress port. Matching, counters and drops are per frame, but the batch
+// amortizes the fixed costs: ingress counters bump once per chunk and the
+// table resolves all lookups with at most one lock acquisition.
 // Undecodable frames are skipped (the rest of the batch still forwards); the
 // first decode error is returned after the batch completes.
 func (s *Switch) InjectBatch(inPort uint16, frames [][]byte) error {
@@ -421,40 +418,18 @@ func (s *Switch) InjectBatch(inPort uint16, frames [][]byte) error {
 	return firstErr
 }
 
-// frameCtx carries one frame's attribution through the action pipeline so
-// the emit/punt leaves can account drops per ingress port and build flow
-// records without re-deriving the 5-tuple. It lives on processBatch's stack
-// — nothing below may retain the pointer.
+// frameCtx carries one frame's ingress through the action pipeline: punt
+// and flood need the port number, and the drop sink charges the port. It
+// lives on processBatch's stack — nothing below may retain the pointer.
 type frameCtx struct {
 	ingress *port // nil for controller PACKET_OUTs on unattached ports
-	key     policy.Packet
-	cookie  uint64
-	ex      *flowexport.Exporter
-	sampled bool
-}
-
-// record builds the flow record for one outcome of this frame. A flooded
-// or multi-output frame yields one record per emission, mirroring sFlow's
-// per-copy sampling semantics.
-func (c *frameCtx) record(outPort uint16, size int, drop flowexport.DropReason) flowexport.Record {
-	return flowexport.Record{
-		SrcIP:   c.key.SrcIP,
-		DstIP:   c.key.DstIP,
-		Proto:   c.key.Proto,
-		Drop:    drop,
-		SrcPort: c.key.SrcPort,
-		DstPort: c.key.DstPort,
-		InPort:  c.key.Port,
-		OutPort: outPort,
-		Cookie:  c.cookie,
-		Bytes:   uint32(size),
-	}
+	inPort  uint16
 }
 
 // processBatch runs one chunk of InjectBatch: decode every frame into the
-// scratch arenas, resolve all lookups in one LookupBatch call, reserve the
-// chunk's sampling window in one atomic, then walk the frames applying
-// actions. Aggregate counters (rx, matched, missed) bump once per chunk.
+// scratch arenas, resolve all lookups in one LookupBatch call, then walk the
+// frames applying actions. Aggregate counters (rx, matched, missed) bump
+// once per chunk.
 func (s *Switch) processBatch(sc *injectScratch, ingress *port, inPort uint16, frames [][]byte) error {
 	n := len(frames)
 	if cap(sc.decs) < n {
@@ -468,7 +443,6 @@ func (s *Switch) processBatch(sc *injectScratch, ingress *port, inPort uint16, f
 
 	var firstErr error
 	var rxBytes uint64
-	nValid := 0
 	for i, frame := range frames {
 		rxBytes += uint64(len(frame))
 		pkt, err := decs[i].Decode(frame)
@@ -476,37 +450,23 @@ func (s *Switch) processBatch(sc *injectScratch, ingress *port, inPort uint16, f
 			if firstErr == nil {
 				firstErr = fmt.Errorf("dataplane: undecodable frame on port %d: %w", inPort, err)
 			}
-			sizes[i] = -1 // skip slot: no lookup, no counters, no sampling
+			sizes[i] = -1 // skip slot: no lookup, no counters
 			continue
 		}
 		keys[i] = toPolicyPacket(inPort, pkt)
 		sizes[i] = len(frame)
-		nValid++
 	}
 	ingress.rxPkts.Add(uint64(n))
 	ingress.rxBytes.Add(rxBytes)
 
 	s.Table.LookupBatch(keys, sizes, entries)
 
-	// One atomic reserves the whole chunk's sampling candidate window;
-	// SampledAt answers per decoded frame.
-	ex := s.exporter.Load()
-	var base uint64
-	if ex != nil {
-		base = ex.SampleBatch(nValid)
-	}
-
+	ctx := frameCtx{ingress: ingress, inPort: inPort}
 	var matched, missed uint64
-	cand := 0
 	for i, frame := range frames {
 		if sizes[i] < 0 {
 			continue
 		}
-		ctx := frameCtx{ingress: ingress, key: keys[i], ex: ex}
-		if ex != nil {
-			ctx.sampled = ex.SampledAt(base, cand)
-		}
-		cand++
 		e := entries[i]
 		if e == nil {
 			missed++
@@ -514,13 +474,6 @@ func (s *Switch) processBatch(sc *injectScratch, ingress *port, inPort uint16, f
 			continue
 		}
 		matched++
-		ctx.cookie = e.Cookie
-		if len(e.Actions) == 0 {
-			if ctx.sampled {
-				ex.Export(ctx.record(0, len(frame), flowexport.DropNone))
-			}
-			continue
-		}
 		s.applyActions(e.Actions, decs[i].Packet(), frame, &ctx)
 	}
 	if matched > 0 {
@@ -532,94 +485,44 @@ func (s *Switch) processBatch(sc *injectScratch, ingress *port, inPort uint16, f
 	return firstErr
 }
 
-// applyActions executes an OpenFlow action list: set-field actions mutate
-// the working packet; each output emits the current state.
+// applyActions executes an OpenFlow action list on a frame pkt was decoded
+// from. A set-field patches the field's bytes (and the checksums covering
+// it) in a private copy of the frame, so every byte no action names leaves
+// as it arrived. An output emits the current bytes; the next set-field
+// copies them again, so a buffer once handed to a sink is never written —
+// and an output-only list (or every port of a flood) emits without copying.
 func (s *Switch) applyActions(actions []openflow.Action, pkt *packet.Packet, frame []byte, ctx *frameCtx) {
-	work := *pkt // shallow copy; layer pointers cloned on first write below
-	cloned := false
-	clone := func() {
-		if cloned {
-			return
-		}
-		cloned = true
-		if pkt.IPv4 != nil {
-			ip := *pkt.IPv4
-			work.IPv4 = &ip
-		}
-		if pkt.TCP != nil {
-			tcp := *pkt.TCP
-			work.TCP = &tcp
-		}
-		if pkt.UDP != nil {
-			udp := *pkt.UDP
-			work.UDP = &udp
-		}
-	}
-	// render memoizes the serialized working packet: once a set-field has
-	// fired, the first output serializes and every later output (including
-	// every port of a flood) reuses the same bytes until the next set-field.
-	dirty := false
-	var rendered []byte
-	render := func() []byte {
-		if !dirty {
-			return frame
-		}
-		if rendered == nil {
-			rendered = work.Serialize()
-		}
-		return rendered
-	}
+	owned := false // frame is a private copy no sink has seen
 	for _, a := range actions {
 		switch a.Type {
 		case openflow.ActionTypeOutput:
+			owned = false
 			switch a.Port {
 			case openflow.PortController:
-				s.punt(render(), ctx)
+				s.punt(frame, ctx)
 			case openflow.PortFlood:
-				s.flood(render(), ctx)
+				s.flood(frame, ctx)
 			default:
-				s.emit(a.Port, render(), ctx)
+				s.emit(a.Port, frame, ctx)
 			}
+			continue
 		case openflow.ActionTypeGroup:
-			s.replicate(a.Ports, render(), ctx)
+			owned = false
+			s.replicate(a.Ports, frame, ctx)
+			continue
+		}
+		if !owned {
+			frame, owned = append([]byte(nil), frame...), true
+		}
+		switch a.Type {
 		case openflow.ActionTypeSetDLSrc:
-			clone()
-			work.Eth.SrcMAC = a.MAC
-			dirty, rendered = true, nil
+			packet.PatchEthSrc(frame, a.MAC)
 		case openflow.ActionTypeSetDLDst:
-			clone()
-			work.Eth.DstMAC = a.MAC
-			dirty, rendered = true, nil
-		case openflow.ActionTypeSetNWSrc:
-			clone()
-			if work.IPv4 != nil {
-				work.IPv4.SrcIP = a.IP
-			}
-			dirty, rendered = true, nil
-		case openflow.ActionTypeSetNWDst:
-			clone()
-			if work.IPv4 != nil {
-				work.IPv4.DstIP = a.IP
-			}
-			dirty, rendered = true, nil
-		case openflow.ActionTypeSetTPSrc:
-			clone()
-			if work.TCP != nil {
-				work.TCP.SrcPort = a.TP
-			}
-			if work.UDP != nil {
-				work.UDP.SrcPort = a.TP
-			}
-			dirty, rendered = true, nil
-		case openflow.ActionTypeSetTPDst:
-			clone()
-			if work.TCP != nil {
-				work.TCP.DstPort = a.TP
-			}
-			if work.UDP != nil {
-				work.UDP.DstPort = a.TP
-			}
-			dirty, rendered = true, nil
+			packet.PatchEthDst(frame, a.MAC)
+		case openflow.ActionTypeSetNWSrc, openflow.ActionTypeSetNWDst:
+			pkt.PatchIPv4Addr(frame, a.Type == openflow.ActionTypeSetNWDst, a.IP)
+		case openflow.ActionTypeSetTPSrc, openflow.ActionTypeSetTPDst:
+			pkt.PatchL4Port(frame, a.Type == openflow.ActionTypeSetTPDst, a.TP)
 		}
 	}
 }
@@ -627,39 +530,35 @@ func (s *Switch) applyActions(actions []openflow.Action, pkt *packet.Packet, fra
 func (s *Switch) emit(portNo uint16, frame []byte, ctx *frameCtx) {
 	p, ok := s.portMap()[portNo]
 	if !ok {
-		s.dropFrame(flowexport.DropNoPort, portNo, len(frame), ctx)
+		s.dropFrame(DropNoPort, ctx)
 		return
 	}
-	s.emitPort(p, portNo, frame, ctx)
+	s.emitPort(p, frame)
 }
 
-func (s *Switch) emitPort(p *port, portNo uint16, frame []byte, ctx *frameCtx) {
+func (s *Switch) emitPort(p *port, frame []byte) {
 	p.txPkts.Add(1)
 	p.txBytes.Add(uint64(len(frame)))
-	if ctx.sampled {
-		ctx.ex.Export(ctx.record(portNo, len(frame), flowexport.DropNone))
-	}
 	p.out(frame)
 }
 
-// flood emits the (already rendered) frame on every attached port except
-// the ingress, in ascending port order — run-to-run deterministic so e2e
-// packet captures and sampled flow-record sequences are comparable. The
-// port-table snapshot is lock-free; its sorted slice is iterated directly.
+// flood emits the frame on every attached port except the ingress, in
+// ascending port order — run-to-run deterministic so e2e packet captures
+// are comparable. The port-table snapshot is lock-free; its sorted slice is
+// iterated directly.
 func (s *Switch) flood(frame []byte, ctx *frameCtx) {
-	inPort := ctx.key.Port
 	t := s.ports.Load()
 	for _, n := range t.sorted {
-		if n != inPort {
-			s.emitPort(t.byNum[n], n, frame, ctx)
+		if n != ctx.inPort {
+			s.emitPort(t.byNum[n], frame)
 		}
 	}
 }
 
-// replicate emits the (already rendered) frame to every port of a group
-// action, in the action's ascending member order. Unlike flood it does not
-// exclude the ingress — a group action is exactly equivalent to that many
-// consecutive outputs; source exclusion is the compiler's business.
+// replicate emits the frame to every port of a group action, in the
+// action's ascending member order. Unlike flood it does not exclude the
+// ingress — a group action is exactly equivalent to that many consecutive
+// outputs; source exclusion is the compiler's business.
 func (s *Switch) replicate(ports []uint16, frame []byte, ctx *frameCtx) {
 	for _, n := range ports {
 		s.emit(n, frame, ctx)
@@ -667,24 +566,11 @@ func (s *Switch) replicate(ports []uint16, frame []byte, ctx *frameCtx) {
 }
 
 // dropFrame is the single drop sink: it bumps the switch-wide reason
-// counter, attributes the drop to the frame's ingress port, and — when this
-// frame was sampled — exports a drop record carrying whatever attribution
-// survives (a no_port drop still knows its rule cookie and intended egress;
-// a no_match drop has neither).
-func (s *Switch) dropFrame(reason flowexport.DropReason, outPort uint16, size int, ctx *frameCtx) {
-	switch reason {
-	case flowexport.DropNoMatch:
-		s.droppedNoMatch.Inc()
-	case flowexport.DropNoPort:
-		s.droppedNoPort.Inc()
-	case flowexport.DropCtrlDown:
-		s.droppedCtrlDown.Inc()
-	}
+// counter and attributes the drop to the frame's ingress port.
+func (s *Switch) dropFrame(reason DropReason, ctx *frameCtx) {
+	s.dropped[reason].Inc()
 	if ctx.ingress != nil {
 		ctx.ingress.drops[reason].Add(1)
-	}
-	if ctx.sampled {
-		ctx.ex.Export(ctx.record(outPort, size, reason))
 	}
 }
 
@@ -697,17 +583,17 @@ func (s *Switch) punt(frame []byte, ctx *frameCtx) {
 	send := s.toController
 	s.mu.RUnlock()
 	if send == nil {
-		reason := flowexport.DropNoMatch
+		reason := DropNoMatch
 		if s.failOpen.Load() {
-			reason = flowexport.DropCtrlDown
+			reason = DropCtrlDown
 		}
-		s.dropFrame(reason, 0, len(frame), ctx)
+		s.dropFrame(reason, ctx)
 		return
 	}
 	s.packetIns.Inc()
 	send(&openflow.PacketIn{
 		BufferID: 0xffffffff,
-		InPort:   ctx.key.Port,
+		InPort:   ctx.inPort,
 		Reason:   openflow.ReasonNoMatch,
 		Data:     frame,
 	})
@@ -779,10 +665,9 @@ func (s *Switch) ExecutePacketOut(po *openflow.PacketOut) error {
 		return fmt.Errorf("dataplane: undecodable packet-out: %w", err)
 	}
 	s.packetOuts.Inc()
-	ingress := s.portMap()[po.InPort] // may be nil: controller-synthesized port
-	// Controller-originated frames are not flow-sampled (they are not the
-	// exchange's traffic), but their drops still count.
-	ctx := frameCtx{ingress: ingress, key: toPolicyPacket(po.InPort, pkt)}
+	// The ingress may be nil (a controller-synthesized port); drops still
+	// count switch-wide.
+	ctx := frameCtx{ingress: s.portMap()[po.InPort], inPort: po.InPort}
 	s.applyActions(po.Actions, pkt, po.Data, &ctx)
 	return nil
 }

@@ -47,10 +47,10 @@ func TestSwitchTelemetryExposition(t *testing.T) {
 		}
 	}
 
-	// Dropped() keeps working as the counters' reader.
-	noMatch, noPort := sw.Dropped()
-	if noMatch != 1 || noPort != 4 {
-		t.Errorf("Dropped() = %d, %d; want 1, 4", noMatch, noPort)
+	// DroppedByReason reads the same counters.
+	drops := sw.DroppedByReason()
+	if noMatch, noPort := drops[DropNoMatch], drops[DropNoPort]; noMatch != 1 || noPort != 4 {
+		t.Errorf("DroppedByReason() no_match, no_port = %d, %d; want 1, 4", noMatch, noPort)
 	}
 }
 
@@ -59,9 +59,8 @@ func TestSwitchTelemetryExposition(t *testing.T) {
 // counters that are always maintained and only READ at scrape time, so the
 // two cases execute identical hot-path code; live stays within ~5% of nil
 // (documented expectation, not asserted — wall-clock deltas at the
-// nanosecond scale are too noisy for CI). Both cases report identical
-// allocs/op (packet.Decode's headers; TestInjectSamplingAllocs pins the
-// floor).
+// nanosecond scale are too noisy for CI). Both cases report zero allocs/op
+// (TestCachedForwardingAllocsZero pins the floor).
 func BenchmarkInjectTelemetryOverhead(b *testing.B) {
 	run := func(b *testing.B, reg *telemetry.Registry) {
 		sw := NewSwitch(1)

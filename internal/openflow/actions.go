@@ -13,7 +13,7 @@ import (
 // Action types (OF 1.0 §5.2.4). ActionTypeGroup is a private extension in
 // the vendor code space: one replication action carrying a whole output
 // port set. It is exactly equivalent to that many consecutive Output
-// actions — the dataplane renders the rewritten frame once and emits it to
+// actions — the dataplane rewrites the frame once and emits it to
 // every listed port in ascending order — so lowering multi-copy rules to it
 // never changes semantics, only the serialization cost.
 const (

@@ -2,9 +2,10 @@
 // layers the SDX fabric forwards: Ethernet, ARP, IPv4, TCP, and UDP.
 //
 // The API follows the gopacket idiom: each layer type has DecodeFromBytes
-// to parse a wire image and SerializeTo to append a wire image, and the
-// package-level Decode walks the layer stack. Only the fields the SDX
-// data plane can match or rewrite are modeled.
+// to parse a wire image and SerializeTo to append a wire image, and Decode
+// walks the layer stack. Only the fields the SDX data plane can match or
+// rewrite are modeled; the fabric rewrites a frame by patching its bytes
+// (patch.go), never by re-serializing it.
 package packet
 
 import (
@@ -101,10 +102,18 @@ func (a *ARP) SerializeTo(b []byte) []byte {
 	return append(b, tip[:]...)
 }
 
+// IPv4 flag bits, as they appear in Flags.
+const (
+	IPv4MoreFragments uint8 = 1 << 0
+	IPv4DontFragment  uint8 = 1 << 1
+)
+
 // IPv4 is the IPv4 header without options.
 type IPv4 struct {
 	TOS      uint8
 	ID       uint16
+	Flags    uint8  // the header's three flag bits: IPv4DontFragment, IPv4MoreFragments
+	FragOff  uint16 // fragment offset, in 8-byte units
 	TTL      uint8
 	Protocol uint8
 	SrcIP    netip.Addr
@@ -130,6 +139,8 @@ func (ip *IPv4) DecodeFromBytes(data []byte) ([]byte, error) {
 	ip.TOS = data[1]
 	ip.Length = binary.BigEndian.Uint16(data[2:4])
 	ip.ID = binary.BigEndian.Uint16(data[4:6])
+	frag := binary.BigEndian.Uint16(data[6:8])
+	ip.Flags, ip.FragOff = uint8(frag>>13), frag&0x1fff
 	ip.TTL = data[8]
 	ip.Protocol = data[9]
 	ip.SrcIP = netip.AddrFrom4([4]byte(data[12:16]))
@@ -145,6 +156,13 @@ func (ip *IPv4) DecodeFromBytes(data []byte) ([]byte, error) {
 	return data[ihl:end], nil
 }
 
+// IsFragment reports whether the datagram is a fragment: more fragments
+// follow, or this one starts past offset zero. Only an unfragmented
+// datagram carries a whole transport header.
+func (ip *IPv4) IsFragment() bool {
+	return ip.Flags&IPv4MoreFragments != 0 || ip.FragOff != 0
+}
+
 // SerializeTo appends the header (no options) and payload to b, filling in
 // length and checksum.
 func (ip *IPv4) SerializeTo(b []byte, payload []byte) []byte {
@@ -153,7 +171,7 @@ func (ip *IPv4) SerializeTo(b []byte, payload []byte) []byte {
 	b = append(b, 0x45, ip.TOS)
 	b = binary.BigEndian.AppendUint16(b, uint16(total))
 	b = binary.BigEndian.AppendUint16(b, ip.ID)
-	b = binary.BigEndian.AppendUint16(b, 0) // flags+fragment offset
+	b = binary.BigEndian.AppendUint16(b, uint16(ip.Flags&7)<<13|ip.FragOff&0x1fff)
 	ttl := ip.TTL
 	if ttl == 0 {
 		ttl = 64

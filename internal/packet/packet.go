@@ -21,48 +21,12 @@ type Packet struct {
 // Decode parses an Ethernet frame and as much of the stack above it as the
 // package understands. Unknown EtherTypes and IP protocols are not errors:
 // the remaining bytes land in Payload, mirroring gopacket's lazy tolerance
-// so the fabric can still switch frames it cannot fully parse.
+// so the fabric can still switch frames it cannot fully parse. An IPv4
+// fragment's transport header is never parsed (only the first fragment
+// holds one, and only whole), so its payload is the fragment's IP payload.
+// The result aliases data and a scratch private to this call.
 func Decode(data []byte) (*Packet, error) {
-	p := &Packet{}
-	rest, err := p.Eth.DecodeFromBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	switch p.Eth.EtherType {
-	case EtherTypeARP:
-		a := &ARP{}
-		if err := a.DecodeFromBytes(rest); err != nil {
-			return nil, err
-		}
-		p.ARP = a
-	case EtherTypeIPv4:
-		ip := &IPv4{}
-		rest, err = ip.DecodeFromBytes(rest)
-		if err != nil {
-			return nil, err
-		}
-		p.IPv4 = ip
-		switch ip.Protocol {
-		case ProtoTCP:
-			t := &TCP{}
-			rest, err = t.DecodeFromBytes(rest)
-			if err != nil {
-				return nil, err
-			}
-			p.TCP = t
-		case ProtoUDP:
-			u := &UDP{}
-			rest, err = u.DecodeFromBytes(rest)
-			if err != nil {
-				return nil, err
-			}
-			p.UDP = u
-		}
-		p.Payload = rest
-	default:
-		p.Payload = rest
-	}
-	return p, nil
+	return new(Scratch).Decode(data)
 }
 
 // Scratch is a reusable decode arena: one Packet plus one instance of every
@@ -78,8 +42,8 @@ type Scratch struct {
 	udp UDP
 }
 
-// Decode parses data exactly like the package-level Decode but without
-// allocating: layers land in the scratch's embedded storage.
+// Decode parses data like the package-level Decode but without allocating:
+// layers land in the scratch's embedded storage.
 func (s *Scratch) Decode(data []byte) (*Packet, error) {
 	s.pkt = Packet{}
 	if err := decodeInto(&s.pkt, &s.arp, &s.ip4, &s.tcp, &s.udp, data); err != nil {
@@ -113,6 +77,10 @@ func decodeInto(p *Packet, arp *ARP, ip4 *IPv4, tcp *TCP, udp *UDP, data []byte)
 			return err
 		}
 		p.IPv4 = ip4
+		if ip4.IsFragment() {
+			p.Payload = rest
+			break
+		}
 		switch ip4.Protocol {
 		case ProtoTCP:
 			rest, err = tcp.DecodeFromBytes(rest)
@@ -134,10 +102,11 @@ func decodeInto(p *Packet, arp *ARP, ip4 *IPv4, tcp *TCP, udp *UDP, data []byte)
 	return nil
 }
 
-// Serialize renders the packet back to a wire image, recomputing lengths,
-// the IPv4 header checksum, and the TCP/UDP pseudo-header checksums — so a
-// frame the fabric rewrote (VNH next hops mod addresses and ports) leaves
-// with checksums matching its new headers.
+// Serialize renders the packet to a wire image, computing lengths, the
+// IPv4 header checksum, and the TCP/UDP pseudo-header checksums. It builds
+// frames (ARP replies, test and benchmark traffic); it is not a rewrite
+// path: only modeled fields survive it, so the fabric patches received
+// frames in place instead (PatchEthDst and friends).
 func (p *Packet) Serialize() []byte {
 	hdr := p.Eth.SerializeTo(nil)
 	switch {

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// Mount attaches an extra handler to the telemetry mux — how subsystems
-// with their own query surfaces (analytics at /debug/sdx/flows) ride on the
-// daemon's single telemetry endpoint.
+// Mount attaches an extra handler to the telemetry mux — how surfaces
+// beside the metrics (the pprof handlers, PprofMounts) ride on the daemon's
+// single telemetry endpoint.
 type Mount struct {
 	Pattern string
 	Handler http.Handler
