@@ -38,10 +38,11 @@ race:
 bench-harness:
 	bash benchmark/run.sh --workload all --seed 1 --seconds 1 --trace 0
 
-# Every benchmark in the root bench_test.go, once: keeps them compiling and
-# running.
+# Every benchmark in the root bench_test.go and in internal/dataplane
+# (BenchmarkFlowTableDiffPush, BenchmarkInjectTelemetryOverhead), once:
+# keeps them compiling and running.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' .
+	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/dataplane
 
 # Every Fuzz* target in the module for ten seconds each (plain `go test`
 # runs only their seed corpora). A failing input lands in the package's

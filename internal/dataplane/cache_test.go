@@ -303,7 +303,7 @@ func TestInstallFlowModsBatches(t *testing.T) {
 }
 
 // TestMicroflowCacheStats pins the CacheStats accounting: miss, hit,
-// invalidation, and the live-entry gauge across a mutation.
+// invalidation, and the live-slot gauge across a write.
 func TestMicroflowCacheStats(t *testing.T) {
 	ft := NewFlowTable()
 	ft.Add(&FlowEntry{Match: policy.MatchAll.Port(1), Priority: 1,
@@ -312,8 +312,8 @@ func TestMicroflowCacheStats(t *testing.T) {
 	ft.Lookup(pkt, 10) // miss, populates
 	ft.Lookup(pkt, 10) // hit
 	st := ft.CacheStats()
-	if st.Hits != 1 || st.Misses != 1 || st.Invalidations != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 invalidation / 1 entry", st)
+	if micro, _ := ft.CacheOccupancy(); st.Hits != 1 || st.Misses != 1 || st.Invalidations != 1 || micro != 1 {
+		t.Fatalf("stats = %+v, %d live slots, want 1 hit / 1 miss / 1 invalidation / 1 slot", st, micro)
 	}
 	// A cached table miss is also served lock-free.
 	missPkt := policy.Packet{Port: 9}
@@ -324,19 +324,90 @@ func TestMicroflowCacheStats(t *testing.T) {
 		t.Fatal("unexpected match")
 	}
 	st = ft.CacheStats()
-	if st.Hits != 2 || st.Misses != 2 || st.Entries != 2 {
-		t.Fatalf("stats after cached miss = %+v, want 2 hits / 2 misses / 2 entries", st)
+	if micro, _ := ft.CacheOccupancy(); st.Hits != 2 || st.Misses != 2 || micro != 2 {
+		t.Fatalf("stats after cached miss = %+v, %d live slots, want 2 hits / 2 misses / 2 slots", st, micro)
 	}
-	// Mutation invalidates wholesale: the gauge drops to zero, the next
-	// lookup misses, and counters on the re-resolved entry keep counting.
+	// A port-only rule names no dst MAC, so adding one invalidates every
+	// slot: the gauge drops to zero, the next lookup misses, and counters on
+	// the re-resolved entry keep counting.
 	ft.Add(&FlowEntry{Match: policy.MatchAll.Port(2), Priority: 1,
 		Actions: []openflow.Action{openflow.Output(3)}})
 	st = ft.CacheStats()
-	if st.Invalidations != 2 || st.Entries != 0 {
-		t.Fatalf("stats after mutation = %+v, want 2 invalidations / 0 entries", st)
+	if micro, _ := ft.CacheOccupancy(); st.Invalidations != 2 || micro != 0 {
+		t.Fatalf("stats after write = %+v, %d live slots, want 2 invalidations / 0 slots", st, micro)
 	}
 	if e, ok := ft.Lookup(pkt, 5); !ok || e.Packets != 3 || e.Bytes != 25 {
 		t.Fatalf("re-resolved entry = %+v, want 3 pkts / 25 bytes", e)
+	}
+}
+
+// TestWriteInvalidatesOnlyItsStripe pins the invalidation scope by the
+// counters: a write whose rules name another dst MAC leaves a cached flow a
+// microflow hit; a strict delete of a rule naming the flow's MAC, a
+// port-only rule and Clear each make its next lookup miss.
+func TestWriteInvalidatesOnlyItsStripe(t *testing.T) {
+	a := netutil.VMAC(1)
+	b := netutil.VMAC(2)
+	for stripeOf(b) == stripeOf(a) {
+		b[5]++
+	}
+	ruleA := &FlowEntry{Match: policy.MatchAll.Port(1).DstMAC(a), Priority: 10,
+		Actions: []openflow.Action{openflow.Output(2)}}
+	pktA := policy.Packet{Port: 1, DstMAC: a, DstPort: 80}
+	ft := NewFlowTable()
+	ft.Add(ruleA)
+	// warm caches pktA's current result and returns the counters after a
+	// second lookup, which must be a microflow hit.
+	warm := func() CacheStats {
+		t.Helper()
+		ft.Lookup(pktA, 1)
+		before := ft.CacheStats()
+		ft.Lookup(pktA, 1)
+		st := ft.CacheStats()
+		if st.Hits != before.Hits+1 {
+			t.Fatalf("warm lookup was not a microflow hit: %+v -> %+v", before, st)
+		}
+		return st
+	}
+
+	before := warm()
+	ft.AddBatch([]*FlowEntry{
+		{Match: policy.MatchAll.Port(1).DstMAC(b), Priority: 20, Actions: []openflow.Action{openflow.Output(3)}},
+		{Match: policy.MatchAll.DstMAC(b).DstPort(80), Priority: 30, Actions: []openflow.Action{openflow.Output(4)}},
+	})
+	if e, _ := ft.Lookup(pktA, 1); e != ruleA {
+		t.Fatalf("after a write on another MAC, lookup = %v, want %v", e, ruleA)
+	}
+	after := ft.CacheStats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses || after.Invalidations != before.Invalidations {
+		t.Fatalf("a write on another MAC moved the flow's counters: %+v -> %+v", before, after)
+	}
+
+	for _, w := range []struct {
+		name        string
+		write       func()
+		want        *FlowEntry
+		invalidates uint64 // global invalidations the write counts
+	}{
+		{"strict delete on the flow's MAC", func() { ft.Delete(ruleA.Match, ruleA.Priority, true) }, nil, 0},
+		{"re-add on the flow's MAC", func() { ft.Add(ruleA) }, ruleA, 0},
+		{"port-only rule", func() {
+			ft.Add(&FlowEntry{Match: policy.MatchAll.Port(7), Priority: 1, Actions: []openflow.Action{openflow.Output(2)}})
+		}, ruleA, 1},
+		{"Clear", ft.Clear, nil, 1},
+	} {
+		before = warm()
+		w.write()
+		if e, _ := ft.Lookup(pktA, 1); e != w.want {
+			t.Fatalf("%s: lookup = %v, want %v", w.name, e, w.want)
+		}
+		after := ft.CacheStats()
+		if after.Misses != before.Misses+1 || after.Hits != before.Hits {
+			t.Fatalf("%s: the flow's next lookup was not a miss: %+v -> %+v", w.name, before, after)
+		}
+		if got := after.Invalidations - before.Invalidations; got != w.invalidates {
+			t.Fatalf("%s: counted %d global invalidations, want %d", w.name, got, w.invalidates)
+		}
 	}
 }
 

@@ -303,11 +303,11 @@ func (s *Switch) EnableTelemetry(reg *telemetry.Registry) {
 		"Lookups that fell through to the indexed slow path.",
 		func() float64 { return float64(s.Table.CacheStats().Misses) })
 	reg.CounterFunc("sdx_dataplane_cache_invalidations_total",
-		"Wholesale microflow-cache invalidations (table mutations).",
+		"Table writes that invalidated every cached slot: a rule without a dst MAC, a wildcard delete, or a clear (writes naming only dst MACs invalidate just those MACs' flows).",
 		func() float64 { return float64(s.Table.CacheStats().Invalidations) })
 	reg.GaugeFunc("sdx_dataplane_cache_entries",
-		"Microflow-cache slots valid at the current table generation.",
-		func() float64 { return float64(s.Table.CacheStats().Entries) })
+		"Microflow-cache slots currently valid.",
+		func() float64 { micro, _ := s.Table.CacheOccupancy(); return float64(micro) })
 	reg.CounterFunc("sdx_dataplane_megaflow_hits_total",
 		"Lookups answered lock-free by the wildcard megaflow cache.",
 		func() float64 { return float64(s.Table.CacheStats().MegaflowHits) })
@@ -315,8 +315,8 @@ func (s *Switch) EnableTelemetry(reg *telemetry.Registry) {
 		"Distinct wildcard masks tracked by the megaflow cache.",
 		func() float64 { return float64(s.Table.CacheStats().MegaflowMasks) })
 	reg.GaugeFunc("sdx_dataplane_megaflow_entries",
-		"Megaflow-cache slots valid at the current table generation.",
-		func() float64 { return float64(s.Table.CacheStats().MegaflowEntries) })
+		"Megaflow-cache slots currently valid.",
+		func() float64 { _, mega := s.Table.CacheOccupancy(); return float64(mega) })
 	reg.CounterFunc("sdx_dataplane_reconnect_attempts_total",
 		"Controller dial attempts by the reconnect loop.",
 		func() float64 { return float64(s.reconnectAttempts.Value()) })

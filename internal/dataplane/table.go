@@ -79,11 +79,12 @@ func (e *FlowEntry) String() string {
 const microflowSlots = 1 << 13
 
 // microflowSlot is one cached lookup result: the full header tuple it was
-// computed for, the table generation it is valid under, and the winning
-// entry (nil caches a table miss). Slots are immutable once published.
+// computed for, the stamp it is valid under (FlowTable.stamp of the tuple's
+// dst MAC), and the winning entry (nil caches a table miss). Slots are
+// immutable once published.
 type microflowSlot struct {
 	pkt   policy.Packet
-	gen   uint64
+	stamp uint64
 	entry *FlowEntry
 }
 
@@ -168,11 +169,11 @@ func maskAddr(a netip.Addr, bits uint8) netip.Addr {
 }
 
 // megaflowEntry is one cached wildcard lookup result: the masked tuple it
-// answers for, the table generation it is valid under, and the winning
-// entry (nil caches a table miss). Immutable once published.
+// answers for, the stamp it is valid under, and the winning entry (nil
+// caches a table miss). Immutable once published.
 type megaflowEntry struct {
 	key   policy.Packet
-	gen   uint64
+	stamp uint64
 	entry *FlowEntry
 }
 
@@ -190,17 +191,26 @@ type ruleKey struct {
 	priority uint16
 }
 
+// stripeBits sizes the per-dst-MAC generation array: 1<<stripeBits
+// counters, 8 KiB per table.
+const stripeBits = 10
+
+// stripeOf maps a dst MAC to its generation stripe (Fibonacci hashing: VMACs
+// differ in their low bits, and the multiply carries those into the top
+// bits the shift keeps).
+func stripeOf(mac netutil.MAC) uint64 {
+	return mac48(mac) * 0x9e3779b97f4a7c15 >> (64 - stripeBits)
+}
+
 // CacheStats reports flow-cache effectiveness counters across both cache
-// tiers.
+// tiers. Reading it is O(1); CacheOccupancy counts live slots.
 type CacheStats struct {
 	Hits          uint64 // lookups answered by the exact-match microflow cache
 	Misses        uint64 // lookups that fell through to the slow path
-	Invalidations uint64 // wholesale invalidations (table mutations)
-	Entries       int    // microflow slots valid at the current table generation
+	Invalidations uint64 // writes that invalidated every cached slot
 
-	MegaflowHits    uint64 // lookups answered by the wildcard megaflow cache
-	MegaflowMasks   int    // distinct wildcard masks currently tracked
-	MegaflowEntries int    // megaflow slots valid at the current table generation
+	MegaflowHits  uint64 // lookups answered by the wildcard megaflow cache
+	MegaflowMasks int    // distinct wildcard masks currently tracked
 }
 
 // FlowTable is a priority-ordered flow table. Higher priority wins; among
@@ -211,13 +221,14 @@ type CacheStats struct {
 // Lookup runs a three-tier pipeline:
 //
 //  1. A direct-mapped exact-match microflow cache keyed on the packet's
-//     full header tuple, validated by a table generation counter that every
-//     mutation bumps. A cache hit touches no lock.
+//     full header tuple, validated by the stamp of its dst MAC, which only
+//     a write that can change that MAC's lookups moves (see gen). A cache
+//     hit touches no lock.
 //  2. On a miss, a match index over the installed rules — buckets by exact
 //     destination MAC (the SDX VMAC tag stage) and by in-port, plus a
 //     residual list for rules constraining neither — scanned under RLock.
 //  3. The winning entry (or the miss) is published back into the cache at
-//     the generation observed under the lock.
+//     the stamp observed under the lock.
 //
 // Per-entry hit counters are atomics bumped outside the lock on every tier,
 // so concurrent lookups never serialize on the table.
@@ -235,15 +246,21 @@ type FlowTable struct {
 	byPort   map[uint16][]*FlowEntry
 	residual []*FlowEntry
 
-	// gen is bumped (under mu) by every mutation; a cached slot is valid
-	// only while its recorded generation equals gen.
-	gen   atomic.Uint64
-	cache [microflowSlots]atomic.Pointer[microflowSlot]
+	// Cache validity. Every cached slot, in either tier, answers for
+	// exactly one dst MAC (lookupMask.project keeps it exact), and a rule
+	// naming MAC X can only change lookups of packets to X. So a slot
+	// records stamp(its dst MAC) = gen + stripes[stripeOf(MAC)] and is
+	// valid only while that sum is unchanged; both counters only grow, so
+	// the sum holds only if neither moved. Writes bump them under mu: a
+	// write whose rules all name a dst MAC bumps those MACs' stripes, any
+	// other write bumps gen and so invalidates every slot.
+	gen     atomic.Uint64
+	stripes [1 << stripeBits]atomic.Uint64
+	cache   [microflowSlots]atomic.Pointer[microflowSlot]
 
 	// Megaflow (wildcard) cache tier: one direct-mapped group per distinct
 	// lookup mask. The group list is copy-on-write (append under megaMu,
-	// lock-free reads); slots are gen-validated exactly like the microflow
-	// cache.
+	// lock-free reads); slots are stamped exactly like the microflow cache.
 	megaGroups atomic.Pointer[[]*maskGroup]
 	megaMu     sync.Mutex
 
@@ -277,11 +294,32 @@ func search(list []*FlowEntry, e *FlowEntry) int {
 	return sort.Search(len(list), func(i int) bool { return !less(list[i], e) })
 }
 
-// invalidateLocked bumps the table generation, invalidating every cached
-// microflow wholesale. Callers hold mu.
-func (t *FlowTable) invalidateLocked() {
-	t.gen.Add(1)
-	t.cacheInvalidations.Inc()
+// invalidateLocked invalidates every cached slot a write of rules can
+// change. If every rule names a dst MAC, only the stripes of those MACs move;
+// otherwise — or for rules == nil, a write that may change any lookup — the
+// global generation moves, in O(1). Callers hold mu.
+func (t *FlowTable) invalidateLocked(rules []*FlowEntry) {
+	for _, e := range rules {
+		if _, ok := e.Match.GetDstMAC(); !ok {
+			rules = nil
+			break
+		}
+	}
+	if rules == nil {
+		t.gen.Add(1)
+		t.cacheInvalidations.Inc()
+		return
+	}
+	for _, e := range rules {
+		mac, _ := e.Match.GetDstMAC()
+		t.stripes[stripeOf(mac)].Add(1)
+	}
+}
+
+// stamp returns the value a cached slot for packets to mac must carry to be
+// valid now. Lock-free; under mu (read or write) it is stable.
+func (t *FlowTable) stamp(mac netutil.MAC) uint64 {
+	return t.gen.Load() + t.stripes[stripeOf(mac)].Load()
 }
 
 // insertSorted inserts e into a table-ordered list, keeping it sorted.
@@ -347,12 +385,12 @@ func (t *FlowTable) Add(e *FlowEntry) {
 }
 
 // AddBatch installs rules under one lock acquisition and one cache
-// invalidation, at a cost proportional to what changes. A rule with the
-// match and priority of an installed one (or of an earlier rule in the
-// batch) replaces it in place, keeping its installation order and resetting
-// its counters, mirroring OFPFC_ADD; the last of several duplicates wins.
-// Fresh rules are sorted among themselves, merged into the table from the
-// back in one pass, and inserted into their index buckets.
+// invalidation covering the batch's dst MACs, at a cost proportional to what
+// changes. A rule with the match and priority of an installed one (or of an
+// earlier rule in the batch) replaces it in place, keeping its installation
+// order and resetting its counters, mirroring OFPFC_ADD; the last of several
+// duplicates wins. Fresh rules are sorted among themselves, merged into the
+// table from the back in one pass, and inserted into their index buckets.
 func (t *FlowTable) AddBatch(es []*FlowEntry) {
 	if len(es) == 0 {
 		return
@@ -404,7 +442,7 @@ func (t *FlowTable) AddBatch(es []*FlowEntry) {
 	for _, e := range fresh {
 		t.bucketUpdateLocked(e, func(list []*FlowEntry) []*FlowEntry { return insertSorted(list, e) })
 	}
-	t.invalidateLocked()
+	t.invalidateLocked(es)
 }
 
 // Delete removes rules whose match equals m (strict) at the given priority;
@@ -423,7 +461,7 @@ func (t *FlowTable) Delete(m policy.Match, priority uint16, strict bool) int {
 		delete(t.byRule, k)
 		t.entries = removeSorted(t.entries, e)
 		t.bucketUpdateLocked(e, func(list []*FlowEntry) []*FlowEntry { return removeSorted(list, e) })
-		t.invalidateLocked()
+		t.invalidateLocked([]*FlowEntry{e})
 		return 1
 	}
 	kept := t.entries[:0]
@@ -440,7 +478,7 @@ func (t *FlowTable) Delete(m policy.Match, priority uint16, strict bool) int {
 		clear(t.entries[len(kept):])
 		t.entries = kept
 		t.rebuildIndexLocked()
-		t.invalidateLocked()
+		t.invalidateLocked(nil)
 	}
 	return removed
 }
@@ -453,7 +491,7 @@ func (t *FlowTable) Clear() {
 	t.byRule = make(map[ruleKey]*FlowEntry)
 	t.seq = 0
 	t.rebuildIndexLocked()
-	t.invalidateLocked()
+	t.invalidateLocked(nil)
 }
 
 // mac48 packs a MAC into a uint64 for hashing.
@@ -502,9 +540,9 @@ func microflowIndex(p policy.Packet) uint64 {
 // Lookup returns the highest-priority entry covering pkt and bumps its
 // counters by size bytes: a LookupBatch of one. Repeated lookups of the same
 // header tuple are answered lock-free from the microflow cache until the
-// table next mutates; new tuples inside a cached traffic aggregate are
-// answered lock-free by the megaflow tier. Only a genuinely new aggregate
-// pays the classifier.
+// table next changes a rule for its dst MAC; new tuples inside a cached
+// traffic aggregate are answered lock-free by the megaflow tier. Only a
+// genuinely new aggregate pays the classifier.
 func (t *FlowTable) Lookup(pkt policy.Packet, size int) (*FlowEntry, bool) {
 	keys, sizes, out := [1]policy.Packet{pkt}, [1]int{size}, [1]*FlowEntry{}
 	t.LookupBatch(keys[:], sizes[:], out[:])
@@ -515,8 +553,9 @@ func (t *FlowTable) Lookup(pkt policy.Packet, size int) (*FlowEntry, bool) {
 // masked tuple and checks the tuple's two candidate slots (2-way set
 // associativity — two aggregates whose hashes share a primary slot would
 // otherwise evict each other on every alternation). A hit (entry may be nil
-// — a cached table miss) is valid only at the current generation. Lock-free.
-func (t *FlowTable) megaLookup(pkt policy.Packet, gen uint64) (*FlowEntry, bool) {
+// — a cached table miss) is valid only at stamp, pkt's current stamp (every
+// group keeps the dst MAC, so one stamp serves them all). Lock-free.
+func (t *FlowTable) megaLookup(pkt policy.Packet, stamp uint64) (*FlowEntry, bool) {
 	groups := t.megaGroups.Load()
 	if groups == nil {
 		return nil, false
@@ -524,10 +563,10 @@ func (t *FlowTable) megaLookup(pkt policy.Packet, gen uint64) (*FlowEntry, bool)
 	for _, g := range *groups {
 		key := g.mask.project(pkt)
 		h := packetHash(key)
-		if s := g.slots[h&(megaflowSlots-1)].Load(); s != nil && s.gen == gen && s.key == key {
+		if s := g.slots[h&(megaflowSlots-1)].Load(); s != nil && s.stamp == stamp && s.key == key {
 			return s.entry, true
 		}
-		if s := g.slots[(h>>32)&(megaflowSlots-1)].Load(); s != nil && s.gen == gen && s.key == key {
+		if s := g.slots[(h>>32)&(megaflowSlots-1)].Load(); s != nil && s.stamp == stamp && s.key == key {
 			return s.entry, true
 		}
 	}
@@ -535,11 +574,11 @@ func (t *FlowTable) megaLookup(pkt policy.Packet, gen uint64) (*FlowEntry, bool)
 }
 
 // megaInstall publishes a classification into the megaflow tier under the
-// mask its scan produced. Callers hold mu (read suffices): gen is the
-// generation observed under the lock, so the entry is exactly as valid as
-// the scan. Group creation is copy-on-write under megaMu; at the mask cap
-// the result is simply not cached.
-func (t *FlowTable) megaInstall(mask lookupMask, pkt policy.Packet, gen uint64, e *FlowEntry) {
+// mask its scan produced. Callers hold mu (read suffices): stamp is pkt's
+// stamp observed under the lock, so the entry is exactly as valid as the
+// scan. Group creation is copy-on-write under megaMu; at the mask cap the
+// result is simply not cached.
+func (t *FlowTable) megaInstall(mask lookupMask, pkt policy.Packet, stamp uint64, e *FlowEntry) {
 	g := t.megaGroup(mask)
 	if g == nil {
 		return
@@ -548,11 +587,13 @@ func (t *FlowTable) megaInstall(mask lookupMask, pkt policy.Packet, gen uint64, 
 	h := packetHash(key)
 	// Prefer the primary slot; if it holds a different still-live aggregate,
 	// take the secondary so the two coexist instead of evicting each other.
+	// The occupant may answer for another dst MAC: it is live by its own
+	// key's stamp.
 	i := h & (megaflowSlots - 1)
-	if s := g.slots[i].Load(); s != nil && s.gen == gen && s.key != key {
+	if s := g.slots[i].Load(); s != nil && s.key != key && s.stamp == t.stamp(s.key.DstMAC) {
 		i = (h >> 32) & (megaflowSlots - 1)
 	}
-	g.slots[i].Store(&megaflowEntry{key: key, gen: gen, entry: e})
+	g.slots[i].Store(&megaflowEntry{key: key, stamp: stamp, entry: e})
 }
 
 // megaGroup finds or creates the group for mask (nil at the cap).
@@ -607,15 +648,15 @@ func (t *FlowTable) LookupBatch(keys []policy.Packet, sizes []int, out []*FlowEn
 			continue
 		}
 		pkt := keys[i]
-		// Reload gen per frame: a concurrent mutation mid-batch must not
-		// let later frames hit (and bump counters on) replaced entries.
-		gen := t.gen.Load()
-		if s := t.cache[microflowIndex(pkt)].Load(); s != nil && s.gen == gen && s.pkt == pkt {
+		// Reload the stamp per frame: a concurrent mutation mid-batch must
+		// not let later frames hit (and bump counters on) replaced entries.
+		stamp := t.stamp(pkt.DstMAC)
+		if s := t.cache[microflowIndex(pkt)].Load(); s != nil && s.stamp == stamp && s.pkt == pkt {
 			microHits++
 			out[i] = s.entry
 			continue
 		}
-		if e, ok := t.megaLookup(pkt, gen); ok {
+		if e, ok := t.megaLookup(pkt, stamp); ok {
 			megaHits++
 			out[i] = e
 			continue
@@ -631,13 +672,14 @@ func (t *FlowTable) LookupBatch(keys []policy.Packet, sizes []int, out []*FlowEn
 				continue
 			}
 			pkt := keys[i]
+			stamp := t.stamp(pkt.DstMAC)
 			// An earlier miss in this batch may have installed the covering
 			// megaflow aggregate; re-probe before paying the classifier. The
 			// batch's first miss has no earlier one to profit from and goes
 			// straight to the classifier, so a batch of one that fell through
 			// both tiers is always a miss.
 			if installed {
-				if e, ok := t.megaLookup(pkt, t.gen.Load()); ok {
+				if e, ok := t.megaLookup(pkt, stamp); ok {
 					megaHits++
 					out[i] = e
 					continue
@@ -646,15 +688,14 @@ func (t *FlowTable) LookupBatch(keys []policy.Packet, sizes []int, out []*FlowEn
 			installed = true
 			misses++
 			e, mask := t.classifyLocked(pkt)
-			// Publish at the generation observed under the read lock:
-			// mutations take the write lock, so gen cannot move while we
-			// hold it and the slot is exactly as valid as the scan that
-			// produced it. The megaflow entry is keyed by the union mask of
-			// the fields the scan examined, so the whole aggregate of
-			// packets that would take the identical scan hits it.
-			g := t.gen.Load()
-			t.cache[microflowIndex(pkt)].Store(&microflowSlot{pkt: pkt, gen: g, entry: e})
-			t.megaInstall(mask, pkt, g, e)
+			// Publish at the stamp observed under the read lock: mutations
+			// take the write lock, so the stamp cannot move while we hold
+			// it and the slot is exactly as valid as the scan that produced
+			// it. The megaflow entry is keyed by the union mask of the
+			// fields the scan examined, so the whole aggregate of packets
+			// that would take the identical scan hits it.
+			t.cache[microflowIndex(pkt)].Store(&microflowSlot{pkt: pkt, stamp: stamp, entry: e})
+			t.megaInstall(mask, pkt, stamp, e)
 			out[i] = e
 		}
 		t.mu.RUnlock()
@@ -750,9 +791,7 @@ func (t *FlowTable) Len() int {
 	return len(t.entries)
 }
 
-// CacheStats returns the flow-cache counters and the number of slots valid
-// at the current table generation in each tier (the latter cost a scan of
-// the slot arrays; they are meant for scrape-time collection).
+// CacheStats returns the flow-cache counters, in O(1).
 func (t *FlowTable) CacheStats() CacheStats {
 	st := CacheStats{
 		Hits:          t.cacheHits.Value(),
@@ -760,23 +799,30 @@ func (t *FlowTable) CacheStats() CacheStats {
 		Invalidations: t.cacheInvalidations.Value(),
 		MegaflowHits:  t.megaflowHits.Value(),
 	}
-	gen := t.gen.Load()
+	if groups := t.megaGroups.Load(); groups != nil {
+		st.MegaflowMasks = len(*groups)
+	}
+	return st
+}
+
+// CacheOccupancy counts the slots valid now in each cache tier. It scans
+// every slot array, so it is meant for scrape-time gauges, not hot paths.
+func (t *FlowTable) CacheOccupancy() (microflow, megaflow int) {
 	for i := range t.cache {
-		if s := t.cache[i].Load(); s != nil && s.gen == gen {
-			st.Entries++
+		if s := t.cache[i].Load(); s != nil && s.stamp == t.stamp(s.pkt.DstMAC) {
+			microflow++
 		}
 	}
 	if groups := t.megaGroups.Load(); groups != nil {
-		st.MegaflowMasks = len(*groups)
 		for _, g := range *groups {
 			for i := range g.slots {
-				if s := g.slots[i].Load(); s != nil && s.gen == gen {
-					st.MegaflowEntries++
+				if s := g.slots[i].Load(); s != nil && s.stamp == t.stamp(s.key.DstMAC) {
+					megaflow++
 				}
 			}
 		}
 	}
-	return st
+	return microflow, megaflow
 }
 
 // Entries returns a snapshot of the rules in priority order. Counter values

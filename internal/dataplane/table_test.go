@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"reflect"
 	"slices"
 	"sort"
@@ -152,6 +153,16 @@ func (m *tableModel) delete(match policy.Match, priority uint16, strict bool) in
 	return removed
 }
 
+// firstCover returns the cookie of the first rule in sorted covering pkt.
+func firstCover(sorted []modelRule, pkt policy.Packet) (uint64, bool) {
+	for _, r := range sorted {
+		if r.match.Covers(pkt) {
+			return r.cookie, true
+		}
+	}
+	return 0, false
+}
+
 func (m *tableModel) sorted() []modelRule {
 	out := slices.Clone(m.rules)
 	sort.Slice(out, func(i, j int) bool {
@@ -163,12 +174,70 @@ func (m *tableModel) sorted() []modelRule {
 	return out
 }
 
+// stripeMate returns a MAC other than mac, outside randMatch's dst-MAC
+// pool, whose generation stripe is mac's.
+func stripeMate(mac netutil.MAC) netutil.MAC {
+	for v := uint32(1 << 16); ; v++ {
+		if c := netutil.VMAC(v); stripeOf(c) == stripeOf(mac) {
+			return c
+		}
+	}
+}
+
+// modelProbes is the fixed probe set of TestFlowTableMutationModel: packets
+// to a dst MAC the random rules name, to two distinct MACs that share a
+// generation stripe (the second named only by the rules the test rewrites
+// to it), and to a MAC no rule names, across ports, dst ports and dst IPs
+// the rules constrain. No two probes share a microflow slot, so a second
+// pass over them is answered entirely by the caches.
+func modelProbes(mate netutil.MAC) []policy.Packet {
+	var probes []policy.Packet
+	slots := make(map[uint64]bool)
+	for _, mac := range []netutil.MAC{netutil.VMAC(0), netutil.VMAC(1), mate, netutil.VMAC(7)} {
+		for _, port := range []uint16{1, 3} {
+			for _, dport := range []uint16{80, 81} {
+				for _, octet := range []byte{0, 1} {
+					pkt := policy.Packet{Port: port, SrcMAC: netutil.VMAC(100), DstMAC: mac, EthType: 0x0800,
+						SrcIP: netip.AddrFrom4([4]byte{10, 0, 0, 1}), DstIP: netip.AddrFrom4([4]byte{10, octet, 0, 1}),
+						Proto: 17, SrcPort: 4000, DstPort: dport}
+					for slots[microflowIndex(pkt)] { // no rule constrains the source port
+						pkt.SrcPort++
+					}
+					slots[microflowIndex(pkt)] = true
+					probes = append(probes, pkt)
+				}
+			}
+		}
+	}
+	return probes
+}
+
 // TestFlowTableMutationModel drives seeded random writes — Add, AddBatch
 // with in-batch duplicates and replacements, strict and wildcard Delete,
 // Clear — into a FlowTable and a reference model side by side. After every
 // step Entries() must equal the model rule for rule (match, priority,
 // cookie, actions, position) and the table's internal invariants must hold.
+// Then a fixed probe set goes through LookupBatch twice — the first pass may
+// populate the caches, the second must be served from them — and both
+// passes must return the model's first covering rule: a write that fails to
+// invalidate a cached flow it changes shows up as a stale answer.
 func TestFlowTableMutationModel(t *testing.T) {
+	mate := stripeMate(netutil.VMAC(1))
+	probes := modelProbes(mate)
+	sizes := make([]int, len(probes))
+	for i := range sizes {
+		sizes[i] = 1
+	}
+	out := make([]*FlowEntry, len(probes))
+	// match draws a random rule match; some that name VMAC(1) name its
+	// stripe mate instead.
+	match := func(rng *rand.Rand) policy.Match {
+		m := randMatch(rng)
+		if mac, ok := m.GetDstMAC(); ok && mac == netutil.VMAC(1) && rng.Intn(2) == 0 {
+			m = m.DstMAC(mate)
+		}
+		return m
+	}
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ft := NewFlowTable()
@@ -193,7 +262,7 @@ func TestFlowTableMutationModel(t *testing.T) {
 			switch r := rng.Intn(20); {
 			case r < 5:
 				op = "Add"
-				e := fresh(randMatch(rng), uint16(1+rng.Intn(8)))
+				e := fresh(match(rng), uint16(1+rng.Intn(8)))
 				if old := installed(); old != nil && rng.Intn(3) == 0 {
 					e = fresh(old.Match, old.Priority) // replacement
 				}
@@ -221,7 +290,7 @@ func TestFlowTableMutationModel(t *testing.T) {
 					case k < 6 && old != nil: // re-adds an installed entry
 						batch = append(batch, old)
 					default:
-						batch = append(batch, fresh(randMatch(rng), uint16(1+rng.Intn(8))))
+						batch = append(batch, fresh(match(rng), uint16(1+rng.Intn(8))))
 					}
 				}
 				ft.AddBatch(batch)
@@ -230,7 +299,7 @@ func TestFlowTableMutationModel(t *testing.T) {
 				}
 			case r < 16:
 				op = "strict Delete"
-				m, prio := randMatch(rng), uint16(1+rng.Intn(8))
+				m, prio := match(rng), uint16(1+rng.Intn(8))
 				if old := installed(); old != nil && rng.Intn(4) != 0 {
 					m, prio = old.Match, old.Priority
 				}
@@ -239,7 +308,7 @@ func TestFlowTableMutationModel(t *testing.T) {
 				}
 			case r < 19:
 				op = "wildcard Delete"
-				m := randMatch(rng)
+				m := match(rng)
 				if got, want := ft.Delete(m, 0, false), model.delete(m, 0, false); got != want {
 					t.Fatalf("seed %d step %d: wildcard Delete removed %d, model %d", seed, step, got, want)
 				}
@@ -261,6 +330,21 @@ func TestFlowTableMutationModel(t *testing.T) {
 					!reflect.DeepEqual(g.Actions, w.actions) {
 					t.Fatalf("seed %d step %d (%s): rule %d = %v cookie %d, model %v priority %d cookie %d\ntable:\n%s",
 						seed, step, op, i, g.String(), g.Cookie, w.match, w.priority, w.cookie, ft.Dump())
+				}
+			}
+			for pass := 1; pass <= 2; pass++ {
+				before := ft.CacheStats()
+				ft.LookupBatch(probes, sizes, out)
+				if st := ft.CacheStats(); pass == 2 && st.Misses != before.Misses {
+					t.Fatalf("seed %d step %d (%s): %d of %d probes missed both caches on the second pass",
+						seed, step, op, st.Misses-before.Misses, len(probes))
+				}
+				for i, pkt := range probes {
+					cookie, ok := firstCover(want, pkt)
+					if got := out[i]; (got != nil) != ok || ok && got.Cookie != cookie {
+						t.Fatalf("seed %d step %d (%s) pass %d: probe %+v got %v, model cookie %d (ok=%v)\ntable:\n%s",
+							seed, step, op, pass, pkt, got, cookie, ok, ft.Dump())
+					}
 				}
 			}
 		}
