@@ -38,11 +38,13 @@ race:
 bench-harness:
 	bash benchmark/run.sh --workload all --seed 1 --seconds 1 --trace 0
 
-# Every benchmark in the root bench_test.go and in internal/dataplane
-# (BenchmarkFlowTableDiffPush, BenchmarkInjectTelemetryOverhead), once:
-# keeps them compiling and running.
+# Every benchmark in the root bench_test.go, internal/dataplane
+# (BenchmarkFlowTableDiffPush, BenchmarkInjectTelemetryOverhead) and
+# internal/policy (BenchmarkCompileDisjointUnion, the compiler's Union over
+# 300 port-disjoint participants), once: keeps them compiling and running,
+# and puts the Union's compile time in every check log.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/dataplane
+	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/dataplane ./internal/policy
 
 # Every Fuzz* target in the module for ten seconds each (plain `go test`
 # runs only their seed corpora). A failing input lands in the package's

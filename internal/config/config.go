@@ -193,7 +193,7 @@ func (f *File) validate() error {
 			return fmt.Errorf("config: duplicate multicast group %q", g.Name)
 		}
 		groupNames[g.Name] = true
-		if _, err := netip.ParsePrefix(g.Prefix); err != nil {
+		if _, err := netutil.ParseIPv4Prefix(g.Prefix); err != nil {
 			return fmt.Errorf("config: group %q prefix: %w", g.Name, err)
 		}
 		if len(g.Members) < 2 {
@@ -262,14 +262,14 @@ func (b Branch) validate(ref branchRefs) error {
 func (m MatchConfig) toMatch() (policy.Match, error) {
 	out := policy.MatchAll
 	if m.SrcIP != "" {
-		p, err := netip.ParsePrefix(m.SrcIP)
+		p, err := netutil.ParseIPv4Prefix(m.SrcIP)
 		if err != nil {
 			return out, fmt.Errorf("srcip: %w", err)
 		}
 		out = out.SrcIP(p)
 	}
 	if m.DstIP != "" {
-		p, err := netip.ParsePrefix(m.DstIP)
+		p, err := netutil.ParseIPv4Prefix(m.DstIP)
 		if err != nil {
 			return out, fmt.Errorf("dstip: %w", err)
 		}
@@ -290,14 +290,14 @@ func (m MatchConfig) toMatch() (policy.Match, error) {
 func (m ModConfig) toMods() (policy.Mods, error) {
 	out := policy.Identity
 	if m.SrcIP != "" {
-		a, err := netip.ParseAddr(m.SrcIP)
+		a, err := netutil.ParseIPv4(m.SrcIP)
 		if err != nil {
 			return out, fmt.Errorf("mod srcip: %w", err)
 		}
 		out = out.SetSrcIP(a)
 	}
 	if m.DstIP != "" {
-		a, err := netip.ParseAddr(m.DstIP)
+		a, err := netutil.ParseIPv4(m.DstIP)
 		if err != nil {
 			return out, fmt.Errorf("mod dstip: %w", err)
 		}

@@ -142,6 +142,34 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// Branch matches, rewrites and group prefixes are installed as OpenFlow
+// 1.0's 32-bit nw_src/nw_dst, so Parse rejects an IPv6 address or prefix in
+// any of them, and the error names the field.
+func TestParseRejectsIPv6(t *testing.T) {
+	const port = `"ports": [{"number": 1, "mac": "02:00:00:00:00:01", "routerIP": "10.0.0.1"}]`
+	cases := []struct {
+		branch string
+		want   string
+	}{
+		{`"outbound": [{"match": {"dstip": "2001:db8::/32"}, "fwdTo": "A"}]`, "dstip"},
+		{`"outbound": [{"match": {"srcip": "::ffff:10.0.0.0/104"}, "fwdTo": "A"}]`, "srcip"},
+		{`"inbound": [{"match": {}, "mod": {"dstip": "2001:db8::1"}, "deliver": 1}]`, "mod dstip"},
+		{`"inbound": [{"match": {}, "mod": {"srcip": "::1"}, "deliver": 1}]`, "mod srcip"},
+	}
+	for _, c := range cases {
+		doc := fmt.Sprintf(`{"participants": [{"id": "A", "as": 1, %s, %s}]}`, port, c.branch)
+		_, err := Parse([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), c.want+": ") {
+			t.Errorf("Parse(%s) = %v, want an error naming %s", c.branch, err, c.want)
+		}
+	}
+	group := `{"participants": [{"id": "A", "as": 1}, {"id": "B", "as": 2}],
+	  "groups": [{"name": "g", "prefix": "ff0e::/16", "members": ["A", "B"]}]}`
+	if _, err := Parse([]byte(group)); err == nil || !strings.Contains(err.Error(), "prefix: ") {
+		t.Errorf("Parse(IPv6 group) = %v, want an error naming the prefix", err)
+	}
+}
+
 // An unknown forward target is a Parse error that names the reference, so
 // it never reaches core, which panics on it.
 func TestApplyUnknownFwdTarget(t *testing.T) {

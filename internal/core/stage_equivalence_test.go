@@ -78,8 +78,8 @@ func TestQuickStageMatchesBackgroundStage(t *testing.T) {
 					for _, in := range ingress {
 						if multiPort[in] == fec.First && fec.Second != "" {
 							// Known background-stage defect (ROADMAP, correctness):
-							// policy.concatDisjoint keeps a class's interior
-							// [port=N -> drop] rules, which shadow the own-traffic
+							// a disjoint run keeps a child's interior drop, so a
+							// class's [port=N -> drop] rules shadow the own-traffic
 							// override of every later class with the same
 							// multi-port best advertiser. The quick stage compiles
 							// one class and is right; skip until that is fixed.
@@ -119,7 +119,7 @@ func TestQuickStageMatchesBackgroundStage(t *testing.T) {
 			if diverged > 0 {
 				t.Errorf("%d of %d probes diverge between the stages", diverged, probes)
 			}
-			t.Logf("%d probes, %d diverge; %d ingress ports skipped for the concatDisjoint defect", probes, diverged, knownBad)
+			t.Logf("%d probes, %d diverge; %d ingress ports skipped for the interior-drop defect", probes, diverged, knownBad)
 		})
 	}
 }

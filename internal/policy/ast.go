@@ -247,8 +247,10 @@ func (i *If) Eval(pkt Packet) []Packet {
 	return i.Else.Eval(pkt)
 }
 
+// String renders in Parse's syntax, as every node Parse builds does, so a
+// parsed policy's rendering parses back to the same policy.
 func (i *If) String() string {
-	return fmt.Sprintf("if_(%s, %s, %s)", i.Pred, i.Then, i.Else)
+	return fmt.Sprintf("if(%s, %s, %s)", i.Pred, i.Then, i.Else)
 }
 
 func joinPolicies(ps []Policy, sep string) string {
@@ -317,7 +319,7 @@ func (p *OrPred) String() string {
 	for i, c := range p.Children {
 		parts[i] = c.String()
 	}
-	return "(" + strings.Join(parts, " || ") + ")"
+	return "(" + strings.Join(parts, " + ") + ")"
 }
 
 // AndPred is predicate conjunction.
@@ -356,7 +358,7 @@ func (p *AndPred) String() string {
 	for i, c := range p.Children {
 		parts[i] = c.String()
 	}
-	return "(" + strings.Join(parts, " && ") + ")"
+	return "(" + strings.Join(parts, " >> ") + ")"
 }
 
 // NotPred is predicate negation.

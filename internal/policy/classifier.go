@@ -142,20 +142,114 @@ func parallelCompose(a, b Classifier) Classifier {
 	return Classifier{Rules: dedupMatches(rules)}
 }
 
-// concatDisjoint implements "+" for classifiers known to match disjoint
-// flow spaces (the paper's §4.3 "most SDX policies are disjoint"
-// optimization): the rules can simply be concatenated, skipping the
-// quadratic pairwise intersection. Each input's trailing drop run (its
-// completion catch-alls) is stripped and a single catch-all drop restores
-// completeness. Soundness requires every non-drop rule of a and b to sit
-// in disjoint flow spaces; the SDX compiler guarantees this by
-// construction because isolated policies differ on the port field.
-func concatDisjoint(a, b Classifier) Classifier {
-	rules := make([]Rule, 0, len(a.Rules)+len(b.Rules)+1)
-	rules = append(rules, stripTail(a.Rules)...)
-	rules = append(rules, stripTail(b.Rules)...)
-	rules = append(rules, Rule{Match: MatchAll})
-	return Classifier{Rules: dedupMatches(rules)}
+// disjointRun implements "+" over a run of classifiers known to match
+// disjoint flow spaces (the paper's §4.3 "most SDX policies are disjoint"
+// optimization): their rules can simply be concatenated, skipping the
+// quadratic pairwise intersection. Each member's trailing drop run (its
+// completion catch-alls) is stripped, and one catch-all drop restores
+// completeness when the run is materialised. Soundness requires every
+// non-drop rule of a member to sit in a flow space disjoint from every
+// non-drop rule before it; the SDX compiler guarantees this by construction
+// because isolated policies differ on the port field.
+//
+// The run grows in place: admitting a member costs time in the member's
+// size and in the run's rules on the member's ports, not in the whole run.
+// Rules are deduplicated as they arrive, and the surviving non-drop rules
+// are indexed by ingress port. The index is exact: two matches that
+// constrain the port to different values are disjoint, so a rule on port p
+// can overlap only the indexed rules on port p and the port-less ones.
+type disjointRun struct {
+	head   Classifier // the first member, returned as is if no other joins
+	joined bool       // a second member has been added
+	rules  []Rule
+	seen   map[Match]bool
+	byPort map[uint16][]int // positions in rules of the non-drop rules on each port
+	wild   []int            // positions in rules of the port-less non-drop rules
+}
+
+func newDisjointRun(head Classifier) *disjointRun {
+	r := &disjointRun{
+		head:   head,
+		rules:  make([]Rule, 0, len(head.Rules)),
+		seen:   make(map[Match]bool, len(head.Rules)),
+		byPort: make(map[uint16][]int),
+	}
+	r.append(head.Rules)
+	return r
+}
+
+// disjoint reports whether every non-drop rule of cl is disjoint from every
+// non-drop rule of the run, the precondition for adding cl.
+func (r *disjointRun) disjoint(cl Classifier) bool {
+	for _, rb := range cl.Rules {
+		if rb.IsDrop() {
+			continue
+		}
+		if port, ok := rb.Match.GetPort(); ok {
+			if !r.disjointAt(rb.Match, r.byPort[port]) || !r.disjointAt(rb.Match, r.wild) {
+				return false
+			}
+			continue
+		}
+		for _, ra := range r.rules {
+			if !ra.IsDrop() && !ra.Match.Disjoint(rb.Match) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (r *disjointRun) disjointAt(m Match, positions []int) bool {
+	for _, i := range positions {
+		if !r.rules[i].Match.Disjoint(m) {
+			return false
+		}
+	}
+	return true
+}
+
+// add appends cl, which must be disjoint from the run. The run's own
+// trailing drop run is stripped first, as every member's is; the catch-all
+// that stands in for it is appended once, by classifier.
+func (r *disjointRun) add(cl Classifier) {
+	for n := len(r.rules); n > 0 && r.rules[n-1].IsDrop(); n-- {
+		delete(r.seen, r.rules[n-1].Match)
+		r.rules = r.rules[:n-1]
+	}
+	r.joined = true
+	r.append(cl.Rules)
+}
+
+// append adds the rules before the trailing drop run whose exact match has
+// not appeared earlier in the run (the rest are unreachable).
+func (r *disjointRun) append(rules []Rule) {
+	for _, rule := range stripTail(rules) {
+		if r.seen[rule.Match] {
+			continue
+		}
+		r.seen[rule.Match] = true
+		if !rule.IsDrop() {
+			if port, ok := rule.Match.GetPort(); ok {
+				r.byPort[port] = append(r.byPort[port], len(r.rules))
+			} else {
+				r.wild = append(r.wild, len(r.rules))
+			}
+		}
+		r.rules = append(r.rules, rule)
+	}
+}
+
+// classifier materialises the run: its rules followed by the catch-all
+// drop, unless a catch-all match is already among them.
+func (r *disjointRun) classifier() Classifier {
+	if !r.joined {
+		return r.head
+	}
+	if !r.seen[MatchAll] {
+		r.rules = append(r.rules, Rule{Match: MatchAll})
+	}
+	return Classifier{Rules: r.rules}
 }
 
 // stripTail returns rules without the trailing run of drop rules. Interior

@@ -111,39 +111,27 @@ func (u *Union) compile(c *compiler) Classifier {
 		return Drop{}.compile(c)
 	}
 	out := c.compilePolicy(u.Children[0])
+	var run *disjointRun // the run out heads, built when the next child needs it
 	for _, ch := range u.Children[1:] {
 		p := c.compilePolicy(ch)
-		if !c.opts.NoDisjoint && nonDropDisjoint(out, p) {
-			c.stats.DisjointCat++
-			out = concatDisjoint(out, p)
-		} else {
-			c.stats.Parallel++
-			out = parallelCompose(out, p)
-		}
-	}
-	return out
-}
-
-// nonDropDisjoint reports whether every non-drop rule of a is disjoint from
-// every non-drop rule of b, the §4.3 precondition for replacing parallel
-// composition with concatenation. The scan is quadratic in rule count but
-// each check is a cheap field comparison, and isolated SDX policies decide
-// it on the first (port) field.
-func nonDropDisjoint(a, b Classifier) bool {
-	for _, ra := range a.Rules {
-		if ra.IsDrop() {
-			continue
-		}
-		for _, rb := range b.Rules {
-			if rb.IsDrop() {
+		if !c.opts.NoDisjoint {
+			if run == nil {
+				run = newDisjointRun(out)
+			}
+			if run.disjoint(p) {
+				c.stats.DisjointCat++
+				run.add(p)
 				continue
 			}
-			if !ra.Match.Disjoint(rb.Match) {
-				return false
-			}
+			out, run = run.classifier(), nil
 		}
+		c.stats.Parallel++
+		out = parallelCompose(out, p)
 	}
-	return true
+	if run != nil {
+		out = run.classifier()
+	}
+	return out
 }
 
 func (s *Seq) compile(c *compiler) Classifier {

@@ -24,12 +24,13 @@ import (
 //	        | "fwd" "(" IDENT ")" | "if" "(" policy "," policy "," policy ")"
 //	        | "drop" | "identity"
 //
-// Match/mod fields: srcip, dstip (CIDR for match, address for mod), srcmac,
-// dstmac, ethtype, proto, srcport, dstport. fwd(NAME) substitutes the policy
-// bound to NAME in symbols — the SDX controller binds participant names to
-// virtual-switch forwards and port names to deliveries, so the same surface
-// syntax covers outbound fwd(B) and inbound fwd(B1). The predicate of if()
-// must be a pure filter (match expressions combined with + and >>).
+// Match/mod fields: srcip, dstip (IPv4 only: CIDR for match, address for
+// mod), srcmac, dstmac, ethtype, proto, srcport, dstport. fwd(NAME)
+// substitutes the policy bound to NAME in symbols — the SDX controller binds
+// participant names to virtual-switch forwards and port names to
+// deliveries, so the same surface syntax covers outbound fwd(B) and inbound
+// fwd(B1). The predicate of if() must be a pure filter (match expressions
+// combined with + and >>).
 func Parse(src string, symbols map[string]Policy) (Policy, error) {
 	// Accept the String() rendering of Mods, which writes ":=" for
 	// assignments; a ":=" sequence cannot occur inside any valid value.
@@ -428,13 +429,13 @@ func (p *parser) parseModArgs() (Mods, error) {
 	for k, v := range fields {
 		switch k {
 		case "srcip":
-			a, err := netip.ParseAddr(v)
+			a, err := netutil.ParseIPv4(v)
 			if err != nil {
 				return mods, fmt.Errorf("policy: mod srcip: %w", err)
 			}
 			mods = mods.SetSrcIP(a)
 		case "dstip":
-			a, err := netip.ParseAddr(v)
+			a, err := netutil.ParseIPv4(v)
 			if err != nil {
 				return mods, fmt.Errorf("policy: mod dstip: %w", err)
 			}
@@ -471,12 +472,13 @@ func (p *parser) parseModArgs() (Mods, error) {
 }
 
 // parsePrefixOrHost accepts both 10.0.0.0/8 and a bare address (as a /32),
-// matching the paper's examples which write match(dstip=74.125.1.1).
+// matching the paper's examples which write match(dstip=74.125.1.1). Both
+// must be IPv4.
 func parsePrefixOrHost(s string) (netip.Prefix, error) {
 	if strings.Contains(s, "/") {
-		return netip.ParsePrefix(s)
+		return netutil.ParseIPv4Prefix(s)
 	}
-	a, err := netip.ParseAddr(s)
+	a, err := netutil.ParseIPv4(s)
 	if err != nil {
 		return netip.Prefix{}, err
 	}

@@ -3,6 +3,8 @@ package policy
 import (
 	"math/rand"
 	"net/netip"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -165,10 +167,33 @@ func TestParseErrors(t *testing.T) {
 		`(match(dstport=80) >> fwd(B)`,
 		`match(dstport=80) >> fwd(B)) + drop`,
 		`match(dstport=80) > fwd(B)`,
+		`match(dstip=2001:db8::/32) >> fwd(B)`,
+		`match(srcip=::1) >> fwd(B)`,
+		`match(srcip=::ffff:10.0.0.0/104) >> fwd(B)`,
+		`mod(dstip=2001:db8::1)`,
+		`mod(srcip=::ffff:10.0.0.1)`,
 	}
 	for _, src := range cases {
 		if _, err := Parse(src, symbols()); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
+}
+
+// The fabric matches IPv4 headers and OpenFlow 1.0 carries 32-bit
+// nw_src/nw_dst, so an IPv6 address in a match or mod is an error that
+// names the field, never a rule installed as 0.0.0.0/N.
+func TestParseRejectsIPv6(t *testing.T) {
+	cases := map[string]string{
+		`match(dstip=2001:db8::/32) >> fwd(B)`: "dstip",
+		`match(srcip=::1)`:                     "srcip",
+		`mod(dstip=2001:db8::1)`:               "mod dstip",
+		`mod(srcip=::ffff:10.0.0.1)`:           "mod srcip",
+	}
+	for src, field := range cases {
+		_, err := Parse(src, symbols())
+		if err == nil || !strings.Contains(err.Error(), "policy: "+field+": ") {
+			t.Errorf("Parse(%q) = %v, want an error naming %s", src, err, field)
 		}
 	}
 }
@@ -223,4 +248,103 @@ func randPrintablePolicy(rng *rand.Rand, depth int) Policy {
 		return Par(a, b)
 	}
 	return SeqOf(a, b)
+}
+
+// fuzzSymbols binds each name the paper examples forward to, and the
+// decimal port its forward renders as, to a plain forward: the rendering of
+// any policy parsed with them names only symbols they bind.
+func fuzzSymbols() map[string]Policy {
+	syms := make(map[string]Policy)
+	for name, port := range map[string]uint16{"B": 100, "C": 101, "B1": 0x8002, "B2": 0x8003, "I1": 0x8004, "I2": 0x8005} {
+		syms[name] = Fwd(port)
+		syms[strconv.Itoa(int(port))] = Fwd(port)
+	}
+	return syms
+}
+
+// FuzzParse checks that String renders every policy Parse accepts in
+// Parse's own syntax (Parse → String → Parse → String is a fixpoint), and
+// that no srcip/dstip match or mod Parse accepts is anything but IPv4.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		`(match(dstport=80) >> fwd(B)) + (match(dstport=443) >> fwd(C))`,
+		`(match(srcip=0.0.0.0/1) >> fwd(B1)) + (match(srcip=128.0.0.0/1) >> fwd(B2))`,
+		`match(dstip=74.125.1.1) >> ((match(srcip=96.25.160.0/24) >> mod(dstip=74.125.224.161)) + (match(srcip=128.125.163.0/24) >> mod(dstip=74.125.137.139)))`,
+		`if(match(srcip=204.57.0.67), fwd(I2), fwd(I1))`,
+		`if(match(dstport=80) + match(dstport=8080), fwd(B), drop)`,
+		`if(match(dstport=80) >> match(proto=6), fwd(B), drop)`,
+		`match(srcmac=02:00:00:00:00:01, ethtype=0x0800, proto=17, srcport=53) >> fwd(B)`,
+		`mod(srcip=9.9.9.9, srcport=1234, dstmac=02:0b:00:00:00:01)`,
+		`match() >> fwd(B)`,
+		`match(dstip=2001:db8::/32) >> fwd(B)`,
+	} {
+		f.Add(seed)
+	}
+	syms := fuzzSymbols()
+	f.Fuzz(func(t *testing.T, src string) {
+		pol, err := Parse(src, syms)
+		if err != nil {
+			return
+		}
+		checkIPv4(t, pol)
+		first := pol.String()
+		again, err := Parse(first, syms)
+		if err != nil {
+			t.Fatalf("Parse(%q) renders as %q, which does not parse: %v", src, first, err)
+		}
+		if second := again.String(); second != first {
+			t.Fatalf("Parse(%q) renders as %q, which re-renders as %q", src, first, second)
+		}
+	})
+}
+
+// checkIPv4 fails t if any srcip/dstip match or mod in pol is not IPv4.
+func checkIPv4(t *testing.T, pol Policy) {
+	t.Helper()
+	checkMatch := func(m Match) {
+		for _, get := range []func() (netip.Prefix, bool){m.GetSrcIP, m.GetDstIP} {
+			if p, ok := get(); ok && !p.Addr().Is4() {
+				t.Fatalf("%s: match on non-IPv4 prefix %s", pol, p)
+			}
+		}
+	}
+	var checkPred func(Predicate)
+	checkPred = func(p Predicate) {
+		switch v := p.(type) {
+		case *MatchPred:
+			checkMatch(v.Match)
+		case *OrPred:
+			for _, c := range v.Children {
+				checkPred(c)
+			}
+		case *AndPred:
+			for _, c := range v.Children {
+				checkPred(c)
+			}
+		case *NotPred:
+			checkPred(v.Child)
+		}
+	}
+	switch v := pol.(type) {
+	case *Test:
+		checkMatch(v.Match)
+	case *Mod:
+		for _, get := range []func() (netip.Addr, bool){v.Mods.GetSrcIP, v.Mods.GetDstIP} {
+			if a, ok := get(); ok && !a.Is4() {
+				t.Fatalf("%s: rewrite to non-IPv4 address %s", pol, a)
+			}
+		}
+	case *Union:
+		for _, c := range v.Children {
+			checkIPv4(t, c)
+		}
+	case *Seq:
+		for _, c := range v.Children {
+			checkIPv4(t, c)
+		}
+	case *If:
+		checkPred(v.Pred)
+		checkIPv4(t, v.Then)
+		checkIPv4(t, v.Else)
+	}
 }
