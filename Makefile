@@ -33,10 +33,14 @@ race:
 	$(GO) test -race ./...
 
 # The benchmark harness exactly as BENCHMARK.json's command runs it, every
-# workload for one second: it exits non-zero on any oracle or validity
-# failure, so a harness that stops running fails the check.
+# workload for BENCHMARK.json's run_seconds (10 s): it exits non-zero on any
+# oracle or validity failure, so a harness that stops running fails the
+# check. A 1 s run is not enough: only a full-length run reaches the
+# windows, background recompilations and cycle counts the benchmark
+# measures, so an oracle that fails late shows only there (about 80 s wall
+# for all seven workloads on a 2-core VM).
 bench-harness:
-	bash benchmark/run.sh --workload all --seed 1 --seconds 1 --trace 0
+	bash benchmark/run.sh --workload all --seed 1 --seconds 10 --trace 0
 
 # Every benchmark in the root bench_test.go, internal/dataplane
 # (BenchmarkFlowTableDiffPush, BenchmarkInjectTelemetryOverhead) and
@@ -48,12 +52,17 @@ bench:
 
 # Every Fuzz* target in the module for ten seconds each (plain `go test`
 # runs only their seed corpora). A failing input lands in the package's
-# testdata/fuzz directory, where `go test` replays it from then on.
+# testdata/fuzz directory, where `go test` replays it from then on. Go's
+# minimizer is quadratic in input length, so a target seeded with a
+# multi-kilobyte message (FuzzDecodeFlowStatsReply's table dump) would spend
+# its whole budget shrinking each new interesting input: minimizing is
+# capped at 5 s (that target, cold cache, 60 s on a 2-core VM: 6.7k execs
+# uncapped, 157k capped).
 fuzz:
 	@set -e; for f in $$(grep -rlE '^func Fuzz' --include='*_test.go' --exclude-dir='.[!.]*' .); do \
 		for t in $$(grep -oE '^func Fuzz[A-Za-z0-9_]*' $$f | cut -d' ' -f2); do \
 			echo "fuzz $$(dirname $$f) $$t"; \
-			$(GO) test $$(dirname $$f) -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s; \
+			$(GO) test $$(dirname $$f) -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s -fuzzminimizetime 5s; \
 		done; \
 	done
 

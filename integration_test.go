@@ -1,8 +1,10 @@
 package sdx
 
 import (
+	"fmt"
 	"net"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"sdx/internal/packet"
 	"sdx/internal/policy"
 	"sdx/internal/routeserver"
+	"sdx/internal/telemetry"
 )
 
 // TestLiveExchange wires every subsystem together the way the daemons do —
@@ -55,36 +58,43 @@ func TestLiveExchange(t *testing.T) {
 	fe := routeserver.NewFrontend(rs, speaker)
 	fe.NextHop = ctrl.NextHopFor
 
-	// Fabric state shared between the BGP-change handler and the OF loop.
-	var (
-		mu     sync.Mutex
-		ofConn *openflow.Conn
-	)
+	// The fabric side is the daemon's own SwitchServer: it answers ARP
+	// punts, and every quick-stage and background push goes through it.
+	// churnMu serializes the two stages, as the daemon's frontend does by
+	// running OnPrefixes and OnMark in its one sequence (core.Replica.Drive).
+	ofReg := telemetry.NewRegistry()
+	srv := core.NewSwitchServer(nil)
+	srv.HandlePacketIn = ctrl.HandlePacketIn
+	srv.Metrics = openflow.NewMetrics(ofReg)
+	connected := make(chan string, 1)
+	srv.Logf = func(format string, args ...any) {
+		if strings.HasPrefix(format, "core: switch connected") {
+			select {
+			case connected <- fmt.Sprintf(format, args...):
+			default:
+			}
+		}
+	}
+	var churnMu sync.Mutex
 	recompile := func() error {
+		churnMu.Lock()
+		defer churnMu.Unlock()
 		res, err := ctrl.Compile()
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if ofConn != nil {
-			return core.PushBase(ofConn, res)
-		}
-		return nil
+		return srv.SetBase(res)
 	}
 	fe.OnPrefixes = func(touched []netip.Prefix) {
+		churnMu.Lock()
+		defer churnMu.Unlock()
 		fast, err := ctrl.FastReact(touched)
 		if err != nil {
 			t.Errorf("fast path: %v", err)
 			return
 		}
-		mu.Lock()
-		conn := ofConn
-		mu.Unlock()
-		if conn != nil {
-			if err := core.PushFast(conn, fast); err != nil {
-				t.Errorf("pushing fast rules: %v", err)
-			}
+		if err := srv.PushFastAll(fast); err != nil {
+			t.Errorf("pushing fast rules: %v", err)
 		}
 	}
 	for ip, id := range map[netip.Addr]routeserver.ID{ipA: "A", ipB: "B", ipC: "C"} {
@@ -122,39 +132,19 @@ func TestLiveExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := openflow.NewConn(raw)
-	features, err := conn.HandshakeController()
-	if err != nil {
-		t.Fatal(err)
+	go srv.Serve(raw)
+	deadline := time.Now().Add(3 * time.Second)
+	for srv.Switches() != 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	if features.DatapathID != 0xabc {
-		t.Fatalf("dpid = %#x", features.DatapathID)
-	}
-	mu.Lock()
-	ofConn = conn
-	mu.Unlock()
-	// Controller-side receive loop: ARP responder + barrier sink.
-	barriers := make(chan uint32, 64)
-	go func() {
-		for {
-			msg, err := conn.Recv()
-			if err != nil {
-				return
-			}
-			switch msg.Type {
-			case openflow.TypePacketIn:
-				pi, err := msg.DecodePacketIn()
-				if err != nil {
-					continue
-				}
-				if po, ok := ctrl.HandlePacketIn(pi); ok {
-					conn.SendPacketOut(po)
-				}
-			case openflow.TypeBarrierReply:
-				barriers <- msg.XID
-			}
+	select {
+	case line := <-connected:
+		if !strings.Contains(line, "dpid 0xabc,") {
+			t.Fatalf("connected %q, want dpid 0xabc", line)
 		}
-	}()
+	default:
+		t.Fatal("the switch did not attach")
+	}
 
 	// --- Border routers over live BGP -----------------------------------
 	prefix := netip.MustParsePrefix("93.184.0.0/16")
@@ -222,7 +212,7 @@ func TestLiveExchange(t *testing.T) {
 	// Wait specifically for the re-advertisement carrying C's (best) path so
 	// the interim tag from B's earlier announcement is not sampled.
 	var vnh netip.Addr
-	deadline := time.Now().Add(3 * time.Second)
+	deadline = time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		a.mu.Lock()
 		if attrs, ok := a.routes[prefix]; ok && attrs.FirstAS() == 65003 {
@@ -242,15 +232,16 @@ func TestLiveExchange(t *testing.T) {
 	if err := recompile(); err != nil {
 		t.Fatal(err)
 	}
-	waitBarrier := func() {
-		t.Helper()
-		select {
-		case <-barriers:
-		case <-time.After(3 * time.Second):
-			t.Fatal("no barrier reply")
-		}
+	// Every barrier the server has sent, SetBase's included, is answered.
+	barriersOut := ofReg.CounterVec("sdx_openflow_messages_out_total", "", "type").With("BARRIER_REQUEST")
+	barriersIn := ofReg.CounterVec("sdx_openflow_messages_in_total", "", "type").With("BARRIER_REPLY")
+	deadline = time.Now().Add(3 * time.Second)
+	for barriersIn.Value() != barriersOut.Value() && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
 	}
-	waitBarrier()
+	if barriersIn.Value() != barriersOut.Value() {
+		t.Fatal("no barrier reply")
+	}
 
 	// --- ARP: A's router resolves the VNH through the fabric -------------
 	req := packet.NewARPRequest(macA, ipA, vnh)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"net"
 	"net/netip"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +15,7 @@ import (
 	"sdx/internal/packet"
 	"sdx/internal/policy"
 	"sdx/internal/routeserver"
+	"sdx/internal/telemetry"
 )
 
 func TestLocationSpaceHelpers(t *testing.T) {
@@ -158,42 +162,84 @@ func TestFlowModsForRulesErrors(t *testing.T) {
 	}
 }
 
+// TestPushOverWire is the SwitchServer contract over a real OpenFlow
+// channel: after every push a switch holds exactly the desired table — a
+// base commit, a quick-stage band on top, a recompilation that clears both
+// the band and the previous base's leftovers, and a (re)attaching switch
+// with foreign and outdated entries reconciled to the same table.
 func TestPushOverWire(t *testing.T) {
-	// PushBase / PushFast over a real connection against the switch side.
 	c := figure1(t, DefaultOptions())
-	res, err := c.Compile()
+	r1, err := c.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := dataplane.NewSwitch(9)
-	for _, n := range []uint16{1, 2, 3, 4} {
-		sw.AttachPort(n, func([]byte) {})
+	reg := telemetry.NewRegistry()
+	srv := NewSwitchServer(reg)
+	srv.HandlePacketIn = c.HandlePacketIn
+	attach := func(sw *dataplane.Switch) {
+		ctrlSide, swSide := netPipe(t)
+		go sw.ServeController(swSide)
+		go srv.Serve(ctrlSide)
 	}
-	client, server := netPipe(t)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sw.ServeController(server)
-	}()
-	conn := openflow.NewConn(client)
-	fr, err := conn.HandshakeController()
-	if err != nil {
-		t.Fatal(err)
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
 	}
-	if fr.DatapathID != 9 {
-		t.Fatalf("dpid = %d", fr.DatapathID)
-	}
-	if err := PushBase(conn, res); err != nil {
-		t.Fatal(err)
-	}
-	// Barrier reply proves everything before it was applied.
-	if msg, err := conn.Recv(); err != nil || msg.Type != openflow.TypeBarrierReply {
-		t.Fatalf("barrier: %v %v", msg, err)
-	}
-	if got := sw.Table.Len(); got != len(res.Rules) {
-		t.Errorf("switch has %d rules, want %d", got, len(res.Rules))
+	// converged waits until sw's (priority, match, actions) set is exactly
+	// the union of the given lowerings.
+	converged := func(step string, sw *dataplane.Switch, bands ...[]*openflow.FlowMod) {
+		t.Helper()
+		var lines []string
+		for _, fms := range bands {
+			for _, fm := range fms {
+				lines = append(lines, fmt.Sprintf("%d %v %v", fm.Priority, fm.Match.ToPolicy(), fm.Actions))
+			}
+		}
+		sort.Strings(lines)
+		want := strings.Join(lines, "\n")
+		var got string
+		deadline := time.Now().Add(5 * time.Second)
+		for got = tableLines(sw); got != want && time.Now().Before(deadline); got = tableLines(sw) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if got != want {
+			t.Fatalf("%s: switch table\n%s\nwant\n%s", step, got, want)
+		}
 	}
 
+	// An entry no compilation produces: the first commit's wipe clears it
+	// from a switch attached before any commit, and the resync
+	// strict-deletes it from one attaching later.
+	foreign := &openflow.FlowMod{
+		Match:    openflow.MatchFromPolicy(policy.MatchAll.Port(4).DstPort(9)),
+		Priority: 7,
+		Command:  openflow.FlowModAdd,
+		Actions:  []openflow.Action{openflow.Output(1)},
+	}
+	sw1 := chaosSwitch(9)
+	if err := sw1.InstallFlowMods([]*openflow.FlowMod{foreign}); err != nil {
+		t.Fatal(err)
+	}
+	attach(sw1)
+	waitFor("the first switch to attach", func() bool { return srv.Switches() == 1 })
+
+	// 1. The first commit wipes: the switch holds exactly r1's lowering.
+	base1, err := FlowModsForRules(r1.Rules, fastPriority-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SetBase(r1); err != nil {
+		t.Fatal(err)
+	}
+	converged("SetBase(r1)", sw1, base1)
+
+	// 2. A quick-stage band lands on top of the base band.
 	touched, err := c.RouteServer().Withdraw("C", p1)
 	if err != nil {
 		t.Fatal(err)
@@ -202,17 +248,67 @@ func TestPushOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PushFast(conn, fast); err != nil {
+	fastFms, err := FlowModsForRules(fast.Rules, fastTop)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if msg, err := conn.Recv(); err != nil || msg.Type != openflow.TypeBarrierReply {
-		t.Fatalf("barrier: %v %v", msg, err)
+	if len(fastFms) == 0 {
+		t.Fatal("the withdrawal produced no quick-stage rules")
 	}
-	if got := sw.Table.Len(); got != len(res.Rules)+len(fast.Rules) {
-		t.Errorf("switch has %d rules, want %d", got, len(res.Rules)+len(fast.Rules))
+	if err := srv.PushFastAll(fast); err != nil {
+		t.Fatal(err)
 	}
-	client.Close()
-	<-done
+	converged("PushFastAll", sw1, base1, fastFms)
+
+	// 3. A recompilation leaves exactly r2: the fast band and the r1-only
+	// rules are gone.
+	r2, err := c.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base2, err := FlowModsForRules(r2.Rules, fastPriority-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inR2 := make(map[flowKey]bool, len(base2))
+	for _, fm := range base2 {
+		inR2[keyOf(fm)] = true
+	}
+	var r1Only *openflow.FlowMod
+	for _, fm := range base1 {
+		if !inR2[keyOf(fm)] {
+			r1Only = fm
+			break
+		}
+	}
+	if r1Only == nil {
+		t.Fatal("r2 keeps every r1 entry; the recompilation deletes nothing")
+	}
+	if err := srv.SetBase(r2); err != nil {
+		t.Fatal(err)
+	}
+	converged("SetBase(r2)", sw1, base2)
+
+	// 4. A second switch, preloaded with the foreign entry and an r1-only
+	// one, is reconciled to exactly r2 on attach.
+	if inR2[keyOf(foreign)] {
+		t.Fatal("the foreign entry collides with a desired one")
+	}
+	sw2 := chaosSwitch(10)
+	if err := sw2.InstallFlowMods([]*openflow.FlowMod{foreign, r1Only}); err != nil {
+		t.Fatal(err)
+	}
+	attach(sw2)
+	waitFor("the second switch to attach", func() bool { return srv.Switches() == 2 })
+	converged("resync", sw2, base2)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "\nsdx_core_resync_stale_rules_total 2\n") {
+		t.Errorf("want sdx_core_resync_stale_rules_total 2 in\n%s", sb.String())
+	}
+	converged("after the resync", sw1, base2)
 }
 
 func TestEmptyExchangeCompiles(t *testing.T) {

@@ -58,34 +58,3 @@ func InstallFast(sw *dataplane.Switch, res *FastPathResult) error {
 	}
 	return sw.InstallFlowMods(fms)
 }
-
-// PushBase writes the base band over an OpenFlow connection, clearing the
-// table first (a wildcard delete), and fences with a barrier.
-func PushBase(conn *openflow.Conn, res *CompileResult) error {
-	if err := conn.SendFlowMod(&openflow.FlowMod{
-		Match:   openflow.MatchFromPolicy(policy.MatchAll),
-		Command: openflow.FlowModDelete,
-	}); err != nil {
-		return err
-	}
-	fms, err := FlowModsForRules(res.Rules, fastPriority-1)
-	if err != nil {
-		return err
-	}
-	for _, fm := range fms {
-		if err := conn.SendFlowMod(fm); err != nil {
-			return err
-		}
-	}
-	_, err = conn.SendBarrier()
-	return err
-}
-
-// PushFast writes a fast-path band over an OpenFlow connection.
-func PushFast(conn *openflow.Conn, res *FastPathResult) error {
-	fms, err := FlowModsForRules(res.Rules, fastTop)
-	if err != nil {
-		return err
-	}
-	return pushDiff(conn, fms, nil)
-}

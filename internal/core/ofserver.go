@@ -24,13 +24,12 @@ func keyOf(fm *openflow.FlowMod) flowKey {
 }
 
 // SwitchServer owns the controller's fabric-facing side: the set of live
-// switch channels, the last committed compilation, and the fast-path rules
-// pushed since. It is what makes controller restarts and switch reconnects
-// survivable — a (re)attaching switch is reconciled against the desired
-// table instead of wiped, so traffic matched by still-correct rules never
-// sees a window with an empty table (the paper's §5.1 degradation contract:
-// the fabric keeps forwarding on the last-computed rules while the control
-// plane catches up).
+// switch channels and the one desired table they are converged to. It is
+// what makes controller restarts and switch reconnects survivable — a
+// (re)attaching switch is reconciled against the desired table instead of
+// wiped, so traffic matched by still-correct rules never sees a window with
+// an empty table (the paper's §5.1 degradation contract: the fabric keeps
+// forwarding on the last-computed rules while the control plane catches up).
 type SwitchServer struct {
 	// HandlePacketIn services table-miss punts (typically
 	// Controller.HandlePacketIn, the ARP responder). Nil drops them.
@@ -40,17 +39,17 @@ type SwitchServer struct {
 	// Logf, when set, receives connection-lifecycle and push-error lines.
 	Logf func(format string, args ...any)
 
-	// mu guards the switch set and the desired-state snapshot, and
-	// serializes pushes: a resync holds it across its stats round trip so a
+	// mu guards the switch set and the desired table, and serializes
+	// pushes: a resync holds it across its stats round trip so a
 	// concurrent SetBase cannot interleave adds with a stale delete set.
 	mu       sync.Mutex
 	switches map[*openflow.Conn]bool
-	last     *CompileResult
-	// fastRules are the quick-stage mods pushed since the last SetBase,
-	// keyed by (match, priority): they are part of the desired table a
-	// reconnecting switch must converge to, and the stale set a
-	// recompilation must clear.
-	fastRules map[flowKey]*openflow.FlowMod
+	// desired is the last committed base band plus the quick-stage mods
+	// pushed since, keyed by (match, priority): the table a reconnecting
+	// switch must converge to, and the stale set a recompilation clears.
+	desired map[flowKey]*openflow.FlowMod
+	// committed records that a SetBase has happened; the first one wipes.
+	committed bool
 
 	// Intrusive instruments (always live; exported by NewSwitchServer when
 	// a registry is supplied). The histogram is registry-owned, so Observe
@@ -66,8 +65,8 @@ type SwitchServer struct {
 // metrics with reg (nil for the no-op mode).
 func NewSwitchServer(reg *telemetry.Registry) *SwitchServer {
 	s := &SwitchServer{
-		switches:  make(map[*openflow.Conn]bool),
-		fastRules: make(map[flowKey]*openflow.FlowMod),
+		switches: make(map[*openflow.Conn]bool),
+		desired:  make(map[flowKey]*openflow.FlowMod),
 	}
 	if reg != nil {
 		reg.CounterFunc("sdx_core_resyncs_total",
@@ -105,52 +104,36 @@ func (s *SwitchServer) Switches() int {
 // a make-before-break diff: the new band's adds first (same-key entries are
 // overwritten in place), then strict deletes for entries of the previous
 // base and fast bands that the new table does not contain, then a barrier.
-// Unlike the wipe in PushBase, rules shared between the old and new tables
-// are never absent from the switch, so established traffic keeps flowing
-// through a recompilation.
+// Rules shared between the old and new tables are never absent from the
+// switch, so established traffic keeps flowing through a recompilation. A
+// full compilation subsumes the quick-stage band, so the new base band
+// becomes the whole desired table.
 func (s *SwitchServer) SetBase(res *CompileResult) error {
 	fms, err := FlowModsForRules(res.Rules, fastPriority-1)
 	if err != nil {
 		return err
 	}
-	desired := make(map[flowKey]bool, len(fms))
+	next := make(map[flowKey]*openflow.FlowMod, len(fms))
 	for _, fm := range fms {
-		desired[keyOf(fm)] = true
+		next[keyOf(fm)] = fm
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var stale []flowKey
-	if s.last != nil {
-		oldFms, err := FlowModsForRules(s.last.Rules, fastPriority-1)
-		if err == nil {
-			for _, fm := range oldFms {
-				if k := keyOf(fm); !desired[k] {
-					stale = append(stale, k)
-				}
+	// Nothing committed before, so nothing worth preserving: the first push
+	// is the wildcard delete (it clears rules installed by parties this
+	// server never knew about) plus a diff against an empty table.
+	wipe := !s.committed
+	var stale []*openflow.FlowMod
+	if !wipe {
+		for k, fm := range s.desired {
+			if _, ok := next[k]; !ok {
+				stale = append(stale, fm)
 			}
 		}
 	}
-	for k := range s.fastRules {
-		if !desired[k] {
-			stale = append(stale, k)
-		}
-	}
-	hadBase := s.last != nil
-	s.last = res
-	// A full compilation subsumes the quick-stage band (InstallBase has the
-	// same contract for the in-process switch).
-	s.fastRules = make(map[flowKey]*openflow.FlowMod)
+	s.desired, s.committed = next, true
 	for conn := range s.switches {
-		var err error
-		if !hadBase {
-			// Nothing committed before, so nothing worth preserving: the
-			// wildcard-delete push clears rules installed by parties this
-			// server never knew about.
-			err = PushBase(conn, res)
-		} else {
-			err = pushDiff(conn, fms, stale)
-		}
-		if err != nil {
+		if _, err := pushDiff(conn, wipe, fms, stale); err != nil {
 			// The connection's Serve loop owns teardown; the next attach
 			// reconciles whatever state the switch was left with.
 			s.logf("core: pushing base table: %v", err)
@@ -169,34 +152,44 @@ func (s *SwitchServer) PushFastAll(res *FastPathResult) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, fm := range fms {
-		s.fastRules[keyOf(fm)] = fm
+		s.desired[keyOf(fm)] = fm
 	}
 	for conn := range s.switches {
-		if err := pushDiff(conn, fms, nil); err != nil {
+		if _, err := pushDiff(conn, false, fms, nil); err != nil {
 			s.logf("core: pushing fast rules: %v", err)
 		}
 	}
 	return nil
 }
 
-// pushDiff sends adds then strict deletes, fenced by one barrier.
-func pushDiff(conn *openflow.Conn, adds []*openflow.FlowMod, stale []flowKey) error {
+// pushDiff is the only writer of FLOW_MODs to a switch. It sends the
+// wildcard wipe (when asked), the adds, a strict delete for each stale
+// entry's wire match and priority, and then one barrier, whose xid it
+// returns.
+func pushDiff(conn *openflow.Conn, wipe bool, adds, stale []*openflow.FlowMod) (uint32, error) {
+	if wipe {
+		if err := conn.SendFlowMod(&openflow.FlowMod{
+			Match:   openflow.MatchFromPolicy(policy.MatchAll),
+			Command: openflow.FlowModDelete,
+		}); err != nil {
+			return 0, err
+		}
+	}
 	for _, fm := range adds {
 		if err := conn.SendFlowMod(fm); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	for _, k := range stale {
+	for _, fm := range stale {
 		if err := conn.SendFlowMod(&openflow.FlowMod{
-			Match:    openflow.MatchFromPolicy(k.match),
-			Priority: k.priority,
+			Match:    fm.Match,
+			Priority: fm.Priority,
 			Command:  openflow.FlowModDeleteStrict,
 		}); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	_, err := conn.SendBarrier()
-	return err
+	return conn.SendBarrier()
 }
 
 // Serve owns one switch connection for its lifetime: handshake, flow-table
@@ -279,15 +272,15 @@ func (s *SwitchServer) dispatch(conn *openflow.Conn, msg *openflow.Message) erro
 }
 
 // resyncLocked reconciles a (re)attaching switch's flow table with the
-// desired state: dump the table via a flow-stats request, replay every
-// desired rule (adds overwrite same-key entries, so divergent actions heal
-// too), fence, then strict-delete the dumped entries the desired table does
-// not contain. The add-before-delete order means a rule that is correct on
-// both sides is never absent — forwarding on it continues throughout. The
-// final barrier is awaited, so the observed duration covers the switch
-// actually applying the table.
+// desired table: dump the table via a flow-stats request, then one pushDiff
+// that replays every desired rule (adds overwrite same-key entries, so
+// divergent actions heal too) and strict-deletes the dumped entries the
+// desired table does not contain. The add-before-delete order means a rule
+// that is correct on both sides is never absent — forwarding on it
+// continues throughout. The push's barrier is awaited, so the observed
+// duration covers the switch actually applying the table.
 func (s *SwitchServer) resyncLocked(conn *openflow.Conn) error {
-	if s.last == nil && len(s.fastRules) == 0 {
+	if !s.committed && len(s.desired) == 0 {
 		return nil // nothing committed yet; the first SetBase seeds the switch
 	}
 	s.mResyncs.Inc()
@@ -316,47 +309,26 @@ func (s *SwitchServer) resyncLocked(conn *openflow.Conn) error {
 		}
 	}
 
-	desired := make(map[flowKey]*openflow.FlowMod)
-	if s.last != nil {
-		fms, err := FlowModsForRules(s.last.Rules, fastPriority-1)
-		if err != nil {
-			return err
-		}
-		for _, fm := range fms {
-			desired[keyOf(fm)] = fm
-		}
+	adds := make([]*openflow.FlowMod, 0, len(s.desired))
+	for _, fm := range s.desired {
+		adds = append(adds, fm)
 	}
-	for k, fm := range s.fastRules {
-		desired[k] = fm
-	}
-	for _, fm := range desired {
-		if err := conn.SendFlowMod(fm); err != nil {
-			return err
-		}
-	}
-	s.mResyncReplay.Add(uint64(len(desired)))
-
-	stale := 0
+	// Stale entries are deleted by their dumped wire match, so a foreign
+	// entry whose fields policy.Match cannot express is still removed
+	// exactly.
+	var stale []*openflow.FlowMod
 	for _, e := range have {
-		k := flowKey{match: e.Match.ToPolicy(), priority: e.Priority}
-		if _, ok := desired[k]; ok {
-			continue
-		}
-		stale++
-		if err := conn.SendFlowMod(&openflow.FlowMod{
-			Match:    e.Match,
-			Priority: e.Priority,
-			Command:  openflow.FlowModDeleteStrict,
-		}); err != nil {
-			return err
+		if _, ok := s.desired[flowKey{match: e.Match.ToPolicy(), priority: e.Priority}]; !ok {
+			stale = append(stale, &openflow.FlowMod{Match: e.Match, Priority: e.Priority})
 		}
 	}
-	s.mResyncStale.Add(uint64(stale))
-
-	bxid, err := conn.SendBarrier()
+	bxid, err := pushDiff(conn, false, adds, stale)
 	if err != nil {
 		return err
 	}
+	s.mResyncReplay.Add(uint64(len(adds)))
+	s.mResyncStale.Add(uint64(len(stale)))
+
 	for {
 		msg, err := conn.Recv()
 		if err != nil {
@@ -373,6 +345,6 @@ func (s *SwitchServer) resyncLocked(conn *openflow.Conn) error {
 		s.mResyncDur.Observe(time.Since(start).Seconds())
 	}
 	s.logf("core: resync complete: %d desired, %d stale deleted in %v",
-		len(desired), stale, time.Since(start).Round(time.Millisecond))
+		len(adds), len(stale), time.Since(start).Round(time.Millisecond))
 	return nil
 }

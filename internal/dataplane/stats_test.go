@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"net"
 	"testing"
 
@@ -104,11 +105,23 @@ func TestServeControllerPortStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Full dump.
-	xid, err := ctrl.RequestPortStats(openflow.PortNone)
-	if err != nil {
-		t.Fatal(err)
+	// requestPortStats sends an ofp_port_stats_request: port_no plus 6
+	// bytes of padding.
+	requestPortStats := func(portNo uint16) uint32 {
+		t.Helper()
+		xid := ctrl.NextXID()
+		body := binary.BigEndian.AppendUint16(nil, openflow.StatsTypePort)
+		body = binary.BigEndian.AppendUint16(body, 0) // flags
+		body = binary.BigEndian.AppendUint16(body, portNo)
+		body = append(body, 0, 0, 0, 0, 0, 0)
+		if err := ctrl.Send(openflow.Encode(openflow.TypeStatsRequest, xid, body)); err != nil {
+			t.Fatal(err)
+		}
+		return xid
 	}
+
+	// Full dump.
+	xid := requestPortStats(openflow.PortNone)
 	msg, err := ctrl.Recv()
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +148,7 @@ func TestServeControllerPortStats(t *testing.T) {
 	}
 
 	// Filtered dump.
-	if _, err := ctrl.RequestPortStats(2); err != nil {
-		t.Fatal(err)
-	}
+	requestPortStats(2)
 	msg, err = ctrl.Recv()
 	if err != nil {
 		t.Fatal(err)

@@ -151,16 +151,6 @@ type PortStatsRequest struct {
 	PortNo uint16
 }
 
-// EncodePortStatsRequest renders the request (ofp_port_stats_request:
-// port_no plus 6 bytes of padding).
-func EncodePortStatsRequest(req *PortStatsRequest, xid uint32) []byte {
-	body := binary.BigEndian.AppendUint16(nil, StatsTypePort)
-	body = binary.BigEndian.AppendUint16(body, 0) // flags
-	body = binary.BigEndian.AppendUint16(body, req.PortNo)
-	body = append(body, 0, 0, 0, 0, 0, 0) // pad
-	return Encode(TypeStatsRequest, xid, body)
-}
-
 // DecodePortStatsRequest parses a port-stats STATS_REQUEST body.
 func (m *Message) DecodePortStatsRequest() (*PortStatsRequest, error) {
 	st, err := m.StatsType()
@@ -234,11 +224,4 @@ func (m *Message) DecodePortStatsReply() ([]PortStatsEntry, error) {
 		b = b[portStatsEntryLen:]
 	}
 	return out, nil
-}
-
-// RequestPortStats sends a port-stats request (PortNone for all ports) and
-// returns its transaction id.
-func (c *Conn) RequestPortStats(portNo uint16) (uint32, error) {
-	xid := c.NextXID()
-	return xid, c.Send(EncodePortStatsRequest(&PortStatsRequest{PortNo: portNo}, xid))
 }

@@ -84,9 +84,11 @@ func TestFlowStatsWrongTypes(t *testing.T) {
 }
 
 func TestPortStatsRoundTrip(t *testing.T) {
-	// Request: single port and the all-ports wildcard.
+	// Request (ofp_port_stats_request: port_no plus 6 bytes of padding),
+	// built by hand: single port and the all-ports wildcard.
 	for _, portNo := range []uint16{3, PortNone} {
-		raw := EncodePortStatsRequest(&PortStatsRequest{PortNo: portNo}, 9)
+		body := []byte{0, byte(StatsTypePort), 0, 0, byte(portNo >> 8), byte(portNo), 0, 0, 0, 0, 0, 0}
+		raw := Encode(TypeStatsRequest, 9, body)
 		msg, err := ReadMessage(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)

@@ -93,12 +93,6 @@ func InstallBase(sw *Switch, res *CompileResult) error { return core.InstallBase
 // InstallFast adds fast-path rules above the base band.
 func InstallFast(sw *Switch, res *FastPathResult) error { return core.InstallFast(sw, res) }
 
-// PushBase writes the base band over an OpenFlow connection.
-func PushBase(conn *OFConn, res *CompileResult) error { return core.PushBase(conn, res) }
-
-// PushFast writes a fast-path band over an OpenFlow connection.
-func PushFast(conn *OFConn, res *FastPathResult) error { return core.PushFast(conn, res) }
-
 // FlowModsForRules lowers compiled rules to OpenFlow flow-mods.
 func FlowModsForRules(rules []Rule, top uint16) ([]*FlowMod, error) {
 	return core.FlowModsForRules(rules, top)
