@@ -1,5 +1,7 @@
 # Tier-1 (the seed gate) and tier-1b (the concurrency gate) targets.
-# `make check` is what CI runs; see .github/workflows/ci.yml.
+# CI (.github/workflows/ci.yml) runs `make check`'s steps, then `make e2e`
+# and `make chaos`: those boot real daemons and hammer the chaos tests for
+# minutes, so they stay out of `check`.
 
 GO ?= go
 
@@ -43,7 +45,8 @@ bench-harness:
 	bash benchmark/run.sh --workload all --seed 1 --seconds 10 --trace 0
 
 # Every benchmark in the root bench_test.go, internal/dataplane
-# (BenchmarkFlowTableDiffPush, BenchmarkInjectTelemetryOverhead) and
+# (BenchmarkFlowTableDiffPush's shape=diff SetBase diffs and shape=fast
+# quick-stage pushes above every rule, BenchmarkInjectTelemetryOverhead) and
 # internal/policy (BenchmarkCompileDisjointUnion, the compiler's Union over
 # 300 port-disjoint participants), once: keeps them compiling and running,
 # and puts the Union's compile time in every check log.

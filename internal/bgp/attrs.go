@@ -306,6 +306,9 @@ func parsePathAttrs(b []byte, as4 bool) (PathAttrs, error) {
 				if segType != ASSet && segType != ASSequence {
 					return a, attrErr(code, true, "AS_PATH segment type %d", segType)
 				}
+				if n == 0 { // malformed (RFC 7606 §7.2); marshal refuses one too
+					return a, attrErr(code, true, "AS_PATH segment of zero length")
+				}
 				if len(val) < 2+asnWidth*n {
 					return a, attrErr(code, true, "AS_PATH segment truncated")
 				}

@@ -492,7 +492,9 @@ func decodeUpdate(body []byte, as4 bool) (*Update, error) {
 	if 2+attrLen > len(rest) {
 		return nil, fmt.Errorf("bgp: UPDATE attribute length %d overruns body", attrLen)
 	}
-	if attrLen > 0 {
+	// NLRI with an empty attribute section lacks the mandatory attributes,
+	// so it is parsed too: parsePathAttrs reports the missing NEXT_HOP.
+	if attrLen > 0 || len(rest) > 2 {
 		u.Attrs, err = parsePathAttrs(rest[2:2+attrLen], as4)
 		if err != nil {
 			var ae *AttrError

@@ -57,7 +57,13 @@ func TestTreatAsWithdrawRecoverableClasses(t *testing.T) {
 			append(
 				appendAttr(nil, flagTransitive, attrASPath, []byte{9 /* bad segment type */, 1, 0, 1}),
 				appendAttr(nil, flagTransitive, attrNextHop, []byte{10, 0, 0, 1})...)...)},
+		{"zero-length AS_PATH segment", append(
+			appendAttr(nil, flagTransitive, attrOrigin, []byte{0}),
+			append(
+				appendAttr(nil, flagTransitive, attrASPath, []byte{ASSequence, 0}),
+				appendAttr(nil, flagTransitive, attrNextHop, []byte{10, 0, 0, 1})...)...)},
 		{"missing NEXT_HOP", appendAttr(nil, flagTransitive, attrOrigin, []byte{0})},
+		{"no path attributes", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

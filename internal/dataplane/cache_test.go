@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -61,10 +62,11 @@ func TestLookupCacheEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ft := NewFlowTable()
+		var snap []*FlowEntry // the table in table order, retaken after each step's write
 		check := func(pkt policy.Packet) {
 			t.Helper()
 			got, gotOK := ft.Lookup(pkt, 1)
-			want, wantOK := ft.lookupLinear(pkt)
+			want, wantOK := lookupLinear(snap, pkt)
 			if gotOK != wantOK || got != want {
 				t.Fatalf("seed %d: Lookup(%+v) = %v (ok=%v), linear scan = %v (ok=%v)\ntable:\n%s",
 					seed, pkt, got, gotOK, want, wantOK, ft.Dump())
@@ -100,6 +102,7 @@ func TestLookupCacheEquivalence(t *testing.T) {
 					ft.Clear()
 				}
 			}
+			snap = ft.ordered()
 			for i := 0; i < 4; i++ {
 				check(randPacket(rng))
 			}
@@ -262,8 +265,8 @@ func TestFlowTableCountersExactUnderConcurrentInject(t *testing.T) {
 }
 
 // TestInstallFlowModsBatches checks the coalescing installer: runs of adds
-// land as one batch, deletes flush in order, and the outcome matches the
-// one-at-a-time path.
+// land as one batch, deletes flush in order, and the same stream sent over
+// ServeController (barrier last) leaves the identical table.
 func TestInstallFlowModsBatches(t *testing.T) {
 	sw := NewSwitch(1)
 	var fms []*openflow.FlowMod
@@ -289,6 +292,9 @@ func TestInstallFlowModsBatches(t *testing.T) {
 	if err := sw.InstallFlowMods(fms); err != nil {
 		t.Fatal(err)
 	}
+	if got, want := serveFlowMods(t, fms).Table.Dump(), sw.Table.Dump(); got != want {
+		t.Fatalf("over ServeController the table is\n%s\nthrough InstallFlowMods\n%s", got, want)
+	}
 	if sw.Table.Len() != 10 {
 		t.Fatalf("table len = %d, want 10", sw.Table.Len())
 	}
@@ -300,6 +306,37 @@ func TestInstallFlowModsBatches(t *testing.T) {
 	if st.Invalidations > 3 {
 		t.Errorf("coalesced install invalidated %d times, want <= 3 (batch, delete, batch)", st.Invalidations)
 	}
+}
+
+// serveFlowMods sends fms to a fresh switch over ServeController, then a
+// barrier, and returns the switch once the barrier is answered.
+func serveFlowMods(t *testing.T, fms []*openflow.FlowMod) *Switch {
+	t.Helper()
+	sw := NewSwitch(1)
+	ctrlSide, swSide := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- sw.ServeController(swSide) }()
+	ctrl := openflow.NewConn(ctrlSide)
+	defer func() {
+		ctrl.Close()
+		<-served
+	}()
+	if _, err := ctrl.HandshakeController(); err != nil {
+		t.Fatal(err)
+	}
+	for _, fm := range fms {
+		if err := ctrl.SendFlowMod(fm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	xid, err := ctrl.SendBarrier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := ctrl.Recv(); err != nil || reply.Type != openflow.TypeBarrierReply || reply.XID != xid {
+		t.Fatalf("barrier reply = %+v, %v", reply, err)
+	}
+	return sw
 }
 
 // TestMicroflowCacheStats pins the CacheStats accounting: miss, hit,

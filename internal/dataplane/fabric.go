@@ -185,11 +185,11 @@ func (f *Fabric) InstallGlobal(rules []policy.Rule) error {
 
 	// Policy rules at the ingress switch. Rules without a port constraint
 	// apply at every switch (on its own local ports only, which is exactly
-	// what localizing each action achieves). Entries are accumulated per
-	// switch and installed with one batched table swap each.
+	// what localizing each action achieves). FLOW_MODs are accumulated per
+	// switch and applied with one InstallFlowMods call each.
 	const transitPriority = 10
 	top := uint16(0xf000)
-	batches := make(map[uint64][]*FlowEntry, len(f.switches))
+	batches := make(map[uint64][]*openflow.FlowMod, len(f.switches))
 	for i, r := range rules {
 		priority := top - uint16(i)
 		targets := f.ingressSwitches(r)
@@ -202,7 +202,7 @@ func (f *Fabric) InstallGlobal(rules []policy.Rule) error {
 			if err != nil {
 				return err
 			}
-			batches[dpid] = append(batches[dpid], EntryFromFlowMod(fm))
+			batches[dpid] = append(batches[dpid], fm)
 		}
 	}
 
@@ -214,15 +214,18 @@ func (f *Fabric) InstallGlobal(rules []policy.Rule) error {
 			if fp.dpid != dpid {
 				out = f.nextHop[dpid][fp.dpid]
 			}
-			batches[dpid] = append(batches[dpid], &FlowEntry{
-				Match:    policy.MatchAll.DstMAC(fp.mac),
+			batches[dpid] = append(batches[dpid], &openflow.FlowMod{
+				Match:    openflow.MatchFromPolicy(policy.MatchAll.DstMAC(fp.mac)),
+				Command:  openflow.FlowModAdd,
 				Priority: transitPriority,
 				Actions:  []openflow.Action{openflow.Output(out)},
 			})
 		}
 	}
 	for dpid, sw := range f.switches {
-		sw.Table.AddBatch(batches[dpid])
+		if err := sw.InstallFlowMods(batches[dpid]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

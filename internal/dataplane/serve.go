@@ -45,42 +45,42 @@ func (s *Switch) ServeController(conn net.Conn) error {
 		oc.Close()
 	}()
 
-	// Consecutive FLOW_MOD adds are coalesced into one AddBatch table swap;
-	// any other message (a barrier above all — the fence every installer in
-	// this repo sends after a table push) flushes the pending batch first,
-	// so ordering guarantees are unchanged.
-	var pending []*FlowEntry
-	flush := func() {
-		if len(pending) > 0 {
-			s.Table.AddBatch(pending)
-			pending = nil
-		}
+	// Every FLOW_MOD goes through InstallFlowMods. Consecutive adds and
+	// modifies are held and applied as one batch; a delete, and any other
+	// message (a barrier above all — the fence every installer in this repo
+	// sends after a table push), applies the held ones first, so a
+	// BARRIER_REQUEST or STATS_REQUEST is answered only after every earlier
+	// FLOW_MOD is in the table.
+	var pending []*openflow.FlowMod
+	flush := func() error {
+		err := s.InstallFlowMods(pending)
+		pending = nil
+		return err
 	}
-	defer flush()
+	// Only adds and modifies are held, and applying them cannot fail.
+	defer func() { _ = flush() }()
 
 	for {
 		msg, err := oc.Recv()
 		if err != nil {
 			return err
 		}
-		if msg.Type != openflow.TypeFlowMod {
-			flush()
-		}
-		switch msg.Type {
-		case openflow.TypeFlowMod:
+		if msg.Type == openflow.TypeFlowMod {
 			fm, err := msg.DecodeFlowMod()
 			if err != nil {
 				return err
 			}
-			switch fm.Command {
-			case openflow.FlowModAdd, openflow.FlowModModify:
-				pending = append(pending, EntryFromFlowMod(fm))
-			default:
-				flush()
-				if err := s.InstallFlowMod(fm); err != nil {
-					return err
-				}
+			pending = append(pending, fm)
+			if fm.Command == openflow.FlowModAdd || fm.Command == openflow.FlowModModify {
+				continue
 			}
+		}
+		if err := flush(); err != nil {
+			return err
+		}
+		switch msg.Type {
+		case openflow.TypeFlowMod:
+			// applied by the flush above
 		case openflow.TypePacketOut:
 			po, err := msg.DecodePacketOut()
 			if err != nil {

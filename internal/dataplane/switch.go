@@ -599,59 +599,35 @@ func (s *Switch) punt(frame []byte, ctx *frameCtx) {
 	})
 }
 
-// EntryFromFlowMod lowers an add/modify flow modification to the table
-// entry it installs.
-func EntryFromFlowMod(fm *openflow.FlowMod) *FlowEntry {
-	return &FlowEntry{
-		Match:    fm.Match.ToPolicy(),
-		Priority: fm.Priority,
-		Actions:  fm.Actions,
-		Cookie:   fm.Cookie,
-	}
-}
-
-// InstallFlowMod applies a controller flow modification to the table.
-func (s *Switch) InstallFlowMod(fm *openflow.FlowMod) error {
-	switch fm.Command {
-	case openflow.FlowModAdd, openflow.FlowModModify:
-		s.Table.Add(EntryFromFlowMod(fm))
-	case openflow.FlowModDelete:
-		s.Table.Delete(fm.Match.ToPolicy(), fm.Priority, false)
-	case openflow.FlowModDeleteStrict:
-		s.Table.Delete(fm.Match.ToPolicy(), fm.Priority, true)
-	default:
-		return fmt.Errorf("dataplane: unsupported flow-mod command %d", fm.Command)
-	}
-	return nil
-}
-
-// InstallFlowMods applies a sequence of flow modifications, coalescing runs
-// of consecutive adds/modifies into single AddBatch table operations so a
-// run takes the table lock and invalidates the caches once instead of per
-// rule. Deletes apply one at a time; a strict delete touches one entry.
+// InstallFlowMods applies a sequence of flow modifications in order. It is
+// the switch's one FLOW_MOD applier: ServeController, Fabric.InstallGlobal
+// and in-process installers all write the table through it. Runs of
+// consecutive adds/modifies coalesce into single AddBatch table operations,
+// so a run takes the table lock and invalidates the caches once instead of
+// per rule. Deletes apply one at a time; a strict delete touches one entry.
 func (s *Switch) InstallFlowMods(fms []*openflow.FlowMod) error {
 	var batch []*FlowEntry
 	flush := func() {
-		if len(batch) > 0 {
-			s.Table.AddBatch(batch)
-			batch = nil
-		}
+		s.Table.AddBatch(batch)
+		batch = nil
 	}
+	defer flush()
 	for _, fm := range fms {
 		switch fm.Command {
 		case openflow.FlowModAdd, openflow.FlowModModify:
-			batch = append(batch, EntryFromFlowMod(fm))
+			batch = append(batch, &FlowEntry{
+				Match:    fm.Match.ToPolicy(),
+				Priority: fm.Priority,
+				Actions:  fm.Actions,
+				Cookie:   fm.Cookie,
+			})
 		case openflow.FlowModDelete, openflow.FlowModDeleteStrict:
 			flush()
-			if err := s.InstallFlowMod(fm); err != nil {
-				return err
-			}
+			s.Table.Delete(fm.Match.ToPolicy(), fm.Priority, fm.Command == openflow.FlowModDeleteStrict)
 		default:
-			flush()
 			return fmt.Errorf("dataplane: unsupported flow-mod command %d", fm.Command)
 		}
 	}
-	flush()
 	return nil
 }
 

@@ -233,15 +233,15 @@ type CacheStats struct {
 // Per-entry hit counters are atomics bumped outside the lock on every tier,
 // so concurrent lookups never serialize on the table.
 type FlowTable struct {
-	mu      sync.RWMutex
-	entries []*FlowEntry // priority desc, then installation order asc
-	seq     uint64       // last installation order handed out
-	byRule  map[ruleKey]*FlowEntry
+	mu     sync.RWMutex
+	seq    uint64 // last installation order handed out
+	byRule map[ruleKey]*FlowEntry
 
-	// Match index over entries; each bucket is in table order. A rule lives
-	// in exactly one bucket: its dst-MAC bucket if it constrains the
-	// destination MAC, else its in-port bucket if it constrains the port,
-	// else the residual list. The maps hold no empty buckets.
+	// Match index over byRule's entries, and the table's only order: each
+	// bucket is in table order. A rule lives in exactly one bucket: its
+	// dst-MAC bucket if it constrains the destination MAC, else its in-port
+	// bucket if it constrains the port, else the residual list. The maps
+	// hold no empty buckets.
 	byDstMAC map[netutil.MAC][]*FlowEntry
 	byPort   map[uint16][]*FlowEntry
 	residual []*FlowEntry
@@ -360,25 +360,6 @@ func updateBucket[K comparable](m map[K][]*FlowEntry, k K, f func([]*FlowEntry) 
 	}
 }
 
-// rebuildIndexLocked reconstructs the match index from the sorted entries
-// slice. O(n): only the wildcard Delete and Clear use it, and both already
-// touch the whole table.
-func (t *FlowTable) rebuildIndexLocked() {
-	t.byDstMAC = make(map[netutil.MAC][]*FlowEntry)
-	t.byPort = make(map[uint16][]*FlowEntry)
-	t.residual = nil
-	for _, e := range t.entries {
-		// entries is already in table order, so appends keep buckets sorted.
-		if mac, ok := e.Match.GetDstMAC(); ok {
-			t.byDstMAC[mac] = append(t.byDstMAC[mac], e)
-		} else if p, ok := e.Match.GetPort(); ok {
-			t.byPort[p] = append(t.byPort[p], e)
-		} else {
-			t.residual = append(t.residual, e)
-		}
-	}
-}
-
 // Add installs a rule: an AddBatch of one.
 func (t *FlowTable) Add(e *FlowEntry) {
 	t.AddBatch([]*FlowEntry{e})
@@ -389,8 +370,8 @@ func (t *FlowTable) Add(e *FlowEntry) {
 // changes. A rule with the match and priority of an installed one (or of an
 // earlier rule in the batch) replaces it in place, keeping its installation
 // order and resetting its counters, mirroring OFPFC_ADD; the last of several
-// duplicates wins. Fresh rules are sorted among themselves, merged into the
-// table from the back in one pass, and inserted into their index buckets.
+// duplicates wins. A replacement swaps into its bucket slot; fresh rules are
+// inserted into their buckets.
 func (t *FlowTable) AddBatch(es []*FlowEntry) {
 	if len(es) == 0 {
 		return
@@ -416,27 +397,10 @@ func (t *FlowTable) AddBatch(es []*FlowEntry) {
 			fresh[old.seq-first] = e
 		default:
 			e.seq = old.seq
-			t.entries[search(t.entries, old)] = e
 			t.bucketUpdateLocked(old, func(list []*FlowEntry) []*FlowEntry {
 				list[search(list, old)] = e
 				return list
 			})
-		}
-	}
-	slices.SortFunc(fresh, func(a, b *FlowEntry) int {
-		return cmp.Or(cmp.Compare(b.Priority, a.Priority), cmp.Compare(a.seq, b.seq))
-	})
-	// Fresh rules carry the newest installation orders, so they go after
-	// every installed rule of their priority.
-	n := len(t.entries)
-	t.entries = append(t.entries, fresh...)
-	for i, j, k := n-1, len(fresh)-1, len(t.entries)-1; j >= 0; k-- {
-		if i >= 0 && less(fresh[j], t.entries[i]) {
-			t.entries[k] = t.entries[i]
-			i--
-		} else {
-			t.entries[k] = fresh[j]
-			j--
 		}
 	}
 	for _, e := range fresh {
@@ -448,7 +412,8 @@ func (t *FlowTable) AddBatch(es []*FlowEntry) {
 // Delete removes rules whose match equals m (strict) at the given priority;
 // with strict=false it removes every rule subsumed by m regardless of
 // priority, mirroring OFPFC_DELETE. A strict delete touches one entry: it
-// is found by key and binary-searched out of the table and its bucket.
+// is found by key and binary-searched out of its bucket. A wildcard delete
+// filters every bucket in place.
 func (t *FlowTable) Delete(m policy.Match, priority uint16, strict bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -459,25 +424,33 @@ func (t *FlowTable) Delete(m policy.Match, priority uint16, strict bool) int {
 			return 0
 		}
 		delete(t.byRule, k)
-		t.entries = removeSorted(t.entries, e)
 		t.bucketUpdateLocked(e, func(list []*FlowEntry) []*FlowEntry { return removeSorted(list, e) })
 		t.invalidateLocked([]*FlowEntry{e})
 		return 1
 	}
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		if m.Subsumes(e.Match) {
-			delete(t.byRule, ruleKey{e.Match, e.Priority})
-			continue
+	removed := 0
+	filter := func(list []*FlowEntry) []*FlowEntry {
+		kept := list[:0]
+		for _, e := range list {
+			if m.Subsumes(e.Match) {
+				delete(t.byRule, ruleKey{e.Match, e.Priority})
+				continue
+			}
+			kept = append(kept, e)
 		}
-		kept = append(kept, e)
-	}
-	removed := len(t.entries) - len(kept)
-	if removed > 0 {
+		removed += len(list) - len(kept)
 		// The vacated tail would otherwise keep the removed entries reachable.
-		clear(t.entries[len(kept):])
-		t.entries = kept
-		t.rebuildIndexLocked()
+		clear(list[len(kept):])
+		return kept
+	}
+	for mac := range t.byDstMAC {
+		updateBucket(t.byDstMAC, mac, filter)
+	}
+	for p := range t.byPort {
+		updateBucket(t.byPort, p, filter)
+	}
+	t.residual = filter(t.residual)
+	if removed > 0 {
 		t.invalidateLocked(nil)
 	}
 	return removed
@@ -487,10 +460,11 @@ func (t *FlowTable) Delete(m policy.Match, priority uint16, strict bool) int {
 func (t *FlowTable) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.entries = nil
 	t.byRule = make(map[ruleKey]*FlowEntry)
+	t.byDstMAC = make(map[netutil.MAC][]*FlowEntry)
+	t.byPort = make(map[uint16][]*FlowEntry)
+	t.residual = nil
 	t.seq = 0
-	t.rebuildIndexLocked()
 	t.invalidateLocked(nil)
 }
 
@@ -769,26 +743,12 @@ func (t *FlowTable) scanBucket(list []*FlowEntry, pkt policy.Packet, best *FlowE
 	return best
 }
 
-// lookupLinear is the un-indexed, un-cached reference lookup: a pure
-// priority-ordered scan of the whole table, with no counter side effects.
-// The equivalence property test uses it as the oracle for the fast paths.
-func (t *FlowTable) lookupLinear(pkt policy.Packet) (*FlowEntry, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, e := range t.entries {
-		if e.Match.Covers(pkt) {
-			return e, true
-		}
-	}
-	return nil, false
-}
-
 // Len returns the number of installed rules — the data-plane state metric
 // of Figures 7 and 9.
 func (t *FlowTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.entries)
+	return len(t.byRule)
 }
 
 // CacheStats returns the flow-cache counters, in O(1).
@@ -825,14 +785,28 @@ func (t *FlowTable) CacheOccupancy() (microflow, megaflow int) {
 	return microflow, megaflow
 }
 
-// Entries returns a snapshot of the rules in priority order. Counter values
+// ordered returns the installed rules in table order, sorted from byRule
+// when called: O(n log n), for dumps and tests, never for lookups.
+func (t *FlowTable) ordered() []*FlowEntry {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]*FlowEntry, 0, len(t.byRule))
+	for _, e := range t.byRule {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b *FlowEntry) int {
+		return cmp.Or(cmp.Compare(b.Priority, a.Priority), cmp.Compare(a.seq, b.seq))
+	})
+	return out
+}
+
+// Entries returns a snapshot of the rules in table order. Counter values
 // are loaded atomically, so the snapshot is consistent even while traffic
 // is being forwarded.
 func (t *FlowTable) Entries() []FlowEntry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]FlowEntry, len(t.entries))
-	for i, e := range t.entries {
+	es := t.ordered()
+	out := make([]FlowEntry, len(es))
+	for i, e := range es {
 		out[i] = FlowEntry{
 			Packets:  atomic.LoadUint64(&e.Packets),
 			Bytes:    atomic.LoadUint64(&e.Bytes),

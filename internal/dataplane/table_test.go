@@ -14,25 +14,32 @@ import (
 	"sdx/internal/policy"
 )
 
-// checkTableInvariants verifies the table's internal structure: entries is
-// strictly in table order with a cleared tail, byRule and entries are in
-// bijection, and every entry sits in exactly one index bucket — the one its
-// match selects — with every bucket in table order and no empty map bucket.
+// lookupLinear is the un-indexed, un-cached reference lookup: the first rule
+// of ordered, a snapshot of the table in table order (FlowTable.ordered),
+// covering pkt. The equivalence property tests use it as the oracle for the
+// fast paths, taking the snapshot once per write rather than per lookup.
+func lookupLinear(ordered []*FlowEntry, pkt policy.Packet) (*FlowEntry, bool) {
+	for _, e := range ordered {
+		if e.Match.Covers(pkt) {
+			return e, true
+		}
+	}
+	return nil, false
+}
+
+// checkTableInvariants verifies the table's internal structure: every byRule
+// key is its entry's (match, priority), and every byRule entry sits in
+// exactly one index bucket — the one its match selects — with every bucket
+// strictly in table order with a cleared tail, and no empty map bucket.
 func checkTableInvariants(ft *FlowTable) error {
 	ft.mu.RLock()
 	defer ft.mu.RUnlock()
-	if err := checkOrdered("entries", ft.entries); err != nil {
-		return err
-	}
-	if len(ft.byRule) != len(ft.entries) {
-		return fmt.Errorf("byRule holds %d rules, entries %d", len(ft.byRule), len(ft.entries))
-	}
-	for _, e := range ft.entries {
-		if ft.byRule[ruleKey{e.Match, e.Priority}] != e {
-			return fmt.Errorf("byRule does not map %v to its entry", e)
+	for k, e := range ft.byRule {
+		if k != (ruleKey{e.Match, e.Priority}) {
+			return fmt.Errorf("byRule maps %v/%d to %v", k.match, k.priority, e)
 		}
 	}
-	seen := make(map[*FlowEntry]bool, len(ft.entries))
+	seen := make(map[*FlowEntry]bool, len(ft.byRule))
 	bucket := func(name string, list []*FlowEntry, belongs func(*FlowEntry) bool) error {
 		if err := checkOrdered(name, list); err != nil {
 			return err
@@ -81,8 +88,8 @@ func checkTableInvariants(ft *FlowTable) error {
 	}); err != nil {
 		return err
 	}
-	if len(seen) != len(ft.entries) {
-		return fmt.Errorf("buckets hold %d entries, the table %d", len(seen), len(ft.entries))
+	if len(seen) != len(ft.byRule) {
+		return fmt.Errorf("buckets hold %d entries, byRule %d", len(seen), len(ft.byRule))
 	}
 	return nil
 }
@@ -248,16 +255,19 @@ func TestFlowTableMutationModel(t *testing.T) {
 			return &FlowEntry{Match: m, Priority: prio, Cookie: nextCookie,
 				Actions: []openflow.Action{openflow.Output(uint16(rng.Intn(4)))}}
 		}
-		// installed returns a random installed entry (nil on an empty table).
+		// installed returns a random installed entry (nil on an empty
+		// table), drawn from the step's table-ordered snapshot so each
+		// seed's draws do not depend on map iteration order. Every draw
+		// precedes the step's write.
+		var snap []*FlowEntry
 		installed := func() *FlowEntry {
-			ft.mu.RLock()
-			defer ft.mu.RUnlock()
-			if len(ft.entries) == 0 {
+			if len(snap) == 0 {
 				return nil
 			}
-			return ft.entries[rng.Intn(len(ft.entries))]
+			return snap[rng.Intn(len(snap))]
 		}
 		for step := 0; step < 600; step++ {
+			snap = ft.ordered()
 			var op string
 			switch r := rng.Intn(20); {
 			case r < 5:
@@ -352,26 +362,52 @@ func TestFlowTableMutationModel(t *testing.T) {
 }
 
 // TestDeleteReleasesEntries: a delete must not keep the removed entries
-// reachable from the backing array past the table's length.
+// reachable from a bucket's backing array past the bucket's length. The
+// rules spread over dst-MAC, in-port and residual buckets, and the wildcard
+// Delete removes every other rule of each, so every bucket keeps a tail.
 func TestDeleteReleasesEntries(t *testing.T) {
 	ft := NewFlowTable()
-	batch := make([]*FlowEntry, 64)
+	batch := make([]*FlowEntry, 96)
 	for i := range batch {
-		batch[i] = &FlowEntry{Match: policy.MatchAll.Port(uint16(1 + i%2)).DstPort(uint16(i)),
-			Priority: uint16(100 - i), Actions: []openflow.Action{openflow.Output(3)}}
+		// Rules 2k and 2k+1 share a bucket; only the even one goes.
+		m, k := policy.MatchAll.DstPort(uint16(80+i%2)), i/2
+		switch k % 3 {
+		case 0:
+			m = m.DstMAC(netutil.VMAC(uint32(k % 4)))
+		case 1:
+			m = m.Port(uint16(1 + k%4))
+		}
+		batch[i] = &FlowEntry{Match: m.SrcPort(uint16(i)), Priority: uint16(200 - i),
+			Actions: []openflow.Action{openflow.Output(3)}}
 	}
 	ft.AddBatch(batch)
-	if n := ft.Delete(policy.MatchAll.Port(1), 0, false); n != 32 {
-		t.Fatalf("wildcard Delete removed %d rules, want 32", n)
+	// liveTails sums liveTail over every bucket.
+	liveTails := func() int {
+		ft.mu.RLock()
+		defer ft.mu.RUnlock()
+		n := liveTail(ft.residual)
+		for _, list := range ft.byDstMAC {
+			n += liveTail(list)
+		}
+		for _, list := range ft.byPort {
+			n += liveTail(list)
+		}
+		return n
 	}
-	if n := liveTail(ft.entries); n != 0 {
-		t.Fatalf("after a wildcard Delete, %d pointers past len(entries) are live, want 0", n)
+	if n := ft.Delete(policy.MatchAll.DstPort(80), 0, false); n != 48 {
+		t.Fatalf("wildcard Delete removed %d rules, want 48", n)
+	}
+	if n := liveTails(); n != 0 {
+		t.Fatalf("after a wildcard Delete, %d pointers past the buckets' lengths are live, want 0", n)
 	}
 	if n := ft.Delete(batch[1].Match, batch[1].Priority, true); n != 1 {
 		t.Fatalf("strict Delete removed %d rules, want 1", n)
 	}
-	if n := liveTail(ft.entries); n != 0 {
-		t.Fatalf("after a strict Delete, %d pointers past len(entries) are live, want 0", n)
+	if n := liveTails(); n != 0 {
+		t.Fatalf("after a strict Delete, %d pointers past the buckets' lengths are live, want 0", n)
+	}
+	if err := checkTableInvariants(ft); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -422,49 +458,66 @@ func TestTableWritesAreLocal(t *testing.T) {
 	}
 }
 
-// BenchmarkFlowTableDiffPush times one SetBase-shaped diff through
-// InstallFlowMods: n/4 adds followed by n/4 strict deletes on an n-rule
-// table. Iterations alternate between swapping a quarter of the base out
-// for fresh rules at the same priorities and swapping it back, so the table
-// stays at n rules.
+// BenchmarkFlowTableDiffPush times table pushes through InstallFlowMods on
+// an n-rule table, in two shapes; each iteration leaves the table at n rules.
+//
+//   - shape=diff, one SetBase-shaped diff: n/4 adds followed by n/4 strict
+//     deletes. Iterations alternate between swapping a quarter of the base
+//     out for fresh rules at the same priorities and swapping it back.
+//   - shape=fast, two quick-stage-shaped pushes: fastRules adds above every
+//     installed rule, then their strict deletes.
 func BenchmarkFlowTableDiffPush(b *testing.B) {
+	const fastRules = 10
 	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
-		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
-			base := sdxFlowMods(n, 0)
-			var quarter []*openflow.FlowMod
-			for i := 0; i < n; i += 4 {
-				quarter = append(quarter, base[i])
+		base := sdxFlowMods(n, 0)
+		deletes := func(fms []*openflow.FlowMod) []*openflow.FlowMod {
+			out := make([]*openflow.FlowMod, len(fms))
+			for i, fm := range fms {
+				out[i] = &openflow.FlowMod{Match: fm.Match, Priority: fm.Priority, Command: openflow.FlowModDeleteStrict}
 			}
-			others := sdxFlowMods(len(quarter), uint32(n))
-			for i, fm := range others {
-				fm.Priority = quarter[i].Priority
-			}
-			deletes := func(fms []*openflow.FlowMod) []*openflow.FlowMod {
-				out := make([]*openflow.FlowMod, len(fms))
-				for i, fm := range fms {
-					out[i] = &openflow.FlowMod{Match: fm.Match, Priority: fm.Priority, Command: openflow.FlowModDeleteStrict}
-				}
-				return out
-			}
-			diffs := [2][]*openflow.FlowMod{
+			return out
+		}
+		var quarter []*openflow.FlowMod
+		for i := 0; i < n; i += 4 {
+			quarter = append(quarter, base[i])
+		}
+		others := sdxFlowMods(len(quarter), uint32(n))
+		for i, fm := range others {
+			fm.Priority = quarter[i].Priority
+		}
+		fast := sdxFlowMods(fastRules, uint32(n))
+		for i, fm := range fast {
+			fm.Priority = uint16(0xf000 + i)
+		}
+		for _, shape := range []struct {
+			name   string
+			pushes [][]*openflow.FlowMod
+		}{
+			{"diff", [][]*openflow.FlowMod{
 				append(slices.Clone(others), deletes(quarter)...),
 				append(slices.Clone(quarter), deletes(others)...),
-			}
-			sw := NewSwitch(1)
-			if err := sw.InstallFlowMods(base); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sw.InstallFlowMods(diffs[i%2]); err != nil {
+			}},
+			{"fast", [][]*openflow.FlowMod{fast, deletes(fast)}},
+		} {
+			b.Run(fmt.Sprintf("shape=%s/rules=%d", shape.name, n), func(b *testing.B) {
+				sw := NewSwitch(1)
+				if err := sw.InstallFlowMods(base); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.StopTimer()
-			if got := sw.Table.Len(); got != n {
-				b.Fatalf("table holds %d rules, want %d", got, n)
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, push := range shape.pushes {
+						if err := sw.InstallFlowMods(push); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.StopTimer()
+				if got := sw.Table.Len(); got != n {
+					b.Fatalf("table holds %d rules, want %d", got, n)
+				}
+			})
+		}
 	}
 }

@@ -105,6 +105,34 @@ func newLiveRouteServer(t *testing.T, nextHop NextHopResolver) (*Frontend, strin
 	return fe, addr.String()
 }
 
+// waitEstablished waits until the route server has established each
+// participant's session: the speaker holds it and the frontend has sent its
+// catch-up dump. dialClient returns when the client's side of the handshake
+// completes, which can precede both. onEstablished creates the peer's
+// Adj-RIB-Out while holding its emit lock and keeps the lock until the dump
+// is sent, so taking the lock after the Adj-RIB-Out appears waits the dump out.
+func waitEstablished(t *testing.T, fe *Frontend, ids ...ID) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
+	for _, id := range ids {
+		for {
+			fe.mu.Lock()
+			_, ok := fe.adjOut[id]
+			fe.mu.Unlock()
+			if ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("route server never established %s's session", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		lock := fe.emitLock(id)
+		lock.Lock()
+		lock.Unlock()
+	}
+}
+
 func advertise(t *testing.T, c *testClient, prefix string, asns ...uint32) {
 	t.Helper()
 	err := c.peer.Send(&bgp.Update{
@@ -279,6 +307,9 @@ func TestFrontendOnPrefixesHook(t *testing.T) {
 	}
 	a := dialClient(t, addr, 65001, "10.0.0.1")
 	b := dialClient(t, addr, 65002, "10.0.0.2")
+	// A late-registered A would get the prefix from its catch-up dump,
+	// which is not ordered after OnPrefixes.
+	waitEstablished(t, fe, "A", "B")
 	advertise(t, b, "10.0.0.0/8", 65002)
 	a.waitForUpdate(t, func(u *bgp.Update) bool { return hasNLRI(u, p) })
 
