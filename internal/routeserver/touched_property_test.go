@@ -15,6 +15,14 @@ import (
 // export filter, no VRFs) the returned set is exactly that; an unchanged
 // re-advertisement and a withdrawal of an absent route return nothing in
 // every configuration.
+//
+// After every operation each receiver's view is also checked against a
+// brute-force reference: bgp.SelectBest over the candidates the test itself
+// deems visible (not the receiver's own, same VRF, allowed by the export
+// filter), read back through AdvertisedRoute. BestFor, BestNextHopParticipant,
+// Exports and ReachableVia must all agree with it, including across mid-run
+// SetRouteExportPolicy and SetVRF calls, which change visibility without
+// touching a single candidate.
 func TestTouchedPrefixesProperty(t *testing.T) {
 	for _, cfg := range []struct {
 		name         string
@@ -37,31 +45,51 @@ func runTouchedProperty(t *testing.T, filter, vrfs bool) {
 	)
 	rng := rand.New(rand.NewSource(13))
 	ids := make([]ID, nParts)
+	asOf := make(map[ID]uint32, nParts)
 	for i := range ids {
 		ids[i] = ID(fmt.Sprintf("P%d", i))
+		asOf[ids[i]] = uint32(65001 + i)
 	}
 	prefixes := make([]netip.Prefix, nPrefixes)
 	for i := range prefixes {
 		prefixes[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
 	}
 
-	var export ExportFilter
-	if filter {
+	filters := []RouteExportFilter{
 		// An arbitrary but fixed third of (advertiser, receiver, prefix)
 		// triples is hidden.
-		export = func(adv, recv ID, p netip.Prefix) bool {
-			return (int(adv[1])+2*int(recv[1])+int(p.Addr().As4()[1]))%3 != 0
-		}
+		func(adv, recv ID, _ uint32, r bgp.Route) bool {
+			return (int(adv[1])+2*int(recv[1])+int(r.Prefix.Addr().As4()[1]))%3 != 0
+		},
+		// Attribute-dependent: long paths are hidden from odd-AS receivers,
+		// so a re-advertisement alone can move visibility.
+		func(_, _ ID, recvAS uint32, r bgp.Route) bool {
+			return recvAS%2 == 0 || len(r.Attrs.ASPath[0].ASNs) < 3
+		},
 	}
-	s := New(export)
-	for i, id := range ids {
-		if err := s.AddParticipant(id, uint32(65001+i)); err != nil {
+	var cur RouteExportFilter
+	if filter {
+		cur = filters[0]
+	}
+	s := New(nil)
+	if cur != nil {
+		s.SetRouteExportPolicy(cur)
+	}
+	vrfOf := make(map[ID]VRF, nParts)
+	for _, id := range ids {
+		if err := s.AddParticipant(id, asOf[id]); err != nil {
 			t.Fatal(err)
 		}
-		if vrfs && i >= 3 {
-			if err := s.SetVRF(id, "tenant"); err != nil {
-				t.Fatal(err)
-			}
+	}
+	setVRF := func(id ID, vrf VRF) {
+		if err := s.SetVRF(id, vrf); err != nil {
+			t.Fatal(err)
+		}
+		vrfOf[id] = vrf
+	}
+	if vrfs {
+		for _, id := range ids[3:] {
+			setVRF(id, "tenant")
 		}
 	}
 	// Distinct PeerIDs keep every participant's routes distinguishable, so
@@ -81,25 +109,71 @@ func runTouchedProperty(t *testing.T, filter, vrfs bool) {
 			PeerID: netip.AddrFrom4([4]byte{172, 31, 0, byte(pi + 1)}),
 		}
 	}
+	visible := func(adv, recv ID, r bgp.Route) bool {
+		return adv != recv && vrfOf[adv] == vrfOf[recv] &&
+			(cur == nil || cur(adv, recv, asOf[recv], r))
+	}
 
 	type answer struct {
 		route bgp.Route
 		ok    bool
 	}
-	snapshot := func() map[ID]map[netip.Prefix]answer {
+	// snapshot reads every receiver's BestFor answers, checking each
+	// (receiver, prefix) against the reference on the way.
+	snapshot := func(when string) map[ID]map[netip.Prefix]answer {
+		t.Helper()
 		out := make(map[ID]map[netip.Prefix]answer, nParts)
 		for _, id := range ids {
 			m := make(map[netip.Prefix]answer, nPrefixes)
+			reach := make(map[ID]int, nParts)
 			for _, p := range prefixes {
+				var cands []bgp.Route
+				var advs []ID
+				for _, adv := range ids {
+					r, had := s.AdvertisedRoute(adv, p)
+					vis := had && visible(adv, id, r)
+					if got := s.Exports(adv, id, p); got != vis {
+						t.Fatalf("%s: Exports(%s, %s, %v) = %v, reference %v", when, adv, id, p, got, vis)
+					}
+					if vis {
+						cands = append(cands, r)
+						advs = append(advs, adv)
+						reach[adv]++
+					}
+				}
+				want, wantOK := bgp.SelectBest(cands)
+				var wantAdv ID
+				for i, c := range cands {
+					if wantOK && routeEq(c, want) {
+						wantAdv = advs[i]
+					}
+				}
 				r, ok := s.BestFor(id, p)
+				if ok != wantOK || (ok && !routeEq(r, want)) {
+					t.Fatalf("%s: BestFor(%s, %v) = %v, %v; reference %v, %v", when, id, p, r, ok, want, wantOK)
+				}
+				if adv, ok := s.BestNextHopParticipant(id, p); ok != wantOK || adv != wantAdv {
+					t.Fatalf("%s: BestNextHopParticipant(%s, %v) = %q, %v; reference %q, %v", when, id, p, adv, ok, wantAdv, wantOK)
+				}
 				m[p] = answer{r, ok}
+			}
+			for _, hop := range ids {
+				set := s.ReachableVia(id, hop)
+				if set.Len() != reach[hop] {
+					t.Fatalf("%s: ReachableVia(%s, %s) holds %d prefixes, reference %d", when, id, hop, set.Len(), reach[hop])
+				}
+				for _, p := range prefixes {
+					if set.Contains(p) != s.Exports(hop, id, p) {
+						t.Fatalf("%s: ReachableVia(%s, %s) and Exports disagree on %v", when, id, hop, p)
+					}
+				}
 			}
 			out[id] = m
 		}
 		return out
 	}
 
-	before := snapshot()
+	before := snapshot("start")
 	for op := 0; op < nOps; op++ {
 		pi := rng.Intn(nParts)
 		id := ids[pi]
@@ -108,7 +182,7 @@ func runTouchedProperty(t *testing.T, filter, vrfs bool) {
 		var err error
 		wantNothing := false
 		var desc string
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(12); {
 		case k < 3:
 			desc = "Advertise"
 			touched, err = s.Advertise(id, randRoute(pi, p))
@@ -138,9 +212,27 @@ func runTouchedProperty(t *testing.T, filter, vrfs bool) {
 				}
 			}
 			touched, err = s.ApplyUpdateTouched(id, withdrawn, routes)
-		default:
+		case k < 10:
 			desc = "FlushParticipant"
 			touched = s.FlushParticipant(id)
+		case k < 11:
+			// Visibility moves without a candidate changing, so there is no
+			// touched set to check: only the reference comparison.
+			if !filter {
+				continue
+			}
+			cur = filters[rng.Intn(len(filters))]
+			s.SetRouteExportPolicy(cur)
+			before = snapshot(fmt.Sprintf("op %d SetRouteExportPolicy", op))
+			continue
+		default:
+			if !vrfs {
+				continue
+			}
+			vrf := []VRF{"", "tenant", "other"}[rng.Intn(3)]
+			setVRF(id, vrf)
+			before = snapshot(fmt.Sprintf("op %d SetVRF(%s, %q)", op, id, vrf))
+			continue
 		}
 		if err != nil {
 			t.Fatalf("op %d %s(%s): %v", op, desc, id, err)
@@ -149,7 +241,7 @@ func runTouchedProperty(t *testing.T, filter, vrfs bool) {
 			t.Fatalf("op %d %s(%s, %v) is a no-op but touched %v", op, desc, id, p, touched)
 		}
 
-		after := snapshot()
+		after := snapshot(fmt.Sprintf("op %d %s(%s)", op, desc, id))
 		moved := make(map[netip.Prefix]bool)
 		for _, rid := range ids {
 			for _, q := range prefixes {
