@@ -46,12 +46,15 @@ bench-harness:
 
 # Every benchmark in the root bench_test.go, internal/dataplane
 # (BenchmarkFlowTableDiffPush's shape=diff SetBase diffs and shape=fast
-# quick-stage pushes above every rule, BenchmarkInjectTelemetryOverhead) and
+# quick-stage pushes above every rule, BenchmarkInjectTelemetryOverhead),
 # internal/policy (BenchmarkCompileDisjointUnion, the compiler's Union over
-# 300 port-disjoint participants), once: keeps them compiling and running,
-# and puts the Union's compile time in every check log.
+# 300 port-disjoint participants) and internal/routeserver
+# (BenchmarkBestFor, 40 participants each reading 10k prefixes with no
+# filter, an export filter and VRFs), once: keeps them compiling and
+# running, and puts the Union's compile time and the route server's read
+# cost in every check log.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/dataplane ./internal/policy
+	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/dataplane ./internal/policy ./internal/routeserver
 
 # Every Fuzz* target in the module for ten seconds each (plain `go test`
 # runs only their seed corpora). A failing input lands in the package's

@@ -3,7 +3,6 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
-	"regexp"
 	"sync"
 )
 
@@ -112,9 +111,8 @@ func SelectBest(rs []Route) (Route, bool) {
 // a BGP session implicitly replaces earlier advertisements. RIB is safe for
 // concurrent use: session goroutines write while the controller reads.
 type RIB struct {
-	mu      sync.RWMutex
-	routes  map[netip.Prefix]Route
-	version uint64
+	mu     sync.RWMutex
+	routes map[netip.Prefix]Route
 }
 
 // NewRIB returns an empty RIB.
@@ -134,7 +132,6 @@ func (t *RIB) Set(r Route) bool {
 		return false
 	}
 	t.routes[r.Prefix] = r
-	t.version++
 	return true
 }
 
@@ -147,17 +144,7 @@ func (t *RIB) Remove(p netip.Prefix) bool {
 		return false
 	}
 	delete(t.routes, p)
-	t.version++
 	return true
-}
-
-// Version returns a counter that advances on every effective mutation, so
-// callers caching derived views (the route server's reachability sets) can
-// detect staleness without diffing contents.
-func (t *RIB) Version() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.version
 }
 
 // Get returns the route for prefix.
@@ -195,62 +182,6 @@ func (t *RIB) Walk(fn func(Route) bool) {
 			return
 		}
 	}
-}
-
-// FilterASPath returns the prefixes whose AS path (rendered as
-// space-separated ASNs) matches the regular expression — the paper's
-// RIB.filter('as_path', ".*43515$") idiom for grouping traffic by BGP
-// attributes. The routes are snapshotted under the read lock and matched
-// outside it: a full-table regexp scan must not stall session writers.
-func (t *RIB) FilterASPath(expr string) ([]netip.Prefix, error) {
-	re, err := regexp.Compile(expr)
-	if err != nil {
-		return nil, fmt.Errorf("bgp: bad as-path filter: %w", err)
-	}
-	type cand struct {
-		prefix netip.Prefix
-		attrs  *PathAttrs
-	}
-	t.mu.RLock()
-	snap := make([]cand, 0, len(t.routes))
-	for p, r := range t.routes {
-		snap = append(snap, cand{p, r.attrs()})
-	}
-	t.mu.RUnlock()
-	var out []netip.Prefix
-	for _, c := range snap {
-		// Interned attribute sets are immutable, so matching outside the
-		// lock reads stable data.
-		if re.MatchString(c.attrs.ASPathString()) {
-			out = append(out, c.prefix)
-		}
-	}
-	return out, nil
-}
-
-// FilterCommunity returns the prefixes carrying the given community value.
-// Like FilterASPath, the scan snapshots under the lock and matches outside.
-func (t *RIB) FilterCommunity(c uint32) []netip.Prefix {
-	type cand struct {
-		prefix netip.Prefix
-		attrs  *PathAttrs
-	}
-	t.mu.RLock()
-	snap := make([]cand, 0, len(t.routes))
-	for p, r := range t.routes {
-		snap = append(snap, cand{p, r.attrs()})
-	}
-	t.mu.RUnlock()
-	var out []netip.Prefix
-	for _, cd := range snap {
-		for _, rc := range cd.attrs.Communities {
-			if rc == c {
-				out = append(out, cd.prefix)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // Equal reports whether two attribute sets are semantically identical —

@@ -1,9 +1,6 @@
 package bgp
 
-import (
-	"net/netip"
-	"testing"
-)
+import "testing"
 
 func route(prefix string, opts ...func(*Route)) Route {
 	// Build against a private attribute copy — interned sets are shared and
@@ -139,43 +136,6 @@ func TestRIBSetGetRemove(t *testing.T) {
 	}
 	if rib.Len() != 0 {
 		t.Errorf("Len = %d", rib.Len())
-	}
-}
-
-func TestRIBFilterASPath(t *testing.T) {
-	rib := NewRIB()
-	rib.Set(route("10.0.0.0/8", withASPath(65001, 43515))) // YouTube-terminated
-	rib.Set(route("20.0.0.0/8", withASPath(65001, 15169))) // not
-	rib.Set(route("30.0.0.0/8", withASPath(43515)))        // direct
-	rib.Set(route("40.0.0.0/8", withASPath(43515, 65002))) // transits through, not terminal
-	got, err := rib.FilterASPath(`(^|.* )43515$`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[netip.Prefix]bool{mp("10.0.0.0/8"): true, mp("30.0.0.0/8"): true}
-	if len(got) != 2 {
-		t.Fatalf("FilterASPath = %v, want 2 prefixes", got)
-	}
-	for _, p := range got {
-		if !want[p] {
-			t.Errorf("unexpected prefix %v", p)
-		}
-	}
-	if _, err := rib.FilterASPath("("); err == nil {
-		t.Error("bad regexp should error")
-	}
-}
-
-func TestRIBFilterCommunity(t *testing.T) {
-	rib := NewRIB()
-	withComm := route("10.0.0.0/8", func(r *Route) {
-		r.Attrs.Communities = []uint32{0x00010002}
-	})
-	rib.Set(withComm)
-	rib.Set(route("20.0.0.0/8"))
-	got := rib.FilterCommunity(0x00010002)
-	if len(got) != 1 || got[0] != mp("10.0.0.0/8") {
-		t.Errorf("FilterCommunity = %v", got)
 	}
 }
 

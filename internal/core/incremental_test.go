@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"sdx/internal/bgp"
 	"sdx/internal/packet"
 	"sdx/internal/routeserver"
 )
@@ -87,8 +88,8 @@ func TestFastPathOnWithdrawal(t *testing.T) {
 // traffic for p1 follows the default route via C — before and after a quick
 // reaction re-tags p1.
 func TestFastPathHonoursExportPolicy(t *testing.T) {
-	hideP1FromA := func(advertiser, receiver routeserver.ID, prefix netip.Prefix) bool {
-		return !(advertiser == "B" && receiver == "A" && prefix == p1)
+	hideP1FromA := func(advertiser, receiver routeserver.ID, _ uint32, r bgp.Route) bool {
+		return !(advertiser == "B" && receiver == "A" && r.Prefix == p1)
 	}
 	c := figure1On(t, routeserver.New(hideP1FromA), DefaultOptions())
 	sw, sinks := deployFigure1(t, c)

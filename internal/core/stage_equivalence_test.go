@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"sdx/internal/bgp"
 	"sdx/internal/core"
 	"sdx/internal/netutil"
 	"sdx/internal/policy"
@@ -22,18 +23,18 @@ import (
 // (advertiser, receiver, prefix) triples, where "B advertises p" and "B
 // exports p to A" come apart.
 func TestQuickStageMatchesBackgroundStage(t *testing.T) {
-	hideHalf := func(advertiser, receiver routeserver.ID, prefix netip.Prefix) bool {
+	hideHalf := func(advertiser, receiver routeserver.ID, _ uint32, r bgp.Route) bool {
 		h := fnv.New64a()
 		h.Write([]byte(advertiser))
 		h.Write([]byte{0})
 		h.Write([]byte(receiver))
 		h.Write([]byte{0})
-		h.Write([]byte(prefix.String()))
+		h.Write([]byte(r.Prefix.String()))
 		return h.Sum64()>>63 == 0 // FNV's low bits are just the input bytes' parity
 	}
 	for _, tc := range []struct {
 		name   string
-		filter routeserver.ExportFilter
+		filter routeserver.RouteExportFilter
 	}{
 		{"unfiltered", nil},
 		{"export-filter", hideHalf},

@@ -168,8 +168,13 @@ func ActionsFromMods(mods policy.Mods) ([]Action, error) {
 // modified for an earlier copy but needed unmodified by a later one is
 // restored from the rule's match when it pins that field exactly. When no
 // exact value is available the rule cannot be expressed in OF 1.0 and an
-// error is returned (the SDX applications never need this case).
+// error is returned (the SDX applications never need this case). A rule
+// that matches a non-IPv4 prefix or sets a non-IPv4 address is an error
+// too: OF 1.0's address fields are 32 bits wide.
 func FlowModFromRule(r policy.Rule, priority uint16) (*FlowMod, error) {
+	if err := checkIPv4(r); err != nil {
+		return nil, err
+	}
 	fm := &FlowMod{
 		Match:    MatchFromPolicy(r.Match),
 		Command:  FlowModAdd,
@@ -214,6 +219,27 @@ func FlowModFromRule(r policy.Rule, priority uint16) (*FlowMod, error) {
 		applied = applied.Then(delta)
 	}
 	return fm, nil
+}
+
+// checkIPv4 rejects a rule naming an address the wire cannot carry. Lowered
+// anyway, an IPv6 prefix's length would corrupt the match's wildcard bits
+// (a /64 reads back as match-all) and its address would become 0.0.0.0.
+func checkIPv4(r policy.Rule) error {
+	if p, ok := r.Match.GetSrcIP(); ok && !p.Addr().Is4() {
+		return fmt.Errorf("openflow: match on non-IPv4 source %v", p)
+	}
+	if p, ok := r.Match.GetDstIP(); ok && !p.Addr().Is4() {
+		return fmt.Errorf("openflow: match on non-IPv4 destination %v", p)
+	}
+	for _, m := range r.Actions {
+		if a, ok := m.GetSrcIP(); ok && !a.Is4() {
+			return fmt.Errorf("openflow: action sets non-IPv4 source %v", a)
+		}
+		if a, ok := m.GetDstIP(); ok && !a.Is4() {
+			return fmt.Errorf("openflow: action sets non-IPv4 destination %v", a)
+		}
+	}
+	return nil
 }
 
 // samePortlessCopies reports whether every copy carries an output port and

@@ -200,6 +200,37 @@ func TestFlowModMulticastUnrestorable(t *testing.T) {
 	}
 }
 
+// TestFlowModFromRuleRejectsIPv6 pins the lowering to what OF 1.0's 32-bit
+// address fields can carry: a /64 would otherwise lower to wildcard bits
+// that read back as match-all, and a /32 to an exact 0.0.0.0 match.
+func TestFlowModFromRuleRejectsIPv6(t *testing.T) {
+	v6 := netip.MustParsePrefix("2001:db8::/64")
+	fwd := policy.Identity.SetPort(2)
+	for name, rule := range map[string]policy.Rule{
+		"dst /64":     {Match: policy.MatchAll.DstIP(v6), Actions: []policy.Mods{fwd}},
+		"src /32":     {Match: policy.MatchAll.SrcIP(netip.MustParsePrefix("2001:db8::/32")), Actions: []policy.Mods{fwd}},
+		"drop on v6":  {Match: policy.MatchAll.DstIP(v6)},
+		"set dst":     {Match: policy.MatchAll.Port(1), Actions: []policy.Mods{fwd.SetDstIP(netip.MustParseAddr("2001:db8::1"))}},
+		"set src":     {Match: policy.MatchAll.Port(1), Actions: []policy.Mods{fwd.SetSrcIP(netip.MustParseAddr("::ffff:10.0.0.1"))}},
+		"second copy": {Match: policy.MatchAll.Port(1), Actions: []policy.Mods{fwd, policy.Identity.SetDstIP(netip.MustParseAddr("2001:db8::1")).SetPort(3)}},
+	} {
+		if fm, err := FlowModFromRule(rule, 1); err == nil {
+			t.Errorf("%s: lowered to %+v, want an error", name, fm.Match)
+		}
+	}
+	v4 := policy.Rule{
+		Match:   policy.MatchAll.DstIP(netip.MustParsePrefix("10.0.0.0/8")),
+		Actions: []policy.Mods{fwd.SetDstIP(netip.MustParseAddr("10.0.0.1"))},
+	}
+	fm, err := FlowModFromRule(v4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fm.Match.ToPolicy() != v4.Match {
+		t.Errorf("IPv4 match read back as %v", fm.Match.ToPolicy())
+	}
+}
+
 func TestPacketInOutRoundTrip(t *testing.T) {
 	pi := &PacketIn{BufferID: 0xffffffff, InPort: 4, Reason: ReasonNoMatch, Data: []byte{1, 2, 3}}
 	msg, err := ReadMessage(bytes.NewReader(EncodePacketIn(pi, 5)))

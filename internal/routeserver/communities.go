@@ -4,35 +4,26 @@ import "sdx/internal/bgp"
 
 // RouteExportFilter decides whether advertiser's concrete route may be
 // exported to receiver (whose AS number is supplied, since community
-// conventions name peers by AS). Unlike ExportFilter it sees the whole
-// route. The filter is called with Server locks held: it must not call
-// back into the Server.
+// conventions name peers by AS). A nil filter exports everything, the
+// route-server default. The filter is called with Server locks held: it
+// must not call back into the Server.
 type RouteExportFilter func(advertiser, receiver ID, receiverAS uint32, route bgp.Route) bool
 
-// SetRouteExportPolicy installs a route-level export filter, evaluated in
-// addition to any prefix-level ExportFilter. It affects best-route
-// computation, ReachableVia (and therefore the SDX policy reach filters),
-// and re-advertisement. Installing a filter drops every cached
-// per-receiver decision, since the filter changes who may see what.
+// SetRouteExportPolicy replaces the export filter New installed. The filter
+// affects best-route computation, Exports and ReachableVia (and therefore
+// the SDX policy reach filters), and re-advertisement, from the next read
+// on.
 //
-// Caveat: the equivalence-class default next hops (BestTwo) remain computed
-// from the unfiltered candidate set; deployments mixing per-pair route
-// hiding with SDX default forwarding should hide routes symmetrically or
-// accept that a hidden best route still attracts default traffic, as at any
-// route-server IXP where participants also keep direct sessions.
+// Caveat: the equivalence-class default next hops (BestTwoIn) remain
+// computed from the unfiltered candidate set; deployments mixing per-pair
+// route hiding with SDX default forwarding should hide routes symmetrically
+// or accept that a hidden best route still attracts default traffic, as at
+// any route-server IXP where participants also keep direct sessions.
 func (s *Server) SetRouteExportPolicy(f RouteExportFilter) {
 	s.partMu.Lock()
 	defer s.partMu.Unlock()
 	s.routeExport = f
 	s.epoch++
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for p := range sh.perRecv {
-			delete(sh.perRecv, p)
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // CommunityExportPolicy returns the conventional RFC 1997 route-server
@@ -84,17 +75,4 @@ func CommunityExportPolicy(rsAS uint32) RouteExportFilter {
 // Community builds the 32-bit community value (upper:lower).
 func Community(upper, lower uint16) uint32 {
 	return uint32(upper)<<16 | uint32(lower)
-}
-
-// routeExportAllowsLocked applies the optional route-level filter. Called
-// with partMu held (read or write); resolves the receiver's AS directly.
-func (s *Server) routeExportAllowsLocked(adv, recv ID, route bgp.Route) bool {
-	if s.routeExport == nil {
-		return true
-	}
-	p, ok := s.participants[recv]
-	if !ok {
-		return false
-	}
-	return s.routeExport(adv, recv, p.as, route)
 }

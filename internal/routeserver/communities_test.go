@@ -107,3 +107,44 @@ func TestHasExportPolicyWithCommunities(t *testing.T) {
 		t.Error("route-level policy must disable reach-filter sharing")
 	}
 }
+
+// TestFilterHidesEverythingFromUnregisteredReceiver pins the export rule
+// for a receiver the registry does not know: without a filter it sees
+// routes like anyone else, but through a filter — even one that allows
+// everything, installed by New or by SetRouteExportPolicy — it sees nothing,
+// since the filter is handed the receiver's AS.
+func TestFilterHidesEverythingFromUnregisteredReceiver(t *testing.T) {
+	allowAll := func(ID, ID, uint32, bgp.Route) bool { return true }
+	p := mp("10.0.0.0/8")
+	for _, tc := range []struct {
+		name     string
+		s        *Server
+		wantSeen bool
+	}{
+		{"no-filter", newABC(t, nil), true},
+		{"New", newABC(t, allowAll), false},
+		{"SetRouteExportPolicy", newCommunityServer(t), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			if _, err := s.Advertise("B", rt("10.0.0.0/8", 65002)); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.BestFor("A", p); !ok {
+				t.Fatal("registered receiver A lost B's route")
+			}
+			_, best := s.BestFor("Z", p)
+			hop, nh := s.BestNextHopParticipant("Z", p)
+			for what, got := range map[string]bool{
+				"BestFor":                best,
+				"BestNextHopParticipant": nh && hop == "B",
+				"Exports":                s.Exports("B", "Z", p),
+				"ReachableVia":           s.ReachableVia("Z", "B").Contains(p),
+			} {
+				if got != tc.wantSeen {
+					t.Errorf("%s for unregistered Z = %v, want %v", what, got, tc.wantSeen)
+				}
+			}
+		})
+	}
+}

@@ -11,13 +11,13 @@ func (s *Server) EnableTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	reg.CounterFunc("sdx_routeserver_best_recomputations_total",
-		"Decision-process runs that could not be served from the shard caches.",
+		"Decision-process runs not served from the shards' pair cache: pair misses, and every read while an export filter or VRF makes the decision per receiver.",
 		func() float64 { return float64(s.mBestRecomputations.Value()) })
 	reg.CounterFunc("sdx_routeserver_best_cache_hits_total",
-		"Best-route lookups served from the shard decision caches.",
+		"Best-route lookups served from the shards' pair cache.",
 		func() float64 { return float64(s.mBestCacheHits.Value()) })
 	reg.CounterFunc("sdx_routeserver_best_changes_total",
-		"Prefixes reported touched by applied updates: best-route decision changes, or every candidate change when an export policy or VRF makes the decision per-receiver.",
+		"Prefixes reported touched by applied updates: best-route decision changes, or every candidate change when an export filter or VRF makes the decision per receiver.",
 		func() float64 { return float64(s.mTouchedPrefixes.Value()) })
 	reg.CounterFunc("sdx_routeserver_advertisements_total",
 		"Routes advertised or loaded into the engine.",

@@ -45,6 +45,11 @@ func TestFrontendPeerDownFlushesRoutes(t *testing.T) {
 	a.waitForUpdate(t, func(u *bgp.Update) bool {
 		return hasNLRI(u, mp("30.0.0.0/8"))
 	})
+	// B never learns its own route back, so C's backup reaching B proves
+	// the engine holds it before B dies.
+	b.waitForUpdate(t, func(u *bgp.Update) bool {
+		return hasNLRI(u, mp("10.0.0.0/8")) && u.Attrs.FirstAS() == 65003
+	})
 
 	// B's router dies. The frontend must flush B's routes and recompute.
 	b.speaker.Close()

@@ -8,15 +8,23 @@
 // benchmarks drive directly; Frontend glues a Server to a bgp.Speaker for
 // live deployments.
 //
+// Visibility. Whether advertiser X's route may reach receiver Y is decided
+// in one place, visibleLocked: only if X is not Y, only within one VRF,
+// and only if the export filter (New, SetRouteExportPolicy) allows it.
+// BestFor, BestNextHopParticipant, Exports and ReachableVia all ask it.
+//
 // Concurrency. The candidate table is split into hash shards keyed by
 // prefix, each with its own lock, so sessions churning disjoint prefixes
 // proceed in parallel. The participant registry has a separate lock
-// (partMu), always acquired before a shard lock, never after. Each shard
-// caches decision-process results — a receiver-independent (best,
-// second-best) advertiser pair when no export policy is installed, a
-// per-(prefix, receiver) entry when one is — invalidated whenever the
-// prefix's candidates change, so the hot read path (BestFor during
-// re-advertisement and policy compilation) stops rescanning SelectBest.
+// (partMu), always acquired before a shard lock, never after.
+//
+// Decision cache. With no export filter and no VRFs every receiver's best
+// route derives from one (best, second-best) advertiser pair per prefix,
+// which each shard caches and drops whenever the prefix's candidates
+// change, so the hot read path (BestFor during re-advertisement and policy
+// compilation) does not rescan the candidates. That pair is the only
+// cache: when visibility is receiver-dependent, a read scans the prefix's
+// few candidates under the shard's read lock.
 //
 // Memory. At full-DFZ scale (a million prefixes) per-prefix overhead is
 // what decides whether the table fits: candidates are a sorted slice of
@@ -48,11 +56,6 @@ type ID string
 // without collision. The empty VRF is the shared default domain every
 // participant starts in.
 type VRF string
-
-// ExportFilter decides whether advertiser's route for prefix may be
-// exported to the given receiver. A nil filter exports everything, the
-// route-server default.
-type ExportFilter func(advertiser, receiver ID, prefix netip.Prefix) bool
 
 type participant struct {
 	id ID
@@ -88,15 +91,15 @@ func findCand(cands []candRoute, id ID) int {
 }
 
 // bestPair caches the decision process for one prefix when no export
-// policy is installed: the advertisers of the globally best route and of
-// the best route not from the same advertiser. Every receiver's best is
-// derivable from the pair — the first advertiser's route, unless the
-// receiver IS the first advertiser, in which case the second's (a
-// participant never learns its own route back). Only the IDs are cached;
-// the routes are recovered from the candidate slice, so the cache costs
-// two strings per prefix instead of two full routes. Ties between
-// byte-identical routes resolve to the lowest advertiser ID, so the
-// derivation is insertion-order independent.
+// filter is installed and no VRF is in use: the advertisers of the
+// globally best route and of the best route not from the same advertiser.
+// Every receiver's best is derivable from the pair — the first
+// advertiser's route, unless the receiver IS the first advertiser, in
+// which case the second's (a participant never learns its own route back).
+// Only the IDs are cached; the routes are recovered from the candidate
+// slice, so the cache costs two strings per prefix instead of two full
+// routes. Ties between byte-identical routes resolve to the lowest
+// advertiser ID, so the derivation is insertion-order independent.
 type bestPair struct {
 	firstID, secondID ID
 }
@@ -129,41 +132,28 @@ func pairSnapEqual(a, b pairSnap) bool {
 	return true
 }
 
-// recvBest is one per-(prefix, receiver) cached decision, used when an
-// export policy makes the result receiver-dependent. ok is false when the
-// policy hides every candidate from the receiver.
-type recvBest struct {
-	route bgp.Route
-	ok    bool
-}
-
-// shard is one slice of the candidate table with its decision caches.
-// pair and perRecv entries for a prefix are deleted whenever that prefix's
-// candidates change; they are refilled lazily on the next read. touched
-// journals every prefix whose candidate set changed since the last
-// DrainTouched — the feed for the controller's incremental FEC pass.
+// shard is one slice of the candidate table with its decision cache. A
+// prefix's pair entry is deleted whenever its candidates change and
+// refilled lazily on the next read. touched journals every prefix whose
+// candidate set changed since the last DrainTouched — the feed for the
+// controller's incremental FEC pass.
 type shard struct {
 	mu         sync.RWMutex
 	candidates map[netip.Prefix][]candRoute
 	pair       map[netip.Prefix]bestPair
-	perRecv    map[netip.Prefix]map[ID]recvBest
 	touched    map[netip.Prefix]struct{}
 }
 
 // Server is the route-server engine.
 type Server struct {
-	// export is the optional per-pair prefix-level filter, immutable
-	// after New.
-	export ExportFilter
-
 	// partMu guards the participant registry, routeExport, and epoch.
 	// Lock order: partMu before any shard.mu, never the reverse.
 	partMu       sync.RWMutex
 	participants map[ID]*participant
 	// sorted is the registry ordered by ID, rebuilt on add/remove.
 	sorted []*participant
-	// routeExport is the optional route-level export filter
-	// (SetRouteExportPolicy); it sees communities and other attributes.
+	// routeExport is the optional export filter (New,
+	// SetRouteExportPolicy); it sees communities and other attributes.
 	routeExport RouteExportFilter
 	// vrfActive counts participants assigned a non-default VRF. While it
 	// is zero every VRF check short-circuits, so single-tenant exchanges
@@ -187,17 +177,16 @@ type Server struct {
 	mPeerFlushes        telemetry.Counter
 }
 
-// New returns an empty Server with the given export policy (nil = export
-// everything).
-func New(export ExportFilter) *Server {
+// New returns an empty Server with the given export filter (nil = export
+// everything, the route-server default).
+func New(f RouteExportFilter) *Server {
 	s := &Server{
 		participants: make(map[ID]*participant),
-		export:       export,
+		routeExport:  f,
 	}
 	for i := range s.shards {
 		s.shards[i].candidates = make(map[netip.Prefix][]candRoute)
 		s.shards[i].pair = make(map[netip.Prefix]bestPair)
-		s.shards[i].perRecv = make(map[netip.Prefix]map[ID]recvBest)
 		s.shards[i].touched = make(map[netip.Prefix]struct{})
 	}
 	return s
@@ -209,11 +198,28 @@ func (s *Server) shardOf(p netip.Prefix) *shard {
 }
 
 // filteredLocked reports whether best routes are receiver-dependent:
-// an export policy is installed, or VRF tenancy is active (a receiver only
+// an export filter is installed, or VRF tenancy is active (a receiver only
 // sees candidates from its own VRF). Called with partMu held (routeExport
 // and vrfActive are guarded by it).
 func (s *Server) filteredLocked() bool {
-	return s.export != nil || s.routeExport != nil || s.vrfActive > 0
+	return s.routeExport != nil || s.vrfActive > 0
+}
+
+// visibleLocked reports whether adv's route r may reach recv — the one
+// export-visibility rule. A participant never learns its own route back,
+// tenants see only their own VRF (with no tenancy configured every check
+// short-circuits), and an installed export filter must allow the route;
+// through a filter an unregistered receiver sees nothing, since the filter
+// is handed the receiver's AS. partMu is held.
+func (s *Server) visibleLocked(adv, recv ID, r bgp.Route) bool {
+	if adv == recv || (s.vrfActive > 0 && s.vrfOfLocked(adv) != s.vrfOfLocked(recv)) {
+		return false
+	}
+	if s.routeExport == nil {
+		return true
+	}
+	p, ok := s.participants[recv]
+	return ok && s.routeExport(adv, recv, p.as, r)
 }
 
 // vrfOfLocked returns id's VRF ("" for unknown participants, which keeps
@@ -223,15 +229,6 @@ func (s *Server) vrfOfLocked(id ID) VRF {
 		return p.vrf
 	}
 	return ""
-}
-
-// sameVRFLocked reports whether two participants share an isolation
-// domain. partMu is held.
-func (s *Server) sameVRFLocked(a, b ID) bool {
-	if s.vrfActive == 0 {
-		return true
-	}
-	return s.vrfOfLocked(a) == s.vrfOfLocked(b)
 }
 
 func (s *Server) rebuildSortedLocked() {
@@ -335,16 +332,6 @@ func (s *Server) SetVRF(id ID, vrf VRF) error {
 	}
 	p.vrf = vrf
 	s.epoch++
-	// Receiver-dependent decisions cached before the move are stale: they
-	// were computed against the old domain boundaries.
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if len(sh.perRecv) > 0 {
-			sh.perRecv = make(map[netip.Prefix]map[ID]recvBest)
-		}
-		sh.mu.Unlock()
-	}
 	return nil
 }
 
@@ -563,7 +550,7 @@ func (s *Server) applyOneLocked(sh *shard, from ID, op applyOp) bool {
 
 // storeLocked writes op into cands, the prefix's sorted candidate slice (ci
 // is findCand's answer for the advertiser), journals the prefix as touched
-// and drops its cached decisions. The shard's write lock is held.
+// and drops its cached pair. The shard's write lock is held.
 func (sh *shard) storeLocked(cands []candRoute, ci int, from ID, op applyOp) {
 	prefix := op.prefix
 	switch {
@@ -585,7 +572,6 @@ func (sh *shard) storeLocked(cands []candRoute, ci int, from ID, op applyOp) {
 	}
 	sh.touched[prefix] = struct{}{}
 	delete(sh.pair, prefix)
-	delete(sh.perRecv, prefix)
 }
 
 // pairLocked returns the (best, second-best) advertiser pair for prefix,
@@ -647,54 +633,21 @@ func computePair(cands []candRoute) bestPair {
 	return pr
 }
 
-// bestForShardLocked is the receiver-dependent decision with its cache:
-// the export-policy path. partMu (read) and the shard's write lock are
-// held.
-func (s *Server) bestForShardLocked(sh *shard, id ID, prefix netip.Prefix) (bgp.Route, bool) {
-	if m := sh.perRecv[prefix]; m != nil {
-		if rb, hit := m[id]; hit {
-			s.mBestCacheHits.Inc()
-			return rb.route, rb.ok
-		}
-	}
-	r, ok := s.computeBestLocked(sh, id, prefix)
-	m := sh.perRecv[prefix]
-	if m == nil {
-		m = make(map[ID]recvBest)
-		sh.perRecv[prefix] = m
-	}
-	m[id] = recvBest{route: r, ok: ok}
-	return r, ok
-}
-
-// computeBestLocked runs the filtered decision process from scratch, in
-// canonical advertiser order. partMu (read) and a shard lock are held.
-func (s *Server) computeBestLocked(sh *shard, id ID, prefix netip.Prefix) (bgp.Route, bool) {
+// computeBestLocked runs the filtered decision process over the prefix's
+// candidates in canonical advertiser order, returning the advertiser and
+// route of recv's best visible candidate. partMu (read) and a shard lock
+// are held.
+func (s *Server) computeBestLocked(sh *shard, recv ID, prefix netip.Prefix) (ID, bgp.Route, bool) {
 	s.mBestRecomputations.Inc()
-	cands := sh.candidates[prefix]
-	if len(cands) == 0 {
-		return bgp.Route{}, false
-	}
+	var adv ID
 	var best bgp.Route
 	found := false
-	for _, c := range cands {
-		if c.id == id {
-			continue // a participant never learns its own route back
-		}
-		if !s.sameVRFLocked(c.id, id) {
-			continue // tenant isolation: other domains are invisible
-		}
-		if s.export != nil && !s.export(c.id, id, prefix) {
-			continue
-		}
-		if !s.routeExportAllowsLocked(c.id, id, c.route) {
-			continue
-		}
-		if !found || c.route.Better(best) {
-			best, found = c.route, true
+	for _, c := range sh.candidates[prefix] {
+		if s.visibleLocked(c.id, recv, c.route) && (!found || c.route.Better(best)) {
+			adv, best, found = c.id, c.route, true
 		}
 	}
-	return best, found
+	return adv, best, found
 }
 
 // Advertise installs or replaces from's route and returns the touched
@@ -732,88 +685,69 @@ func (s *Server) Withdraw(from ID, prefix netip.Prefix) ([]netip.Prefix, error) 
 }
 
 // BestFor returns participant id's best route for prefix: the decision
-// process over every other participant's advertised route that the export
-// policy lets id see. The result is served from the shard's decision cache
-// when the prefix's candidates have not changed since the last call.
+// process over every other participant's advertised route that id may see.
+// Without an export filter or VRFs the result is derived from the shard's
+// cached advertiser pair.
 func (s *Server) BestFor(id ID, prefix netip.Prefix) (bgp.Route, bool) {
+	_, r, ok := s.best(id, prefix)
+	return r, ok
+}
+
+// BestNextHopParticipant returns the participant whose route is id's best
+// for prefix — the default forwarding neighbor the SDX falls back to.
+func (s *Server) BestNextHopParticipant(id ID, prefix netip.Prefix) (ID, bool) {
+	adv, _, ok := s.best(id, prefix)
+	return adv, ok
+}
+
+// best is the one best-candidate lookup: the advertiser and route of id's
+// best route for prefix.
+func (s *Server) best(id ID, prefix netip.Prefix) (ID, bgp.Route, bool) {
 	prefix = prefix.Masked()
 	s.partMu.RLock()
 	defer s.partMu.RUnlock()
 	sh := s.shardOf(prefix)
-	filtered := s.filteredLocked()
+	sh.mu.RLock()
+	if s.filteredLocked() {
+		defer sh.mu.RUnlock()
+		return s.computeBestLocked(sh, id, prefix)
+	}
 
 	// Fast path: a read lock suffices on a cache hit.
-	sh.mu.RLock()
-	if filtered {
-		if m := sh.perRecv[prefix]; m != nil {
-			if rb, hit := m[id]; hit {
-				sh.mu.RUnlock()
-				s.mBestCacheHits.Inc()
-				return rb.route, rb.ok
-			}
-		}
-	} else if pr, hit := sh.pair[prefix]; hit {
-		r, ok := s.derivePairRLocked(sh, prefix, pr, id)
+	if pr, hit := sh.pair[prefix]; hit {
+		adv, r, ok := derivePairRLocked(sh, prefix, pr, id)
 		sh.mu.RUnlock()
 		s.mBestCacheHits.Inc()
-		return r, ok
+		return adv, r, ok
 	}
 	sh.mu.RUnlock()
 
 	// Miss: recompute and fill the cache under the write lock.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if filtered {
-		return s.bestForShardLocked(sh, id, prefix)
-	}
 	pr, ok := s.pairLocked(sh, prefix)
 	if !ok {
-		return bgp.Route{}, false
+		return "", bgp.Route{}, false
 	}
-	return s.derivePairRLocked(sh, prefix, pr, id)
+	return derivePairRLocked(sh, prefix, pr, id)
 }
 
 // derivePairRLocked resolves the cached advertiser pair for one receiver,
 // looking the winning route up in the candidate slice. Any shard lock
 // (read or write) is held.
-func (s *Server) derivePairRLocked(sh *shard, prefix netip.Prefix, pr bestPair, id ID) (bgp.Route, bool) {
+func derivePairRLocked(sh *shard, prefix netip.Prefix, pr bestPair, id ID) (ID, bgp.Route, bool) {
 	adv := pr.firstID
 	if id == pr.firstID {
 		adv = pr.secondID
 	}
 	if adv == "" {
-		return bgp.Route{}, false
+		return "", bgp.Route{}, false
 	}
 	cands := sh.candidates[prefix]
 	if i := findCand(cands, adv); i >= 0 {
-		return cands[i].route, true
+		return adv, cands[i].route, true
 	}
-	return bgp.Route{}, false
-}
-
-// BestNextHopParticipant returns the participant whose route is id's best
-// for prefix — the default forwarding neighbor the SDX falls back to.
-func (s *Server) BestNextHopParticipant(id ID, prefix netip.Prefix) (ID, bool) {
-	prefix = prefix.Masked()
-	best, ok := s.BestFor(id, prefix)
-	if !ok {
-		return "", false
-	}
-	// The scan needs the registry for VRF checks: router IDs and next hops
-	// are only unique within a tenant's domain, so a bare attribute match
-	// could pick another tenant's participant.
-	s.partMu.RLock()
-	defer s.partMu.RUnlock()
-	sh := s.shardOf(prefix)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for _, c := range sh.candidates[prefix] {
-		if c.id != id && s.sameVRFLocked(c.id, id) &&
-			c.route.PeerID == best.PeerID && c.route.NextHop() == best.NextHop() {
-			return c.id, true
-		}
-	}
-	return "", false
+	return "", bgp.Route{}, false
 }
 
 // HasExportPolicy reports whether per-pair export filtering is configured.
@@ -826,14 +760,36 @@ func (s *Server) HasExportPolicy() bool {
 	return s.filteredLocked()
 }
 
-// BestTwo returns the advertisers of the globally best and second-best
-// routes for prefix, ignoring receiver-side exclusions. Every participant's
-// default next hop is derivable from the pair: the best advertiser, unless
-// that is the participant itself, in which case the second. The SDX FEC
-// computation keys on this pair. Empty IDs mean "no such route".
-func (s *Server) BestTwo(prefix netip.Prefix) (first, second ID) {
+// BestTwoIn returns the advertisers of the best and second-best routes
+// for prefix among the candidates in the given isolation domain, ignoring
+// export filters. Every participant's default next hop is derivable from
+// the pair: the best advertiser, unless that is the participant itself, in
+// which case the second. The SDX FEC computation keys on this pair. Empty
+// IDs mean "no such route". With no tenancy configured it is served from
+// the shard's pair cache; once VRFs are active the domain's candidates run
+// through the same decision (computePair) uncached, which is cheap because
+// an IXP prefix attracts a handful of candidates.
+func (s *Server) BestTwoIn(vrf VRF, prefix netip.Prefix) (first, second ID) {
 	prefix = prefix.Masked()
+	s.partMu.RLock()
+	defer s.partMu.RUnlock()
 	sh := s.shardOf(prefix)
+	if s.vrfActive > 0 {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		s.mBestRecomputations.Inc()
+		var inVRF []candRoute
+		for _, c := range sh.candidates[prefix] {
+			if s.vrfOfLocked(c.id) == vrf {
+				inVRF = append(inVRF, c)
+			}
+		}
+		pr := computePair(inVRF)
+		return pr.firstID, pr.secondID
+	}
+	if vrf != "" {
+		return "", "" // nobody lives in a named VRF
+	}
 	sh.mu.RLock()
 	if pr, hit := sh.pair[prefix]; hit {
 		sh.mu.RUnlock()
@@ -843,72 +799,23 @@ func (s *Server) BestTwo(prefix netip.Prefix) (first, second ID) {
 	sh.mu.RUnlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	pr, ok := s.pairLocked(sh, prefix)
-	if !ok {
-		return "", ""
-	}
-	return pr.firstID, pr.secondID
-}
-
-// BestTwoIn is the VRF-scoped BestTwo: the best and second-best
-// advertisers among the candidates in the given isolation domain. With no
-// tenancy configured (and the default domain asked for) it is exactly
-// BestTwo, served from the pair cache; once VRFs are active the domain's
-// candidates are run through the same decision (computePair) uncached,
-// which is cheap because an IXP prefix attracts a handful of candidates.
-func (s *Server) BestTwoIn(vrf VRF, prefix netip.Prefix) (first, second ID) {
-	s.partMu.RLock()
-	if s.vrfActive == 0 {
-		s.partMu.RUnlock()
-		if vrf != "" {
-			return "", "" // nobody lives in a named VRF
-		}
-		return s.BestTwo(prefix)
-	}
-	defer s.partMu.RUnlock()
-	prefix = prefix.Masked()
-	sh := s.shardOf(prefix)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	cands := sh.candidates[prefix]
-	if len(cands) == 0 {
-		return "", ""
-	}
-	s.mBestRecomputations.Inc()
-	var inVRF []candRoute
-	for _, c := range cands {
-		if s.vrfOfLocked(c.id) == vrf {
-			inVRF = append(inVRF, c)
-		}
-	}
-	pr := computePair(inVRF)
+	pr, _ := s.pairLocked(sh, prefix)
 	return pr.firstID, pr.secondID
 }
 
 // Exports reports whether hop's current route for prefix is exported to
-// id under the configured export policies — the single-prefix probe the
-// controller's incremental reach-set maintenance uses to patch cached
-// ReachableVia results for touched prefixes.
+// id — the single-prefix probe the controller's incremental reach-set
+// maintenance uses to patch cached ReachableVia results for touched
+// prefixes.
 func (s *Server) Exports(hop, id ID, prefix netip.Prefix) bool {
-	if hop == id {
-		return false
-	}
-	prefix = prefix.Masked()
 	s.partMu.RLock()
 	defer s.partMu.RUnlock()
 	p, ok := s.participants[hop]
 	if !ok {
 		return false
 	}
-	if !s.sameVRFLocked(hop, id) {
-		return false
-	}
 	r, ok := p.advertised.Get(prefix)
-	if !ok {
-		return false
-	}
-	return (s.export == nil || s.export(hop, id, prefix)) &&
-		s.routeExportAllowsLocked(hop, id, r)
+	return ok && s.visibleLocked(hop, id, r)
 }
 
 // ReachableVia returns the prefixes that hop exported to id: the set the
@@ -916,21 +823,14 @@ func (s *Server) Exports(hop, id ID, prefix netip.Prefix) bool {
 // BGP advertisements"). The result is a fresh set the caller may retain.
 func (s *Server) ReachableVia(id, hop ID) *netutil.PrefixSet {
 	out := netutil.NewPrefixSet()
-	if id == hop {
-		return out
-	}
 	s.partMu.RLock()
 	defer s.partMu.RUnlock()
 	p, ok := s.participants[hop]
 	if !ok {
 		return out
 	}
-	if !s.sameVRFLocked(hop, id) {
-		return out // tenant isolation: nothing crosses a VRF boundary
-	}
 	p.advertised.Walk(func(r bgp.Route) bool {
-		if (s.export == nil || s.export(hop, id, r.Prefix)) &&
-			s.routeExportAllowsLocked(hop, id, r) {
+		if s.visibleLocked(hop, id, r) {
 			out.Add(r.Prefix)
 		}
 		return true

@@ -23,7 +23,7 @@ func rt(prefix string, asns ...uint32) bgp.Route {
 	}
 }
 
-func newABC(t *testing.T, export ExportFilter) *Server {
+func newABC(t *testing.T, export RouteExportFilter) *Server {
 	t.Helper()
 	s := New(export)
 	for i, id := range []ID{"A", "B", "C"} {
@@ -137,8 +137,8 @@ func TestIdempotentAdvertise(t *testing.T) {
 func TestExportFilter(t *testing.T) {
 	// B exports p4 to C but not to A (the paper's Figure 1b situation).
 	p4 := mp("40.0.0.0/8")
-	filter := func(adv, recv ID, prefix netip.Prefix) bool {
-		if adv == "B" && recv == "A" && prefix == p4 {
+	filter := func(adv, recv ID, _ uint32, r bgp.Route) bool {
+		if adv == "B" && recv == "A" && r.Prefix == p4 {
 			return false
 		}
 		return true

@@ -105,7 +105,7 @@ func TestShardedApplyStress(t *testing.T) {
 			default:
 				p := prefixes[rng.Intn(len(prefixes))]
 				fe.Server.BestFor("A", p)
-				fe.Server.BestTwo(p)
+				fe.Server.BestTwoIn("", p)
 				fe.Server.Prefixes()
 			}
 		}

@@ -71,10 +71,7 @@ func runTouchedProperty(t *testing.T, filter, vrfs bool) {
 	if filter {
 		cur = filters[0]
 	}
-	s := New(nil)
-	if cur != nil {
-		s.SetRouteExportPolicy(cur)
-	}
+	s := New(cur)
 	vrfOf := make(map[ID]VRF, nParts)
 	for _, id := range ids {
 		if err := s.AddParticipant(id, asOf[id]); err != nil {

@@ -115,7 +115,7 @@ func TestPrimaryAnnouncerWinsDecision(t *testing.T) {
 		if len(anns) < 2 {
 			continue
 		}
-		first, _ := rs.BestTwo(p)
+		first, _ := rs.BestTwoIn("", p)
 		if first != ex.Members[anns[0]].ID {
 			t.Errorf("prefix %v: best advertiser %v, want primary %v", p, first, ex.Members[anns[0]].ID)
 		}

@@ -187,16 +187,10 @@ type RouteServer = routeserver.Server
 // RouteServerFrontend glues a RouteServer to live BGP sessions.
 type RouteServerFrontend = routeserver.Frontend
 
-// ExportFilter decides route export between participant pairs.
-type ExportFilter = routeserver.ExportFilter
-
 // NewRouteServer returns an engine that exports every route (the
-// route-server default); pass an ExportFilter via NewRouteServerWithPolicy
-// for selective export.
+// route-server default); install a RouteExportFilter with
+// SetRouteExportPolicy for selective export.
 func NewRouteServer() *RouteServer { return routeserver.New(nil) }
-
-// NewRouteServerWithPolicy returns an engine with a per-pair export policy.
-func NewRouteServerWithPolicy(f ExportFilter) *RouteServer { return routeserver.New(f) }
 
 // NewRouteServerFrontend wires an engine to a BGP speaker.
 func NewRouteServerFrontend(s *RouteServer, sp *BGPSpeaker) *RouteServerFrontend {
