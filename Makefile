@@ -48,11 +48,12 @@ bench-harness:
 # (BenchmarkFlowTableDiffPush's shape=diff SetBase diffs and shape=fast
 # quick-stage pushes above every rule, BenchmarkInjectTelemetryOverhead),
 # internal/policy (BenchmarkCompileDisjointUnion, the compiler's Union over
-# 300 port-disjoint participants) and internal/routeserver
-# (BenchmarkBestFor, 40 participants each reading 10k prefixes with no
-# filter, an export filter and VRFs), once: keeps them compiling and
-# running, and puts the Union's compile time and the route server's read
-# cost in every check log.
+# 300 port-disjoint participants; BenchmarkCompileSeq, its outbound >>
+# inbound sequential composition at 300 participants) and
+# internal/routeserver (BenchmarkBestFor, 40 participants each reading 10k
+# prefixes with no filter, an export filter and VRFs), once: keeps them
+# compiling and running, and puts the Union's and the composition's
+# compile times and the route server's read cost in every check log.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/dataplane ./internal/policy ./internal/routeserver
 

@@ -116,6 +116,7 @@ func main() {
 	}
 	speaker := bgp.NewSpeaker(sessCfg)
 	speaker.RedialMin, speaker.RedialMax = *redialMin, *redialMax
+	speaker.Logf = log.Printf
 	speaker.OnUpdate = func(p *bgp.Peer, u *bgp.Update) {
 		for _, w := range u.Withdrawn {
 			log.Printf("rib: withdraw %v", w)

@@ -112,6 +112,7 @@ func main() {
 			HoldTime: bgp.DefaultHoldTime,
 			Metrics:  bgp.NewMetrics(reg),
 		})
+		speaker.Logf = log.Printf
 	}
 	fe := routeserver.NewFrontend(rs, speaker)
 	fe.EnableTelemetry(reg)

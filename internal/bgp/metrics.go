@@ -25,10 +25,12 @@ type Metrics struct {
 	HoldExpiries     *telemetry.Counter
 	TreatAsWithdraws *telemetry.Counter
 
-	// Persistent-neighbor resilience: dial attempts, sessions established
-	// by the redial loop, and the loop's current backoff (exposed in
-	// seconds via a scrape-time reader over the nanosecond gauge).
+	// Persistent-neighbor resilience: dial attempts, attempts whose dial
+	// or handshake failed, sessions established by the redial loop, and the
+	// loop's current backoff (exposed in seconds via a scrape-time reader
+	// over the nanosecond gauge).
 	RedialAttempts *telemetry.Counter
+	RedialFailures *telemetry.Counter
 	Redials        *telemetry.Counter
 	backoffNanos   *telemetry.Gauge
 
@@ -65,6 +67,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		"UPDATEs with recoverable attribute errors demoted to withdrawals (RFC 7606).")
 	m.RedialAttempts = reg.Counter("sdx_bgp_redial_attempts_total",
 		"Dial attempts by persistent-neighbor redial loops.")
+	m.RedialFailures = reg.Counter("sdx_bgp_redial_failures_total",
+		"Persistent-neighbor redial attempts whose dial or handshake failed.")
 	m.Redials = reg.Counter("sdx_bgp_redials_total",
 		"Sessions established by persistent-neighbor redial loops.")
 	m.backoffNanos = &telemetry.Gauge{}
@@ -108,6 +112,14 @@ func (m *Metrics) redialAttempt() {
 		return
 	}
 	m.RedialAttempts.Inc()
+}
+
+// redialFailed counts one redial attempt whose dial or handshake failed.
+func (m *Metrics) redialFailed() {
+	if m == nil {
+		return
+	}
+	m.RedialFailures.Inc()
 }
 
 // redialEstablished counts one session brought up by a redial loop.

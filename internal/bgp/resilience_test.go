@@ -2,8 +2,10 @@ package bgp
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -215,6 +217,49 @@ func TestPersistentNeighborRedials(t *testing.T) {
 			strings.Contains(exp, "sdx_bgp_redials_total") &&
 			strings.Contains(exp, "sdx_bgp_redial_backoff_seconds")
 	})
+}
+
+// A persistent neighbor that cannot be reached counts every failed attempt
+// and logs it with the address, the error and the next backoff.
+func TestRedialFailuresCountedAndLogged(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	m := NewMetrics(telemetry.NewRegistry())
+	client := NewSpeaker(SessionConfig{LocalAS: 65001, LocalID: ma("10.0.0.1"), Metrics: m})
+	client.RedialMin = 5 * time.Millisecond
+	client.RedialMax = 10 * time.Millisecond
+	var mu sync.Mutex
+	var lines []string
+	client.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	defer client.Close()
+	if err := client.AddNeighbor(addr); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "two failed redials", func() bool { return m.RedialFailures.Value() >= 2 })
+	client.RemoveNeighbor(addr)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) < 2 {
+		t.Fatalf("Logf got %d lines, want one per failed attempt: %q", len(lines), lines)
+	}
+	for _, want := range []string{addr, "refused", "next attempt in"} {
+		if !strings.Contains(lines[0], want) {
+			t.Errorf("log line %q does not name %q", lines[0], want)
+		}
+	}
+	if m.Redials.Value() != 0 {
+		t.Errorf("Redials = %d, want 0: nothing was listening", m.Redials.Value())
+	}
 }
 
 // TestRedialBackoffScheduleDeterminism drives two identically seeded

@@ -50,6 +50,9 @@ type Speaker struct {
 	RedialMin  time.Duration
 	RedialMax  time.Duration
 	RedialSeed int64
+	// Logf, when set, receives one line per failed redial attempt and per
+	// inbound handshake that fails.
+	Logf func(format string, args ...any)
 
 	mu        sync.Mutex
 	peers     map[string]*Peer
@@ -181,9 +184,10 @@ func (s *Speaker) redialLoop(addr string, stop <-chan struct{}) {
 		default:
 		}
 		s.Config.Metrics.redialAttempt()
-		if conn, err := s.dial(addr); err == nil {
+		conn, err := s.dial(addr)
+		if err == nil {
 			sess := NewSession(conn, s.Config)
-			if err := sess.Handshake(); err == nil {
+			if err = sess.Handshake(); err == nil {
 				bo.Reset()
 				s.Config.Metrics.setRedialBackoff(0)
 				s.Config.Metrics.redialEstablished()
@@ -202,6 +206,10 @@ func (s *Speaker) redialLoop(addr string, stop <-chan struct{}) {
 		}
 		d := bo.Next()
 		s.Config.Metrics.setRedialBackoff(d)
+		if err != nil {
+			s.Config.Metrics.redialFailed()
+			s.logf("bgp: redial %s: %v (next attempt in %v)", addr, err, d)
+		}
 		select {
 		case <-stop:
 			return
@@ -213,9 +221,16 @@ func (s *Speaker) redialLoop(addr string, stop <-chan struct{}) {
 func (s *Speaker) runConn(conn net.Conn) {
 	sess := NewSession(conn, s.Config)
 	if err := sess.Handshake(); err != nil {
+		s.logf("bgp: handshake from %v: %v", conn.RemoteAddr(), err)
 		return
 	}
 	s.servePeer(s.addPeer(sess))
+}
+
+func (s *Speaker) logf(format string, args ...any) {
+	if s.Logf != nil {
+		s.Logf(format, args...)
+	}
 }
 
 func (s *Speaker) addPeer(sess *Session) *Peer {

@@ -208,6 +208,9 @@ func (m *Message) DecodePortStatsReply() ([]PortStatsEntry, error) {
 	if m.Type != TypeStatsReply || st != StatsTypePort {
 		return nil, fmt.Errorf("openflow: not a port-stats reply")
 	}
+	if len(m.Body) < 4 {
+		return nil, fmt.Errorf("openflow: port-stats reply truncated")
+	}
 	b := m.Body[4:]
 	var out []PortStatsEntry
 	for len(b) > 0 {

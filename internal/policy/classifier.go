@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"sdx/internal/netutil"
 )
 
 // Rule is one prioritized entry of a classifier: packets covered by Match
@@ -281,11 +283,29 @@ func pullback(m1 Match, a Mods, m2 Match) (Match, bool) {
 	return m1.Intersect(need)
 }
 
+// seqIndexMin is the size |a|·|b| from which seqCompose indexes b. Below it
+// the index costs more to build than the pullbacks it saves: the quick
+// stage's per-burst compiles are many small compositions, and building the
+// index for every one of them made burst reaction slower.
+const seqIndexMin = 4096
+
 // seqCompose implements the ">>" operator: packets flow through a, and each
 // emitted packet flows through b. Both inputs must be complete classifiers;
 // the result is complete.
 func seqCompose(a, b Classifier) Classifier {
+	var idx seqIndex
+	if len(a.Rules)*len(b.Rules) >= seqIndexMin {
+		idx = newSeqIndex(b)
+	}
+	return seqComposeWith(a, b, idx)
+}
+
+// seqComposeWith is seqCompose pulling back, for each left action, only the
+// rules of b that idx.lookup names, and every rule of b when idx is nil or
+// the packet's port or dst MAC is unknown.
+func seqComposeWith(a, b Classifier, idx seqIndex) Classifier {
 	var rules []Rule
+	var cand []int
 	for _, ra := range a.Rules {
 		if ra.IsDrop() {
 			rules = append(rules, ra)
@@ -297,7 +317,18 @@ func seqCompose(a, b Classifier) Classifier {
 		block := Classifier{}
 		for k, act := range ra.Actions {
 			var part []Rule
-			for _, rb := range b.Rules {
+			var indexed bool
+			cand, indexed = idx.lookup(cand[:0], ra.Match, act)
+			n := len(b.Rules)
+			if indexed {
+				n = len(cand)
+			}
+			for i := 0; i < n; i++ {
+				j := i
+				if indexed {
+					j = cand[i]
+				}
+				rb := &b.Rules[j]
 				m, ok := pullback(ra.Match, act, rb.Match)
 				if !ok {
 					continue
@@ -318,6 +349,75 @@ func seqCompose(a, b Classifier) Classifier {
 		rules = append(rules, block.Rules...)
 	}
 	return Classifier{Rules: dedupMatches(rules)}
+}
+
+// seqIndex files a classifier's rule positions by their port and dst MAC
+// constraints, in four kinds of bucket: exact port and exact dst MAC, exact
+// port only, exact dst MAC only, neither (§4.3.1: after fwd(p) a packet can
+// only meet rules guarded by port p). Each list is ascending. The index is
+// exact: a rule that fixes the port or the dst MAC to another value than
+// the packet's fails pullback, through acceptsMod when the action rewrites
+// that field and through Intersect when the left match fixes it.
+type seqIndex map[seqKey][]int
+
+// seqKey is a match's port and dst MAC constraints; an unconstrained field
+// is zero, as in Match itself.
+type seqKey struct {
+	set  uint16 // the match's set bits for FPort and FDstMAC
+	port uint16
+	mac  netutil.MAC
+}
+
+const seqKeyFields = 1<<FPort | 1<<FDstMAC
+
+func newSeqIndex(b Classifier) seqIndex {
+	x := make(seqIndex)
+	for j := range b.Rules {
+		m := &b.Rules[j].Match
+		k := seqKey{m.set & seqKeyFields, m.port, m.dstMAC}
+		x[k] = append(x[k], j)
+	}
+	return x
+}
+
+// lookup appends to buf, in ascending order, the positions of the rules a
+// packet in m can reach after act's rewrites. ok is false, and every rule
+// must be scanned, when x is nil or the packet's port or dst MAC is unknown.
+// The ascending order is b's first-match order, which seqCompose keeps.
+func (x seqIndex) lookup(buf []int, m Match, act Mods) ([]int, bool) {
+	if x == nil {
+		return buf, false
+	}
+	port, ok := act.GetPort()
+	if !ok {
+		port, ok = m.GetPort()
+	}
+	mac, okMAC := act.GetDstMAC()
+	if !okMAC {
+		mac, okMAC = m.GetDstMAC()
+	}
+	if !ok || !okMAC {
+		return buf, false
+	}
+	lists := [4][]int{
+		x[seqKey{seqKeyFields, port, mac}],
+		x[seqKey{1 << FPort, port, netutil.MAC{}}],
+		x[seqKey{1 << FDstMAC, 0, mac}],
+		x[seqKey{}],
+	}
+	for {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || l[0] < lists[best][0]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return buf, true
+		}
+		buf = append(buf, lists[best][0])
+		lists[best] = lists[best][1:]
+	}
 }
 
 // restrict narrows every rule of c to the region m, dropping rules that
