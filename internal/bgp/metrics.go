@@ -34,6 +34,9 @@ type Metrics struct {
 	Redials        *telemetry.Counter
 	backoffNanos   *telemetry.Gauge
 
+	// HandshakeFailures counts inbound connections whose handshake failed.
+	HandshakeFailures *telemetry.Counter
+
 	// RFC 4486 Cease visibility: sent and received CEASE notifications,
 	// labeled by subcode name, so operators can tell an administrative
 	// shutdown from a deprovisioning or an unspecified legacy Cease.
@@ -71,6 +74,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		"Persistent-neighbor redial attempts whose dial or handshake failed.")
 	m.Redials = reg.Counter("sdx_bgp_redials_total",
 		"Sessions established by persistent-neighbor redial loops.")
+	m.HandshakeFailures = reg.Counter("sdx_bgp_handshake_failures_total",
+		"Inbound BGP connections whose handshake failed.")
 	m.backoffNanos = &telemetry.Gauge{}
 	reg.GaugeFunc("sdx_bgp_redial_backoff_seconds",
 		"Current persistent-neighbor redial backoff.",
@@ -120,6 +125,14 @@ func (m *Metrics) redialFailed() {
 		return
 	}
 	m.RedialFailures.Inc()
+}
+
+// handshakeFailed counts one inbound connection whose handshake failed.
+func (m *Metrics) handshakeFailed() {
+	if m == nil {
+		return
+	}
+	m.HandshakeFailures.Inc()
 }
 
 // redialEstablished counts one session brought up by a redial loop.

@@ -262,6 +262,45 @@ func TestRedialFailuresCountedAndLogged(t *testing.T) {
 	}
 }
 
+// TestInboundHandshakeFailuresSpaced opens many connections to a listening
+// speaker and closes each before its OPEN: every failed handshake is counted,
+// but the log gets one line, not one per connection.
+func TestInboundHandshakeFailuresSpaced(t *testing.T) {
+	m := NewMetrics(telemetry.NewRegistry())
+	srv := NewSpeaker(SessionConfig{LocalAS: 65000, LocalID: ma("10.0.0.9"), Metrics: m})
+	var mu sync.Mutex
+	var lines []string
+	srv.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	defer srv.Close()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const conns = 50
+	for i := 0; i < conns; i++ {
+		c, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	waitFor(t, "every handshake failed", func() bool { return m.HandshakeFailures.Value() == conns })
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) != 1 {
+		t.Fatalf("Logf got %d lines for %d failed handshakes within %v, want 1: %q",
+			len(lines), conns, handshakeLogEvery, lines)
+	}
+	if !strings.Contains(lines[0], "handshake from 127.0.0.1:") {
+		t.Errorf("log line %q does not name the remote address", lines[0])
+	}
+}
+
 // TestRedialBackoffScheduleDeterminism drives two identically seeded
 // speakers against a dead address through fault dialers and checks they
 // attempt in lockstep: the jittered schedule is a function of the seed, not

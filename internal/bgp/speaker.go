@@ -50,8 +50,8 @@ type Speaker struct {
 	RedialMin  time.Duration
 	RedialMax  time.Duration
 	RedialSeed int64
-	// Logf, when set, receives one line per failed redial attempt and per
-	// inbound handshake that fails.
+	// Logf, when set, receives one line per failed redial attempt and at
+	// most one line per handshakeLogEvery for inbound handshakes that fail.
 	Logf func(format string, args ...any)
 
 	mu        sync.Mutex
@@ -64,7 +64,14 @@ type Speaker struct {
 	closeSubcode uint8
 	ln           net.Listener
 	wg           sync.WaitGroup
+	// Inbound handshake failures since the last logged one, and when that
+	// was: any host that can reach the listener can fail handshakes.
+	hsFailed  int
+	hsLogNext time.Time
 }
+
+// handshakeLogEvery spaces the log lines for failed inbound handshakes.
+const handshakeLogEvery = 10 * time.Second
 
 // NewSpeaker returns a Speaker with the given local session configuration.
 func NewSpeaker(cfg SessionConfig) *Speaker {
@@ -221,10 +228,28 @@ func (s *Speaker) redialLoop(addr string, stop <-chan struct{}) {
 func (s *Speaker) runConn(conn net.Conn) {
 	sess := NewSession(conn, s.Config)
 	if err := sess.Handshake(); err != nil {
-		s.logf("bgp: handshake from %v: %v", conn.RemoteAddr(), err)
+		s.handshakeFailed(conn.RemoteAddr(), err)
 		return
 	}
 	s.servePeer(s.addPeer(sess))
+}
+
+// handshakeFailed counts a failed inbound handshake and logs it, with the
+// number of failures since the previous line, unless a line was written
+// less than handshakeLogEvery ago.
+func (s *Speaker) handshakeFailed(from net.Addr, err error) {
+	s.Config.Metrics.handshakeFailed()
+	s.mu.Lock()
+	s.hsFailed++
+	now := time.Now()
+	n := s.hsFailed
+	if now.Before(s.hsLogNext) {
+		s.mu.Unlock()
+		return
+	}
+	s.hsFailed, s.hsLogNext = 0, now.Add(handshakeLogEvery)
+	s.mu.Unlock()
+	s.logf("bgp: handshake from %v: %v (%d inbound handshake failures since the last line)", from, err, n)
 }
 
 func (s *Speaker) logf(format string, args ...any) {

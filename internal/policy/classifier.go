@@ -283,11 +283,13 @@ func pullback(m1 Match, a Mods, m2 Match) (Match, bool) {
 	return m1.Intersect(need)
 }
 
-// seqIndexMin is the size |a|·|b| from which seqCompose indexes b. Below it
-// the index costs more to build than the pullbacks it saves: the quick
-// stage's per-burst compiles are many small compositions, and building the
-// index for every one of them made burst reaction slower.
-const seqIndexMin = 4096
+// seqIndexMin is the size |a|·|b| from which seqCompose indexes b: the
+// measured crossover on SDX-shaped compositions. Below it, building the map
+// costs as much as the pullbacks it saves or more (about 20 % more at 1 × 2
+// and 2 × 3); from about 150 the index wins, by half at 53 × 84. Nearly
+// every composition in a compile, background or quick stage, is under 16,
+// so indexing those would be pure overhead.
+const seqIndexMin = 128
 
 // seqCompose implements the ">>" operator: packets flow through a, and each
 // emitted packet flows through b. Both inputs must be complete classifiers;
@@ -319,25 +321,14 @@ func seqComposeWith(a, b Classifier, idx seqIndex) Classifier {
 			var part []Rule
 			var indexed bool
 			cand, indexed = idx.lookup(cand[:0], ra.Match, act)
-			n := len(b.Rules)
 			if indexed {
-				n = len(cand)
-			}
-			for i := 0; i < n; i++ {
-				j := i
-				if indexed {
-					j = cand[i]
+				for _, j := range cand {
+					part = appendPullback(part, &ra.Match, act, &b.Rules[j])
 				}
-				rb := &b.Rules[j]
-				m, ok := pullback(ra.Match, act, rb.Match)
-				if !ok {
-					continue
+			} else {
+				for j := range b.Rules {
+					part = appendPullback(part, &ra.Match, act, &b.Rules[j])
 				}
-				acts := make([]Mods, 0, len(rb.Actions))
-				for _, a2 := range rb.Actions {
-					acts = append(acts, act.Then(a2))
-				}
-				part = append(part, Rule{Match: m, Actions: sortedActions(acts)})
 			}
 			pc := Classifier{Rules: dedupMatches(part)}
 			if k == 0 {
@@ -349,6 +340,20 @@ func seqComposeWith(a, b Classifier, idx seqIndex) Classifier {
 		rules = append(rules, block.Rules...)
 	}
 	return Classifier{Rules: dedupMatches(rules)}
+}
+
+// appendPullback appends to part the packets of m that act sends into rb,
+// with act followed by each of rb's actions, unless there are none.
+func appendPullback(part []Rule, m *Match, act Mods, rb *Rule) []Rule {
+	pm, ok := pullback(*m, act, rb.Match)
+	if !ok {
+		return part
+	}
+	acts := make([]Mods, 0, len(rb.Actions))
+	for _, a2 := range rb.Actions {
+		acts = append(acts, act.Then(a2))
+	}
+	return append(part, Rule{Match: pm, Actions: sortedActions(acts)})
 }
 
 // seqIndex files a classifier's rule positions by their port and dst MAC
@@ -399,25 +404,12 @@ func (x seqIndex) lookup(buf []int, m Match, act Mods) ([]int, bool) {
 	if !ok || !okMAC {
 		return buf, false
 	}
-	lists := [4][]int{
-		x[seqKey{seqKeyFields, port, mac}],
-		x[seqKey{1 << FPort, port, netutil.MAC{}}],
-		x[seqKey{1 << FDstMAC, 0, mac}],
-		x[seqKey{}],
-	}
-	for {
-		best := -1
-		for i, l := range lists {
-			if len(l) > 0 && (best < 0 || l[0] < lists[best][0]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return buf, true
-		}
-		buf = append(buf, lists[best][0])
-		lists[best] = lists[best][1:]
-	}
+	buf = append(buf, x[seqKey{seqKeyFields, port, mac}]...)
+	buf = append(buf, x[seqKey{1 << FPort, port, netutil.MAC{}}]...)
+	buf = append(buf, x[seqKey{1 << FDstMAC, 0, mac}]...)
+	buf = append(buf, x[seqKey{}]...)
+	sort.Ints(buf)
+	return buf, true
 }
 
 // restrict narrows every rule of c to the region m, dropping rules that
