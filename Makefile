@@ -44,7 +44,9 @@ race:
 bench-harness:
 	bash benchmark/run.sh --workload all --seed 1 --seconds 10 --trace 0
 
-# Every benchmark in the root bench_test.go, internal/dataplane
+# Every benchmark in the root bench_test.go, internal/core
+# (BenchmarkSetBasePush, one 100 x 5k SetBase diff-push over loopback TCP to
+# a served switch, up to the barrier reply), internal/dataplane
 # (BenchmarkFlowTableDiffPush's shape=diff SetBase diffs and shape=fast
 # quick-stage pushes above every rule, BenchmarkInjectTelemetryOverhead),
 # internal/policy (BenchmarkCompileDisjointUnion, the compiler's Union over
@@ -52,10 +54,11 @@ bench-harness:
 # inbound sequential composition at 300 participants) and
 # internal/routeserver (BenchmarkBestFor, 40 participants each reading 10k
 # prefixes with no filter, an export filter and VRFs), once: keeps them
-# compiling and running, and puts the Union's and the composition's
-# compile times and the route server's read cost in every check log.
+# compiling and running, and puts the push's channel cost, the Union's and
+# the composition's compile times and the route server's read cost in
+# every check log.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/dataplane ./internal/policy ./internal/routeserver
+	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/core ./internal/dataplane ./internal/policy ./internal/routeserver
 
 # Every Fuzz* target in the module for ten seconds each (plain `go test`
 # runs only their seed corpora). A failing input lands in the package's

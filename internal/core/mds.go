@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -157,12 +158,18 @@ func (st *fecState) rebuildLocked(p *pipeline, keys []reachKey, epoch uint64) {
 			st.portless = append(st.portless, part.ID)
 		}
 	}
-	st.universe = make(map[vrfPrefix]*fecSig)
+	// The universe is usually about as large as the last one, or at least
+	// as the largest reach set.
+	size := len(st.universe)
+	for _, set := range st.sets {
+		size = max(size, set.Len())
+	}
+	st.universe = make(map[vrfPrefix]*fecSig, size)
 	for i, set := range st.sets {
 		vrf := st.keyVRFs[i]
-		for _, pfx := range set.Prefixes() {
+		set.Each(func(pfx netip.Prefix) {
 			st.universe[vrfPrefix{vrf: vrf, prefix: pfx}] = nil
-		}
+		})
 	}
 	for _, id := range st.portless {
 		vrf := p.vrfOf(id)
@@ -188,14 +195,11 @@ func (st *fecState) rebuildLocked(p *pipeline, keys []reachKey, epoch uint64) {
 // by prefix, so the grouping sweep (and therefore VNH assignment)
 // is deterministic across passes.
 func sortVRFPrefixes(keys []vrfPrefix) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].vrf != keys[j].vrf {
-			return keys[i].vrf < keys[j].vrf
+	slices.SortFunc(keys, func(a, b vrfPrefix) int {
+		if c := cmp.Compare(a.vrf, b.vrf); c != 0 {
+			return c
 		}
-		if c := keys[i].prefix.Addr().Compare(keys[j].prefix.Addr()); c != 0 {
-			return c < 0
-		}
-		return keys[i].prefix.Bits() < keys[j].prefix.Bits()
+		return netutil.ComparePrefixes(a.prefix, b.prefix)
 	})
 }
 
@@ -323,7 +327,7 @@ func (p *pipeline) reachSetKeys() []reachKey {
 				hops = append(hops, id)
 			}
 		}
-		sort.Slice(hops, func(a, b int) bool { return hops[a] < hops[b] })
+		slices.Sort(hops)
 		for _, hop := range hops {
 			out = append(out, reachKey{participant: part.ID, hop: hop})
 		}

@@ -50,6 +50,10 @@ type SwitchServer struct {
 	desired map[flowKey]*openflow.FlowMod
 	// committed records that a SetBase has happened; the first one wipes.
 	committed bool
+	// pushBuf is the buffer every push is encoded into. Pushes hold mu and
+	// each one is written before the next starts, so one buffer, grown to
+	// the largest push and then reused, serves every switch.
+	pushBuf []byte
 
 	// Intrusive instruments (always live; exported by NewSwitchServer when
 	// a registry is supplied). The histogram is registry-owned, so Observe
@@ -133,7 +137,7 @@ func (s *SwitchServer) SetBase(res *CompileResult) error {
 	}
 	s.desired, s.committed = next, true
 	for conn := range s.switches {
-		if _, err := pushDiff(conn, wipe, fms, stale); err != nil {
+		if _, err := s.pushDiff(conn, wipe, fms, stale); err != nil {
 			// The connection's Serve loop owns teardown; the next attach
 			// reconciles whatever state the switch was left with.
 			s.logf("core: pushing base table: %v", err)
@@ -155,41 +159,41 @@ func (s *SwitchServer) PushFastAll(res *FastPathResult) error {
 		s.desired[keyOf(fm)] = fm
 	}
 	for conn := range s.switches {
-		if _, err := pushDiff(conn, false, fms, nil); err != nil {
+		if _, err := s.pushDiff(conn, false, fms, nil); err != nil {
 			s.logf("core: pushing fast rules: %v", err)
 		}
 	}
 	return nil
 }
 
-// pushDiff is the only writer of FLOW_MODs to a switch. It sends the
+// pushDiff is the only writer of FLOW_MODs to a switch. It encodes the
 // wildcard wipe (when asked), the adds, a strict delete for each stale
-// entry's wire match and priority, and then one barrier, whose xid it
-// returns.
-func pushDiff(conn *openflow.Conn, wipe bool, adds, stale []*openflow.FlowMod) (uint32, error) {
+// entry's wire match and priority, and then one barrier into s.pushBuf, in
+// that order and with consecutive xids, and writes them with one Send: one
+// batch and one fence per push. It returns the barrier's xid. The caller
+// holds mu.
+func (s *SwitchServer) pushDiff(conn *openflow.Conn, wipe bool, adds, stale []*openflow.FlowMod) (uint32, error) {
+	b := s.pushBuf[:0]
 	if wipe {
-		if err := conn.SendFlowMod(&openflow.FlowMod{
+		b = openflow.AppendFlowMod(b, &openflow.FlowMod{
 			Match:   openflow.MatchFromPolicy(policy.MatchAll),
 			Command: openflow.FlowModDelete,
-		}); err != nil {
-			return 0, err
-		}
+		}, conn.NextXID())
 	}
 	for _, fm := range adds {
-		if err := conn.SendFlowMod(fm); err != nil {
-			return 0, err
-		}
+		b = openflow.AppendFlowMod(b, fm, conn.NextXID())
 	}
 	for _, fm := range stale {
-		if err := conn.SendFlowMod(&openflow.FlowMod{
+		b = openflow.AppendFlowMod(b, &openflow.FlowMod{
 			Match:    fm.Match,
 			Priority: fm.Priority,
 			Command:  openflow.FlowModDeleteStrict,
-		}); err != nil {
-			return 0, err
-		}
+		}, conn.NextXID())
 	}
-	return conn.SendBarrier()
+	xid := conn.NextXID()
+	b = openflow.AppendMessage(b, openflow.TypeBarrierRequest, xid, nil)
+	s.pushBuf = b
+	return xid, conn.Send(b)
 }
 
 // Serve owns one switch connection for its lifetime: handshake, flow-table
@@ -322,7 +326,7 @@ func (s *SwitchServer) resyncLocked(conn *openflow.Conn) error {
 			stale = append(stale, &openflow.FlowMod{Match: e.Match, Priority: e.Priority})
 		}
 	}
-	bxid, err := pushDiff(conn, false, adds, stale)
+	bxid, err := s.pushDiff(conn, false, adds, stale)
 	if err != nil {
 		return err
 	}

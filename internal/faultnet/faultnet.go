@@ -55,9 +55,10 @@ func (c *Conn) SeverAfterBytes(read, write int64) {
 	c.mu.Unlock()
 }
 
-// SeverAfterOps cuts the connection after n more Read/Write calls. Both
-// ends of this repo's protocols frame one message per Write, so an op
-// budget severs at a message boundary.
+// SeverAfterOps cuts the connection after n more Read/Write calls. Every
+// Write in this repo carries whole messages (one BGP message, one OpenFlow
+// message, or one OpenFlow table push with its barrier), so an op budget
+// spent on writes severs at a message boundary.
 func (c *Conn) SeverAfterOps(n int64) {
 	c.mu.Lock()
 	c.opBudget = n

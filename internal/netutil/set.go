@@ -60,6 +60,17 @@ func (s *PrefixSet) Prefixes() []netip.Prefix {
 	return out
 }
 
+// Each calls fn for every member, in no particular order: for callers that
+// only collect the members, which Prefixes would sort first.
+func (s *PrefixSet) Each(fn func(netip.Prefix)) {
+	if s == nil {
+		return
+	}
+	for p := range s.m {
+		fn(p)
+	}
+}
+
 // Intersect returns the members present in both sets.
 func (s *PrefixSet) Intersect(o *PrefixSet) *PrefixSet {
 	out := NewPrefixSet()

@@ -1,9 +1,10 @@
 package netutil
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // Trie is a binary (Patricia-lite) trie over IPv4 prefixes supporting
@@ -199,10 +200,14 @@ func (t *Trie[V]) Prefixes() []netip.Prefix {
 // order used throughout the controller so that FEC membership vectors are
 // deterministic run to run.
 func SortPrefixes(ps []netip.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		if c := ps[i].Addr().Compare(ps[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return ps[i].Bits() < ps[j].Bits()
-	})
+	slices.SortFunc(ps, ComparePrefixes)
+}
+
+// ComparePrefixes is the canonical prefix order as a three-way comparison:
+// by address, then by length.
+func ComparePrefixes(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bits(), b.Bits())
 }

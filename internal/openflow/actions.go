@@ -63,7 +63,7 @@ func (a Action) encode(b []byte) []byte {
 	case ActionTypeSetNWSrc, ActionTypeSetNWDst:
 		b = binary.BigEndian.AppendUint16(b, a.Type)
 		b = binary.BigEndian.AppendUint16(b, 8)
-		return append(b, addr4(a.IP)...)
+		return appendAddr4(b, a.IP)
 	case ActionTypeSetTPSrc, ActionTypeSetTPDst:
 		b = binary.BigEndian.AppendUint16(b, a.Type)
 		b = binary.BigEndian.AppendUint16(b, 8)

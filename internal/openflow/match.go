@@ -148,18 +148,20 @@ func (om Match) encode(b []byte) []byte {
 	b = append(b, 0, 0)                          // dl_vlan_pcp, pad
 	b = binary.BigEndian.AppendUint16(b, om.DLType)
 	b = append(b, 0, om.NWProto, 0, 0) // nw_tos, nw_proto, pad
-	b = append(b, addr4(om.NWSrc)...)
-	b = append(b, addr4(om.NWDst)...)
+	b = appendAddr4(b, om.NWSrc)
+	b = appendAddr4(b, om.NWDst)
 	b = binary.BigEndian.AppendUint16(b, om.TPSrc)
 	return binary.BigEndian.AppendUint16(b, om.TPDst)
 }
 
-func addr4(a netip.Addr) []byte {
+// appendAddr4 appends a's four bytes; a non-IPv4 address is written as
+// 0.0.0.0.
+func appendAddr4(b []byte, a netip.Addr) []byte {
 	if !a.Is4() {
-		return []byte{0, 0, 0, 0}
+		return append(b, 0, 0, 0, 0)
 	}
 	v := a.As4()
-	return v[:]
+	return append(b, v[:]...)
 }
 
 func decodeMatch(b []byte) (Match, error) {

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 
@@ -76,6 +77,26 @@ func (m *Metrics) msgOut(t MsgType) {
 		return
 	}
 	m.outOther.Inc()
+}
+
+// sent counts each message framed in b, a buffer that was written whole.
+// A header whose length cannot frame the next message ends the walk, with
+// that message counted: a single malformed write still counts once.
+func (m *Metrics) sent(b []byte) {
+	if m == nil {
+		return
+	}
+	for len(b) >= 2 {
+		m.msgOut(MsgType(b[1]))
+		if len(b) < headerLen {
+			return
+		}
+		n := int(binary.BigEndian.Uint16(b[2:4]))
+		if n < headerLen || n > len(b) {
+			return
+		}
+		b = b[n:]
+	}
 }
 
 func (m *Metrics) decodeError(err error) {

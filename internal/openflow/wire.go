@@ -67,12 +67,28 @@ type Message struct {
 
 // Encode renders a message for the wire.
 func Encode(t MsgType, xid uint32, body []byte) []byte {
-	b := make([]byte, headerLen+len(body))
-	b[0] = ProtocolVersion
-	b[1] = byte(t)
-	binary.BigEndian.PutUint16(b[2:4], uint16(headerLen+len(body)))
-	binary.BigEndian.PutUint32(b[4:8], xid)
-	copy(b[headerLen:], body)
+	return AppendMessage(make([]byte, 0, headerLen+len(body)), t, xid, body)
+}
+
+// AppendMessage appends the wire form of a message to dst, so several
+// messages can be written with one Conn.Send.
+func AppendMessage(dst []byte, t MsgType, xid uint32, body []byte) []byte {
+	off := len(dst)
+	dst = append(appendHeader(dst, t, xid), body...)
+	return setLength(dst, off)
+}
+
+// appendHeader appends a header whose length field setLength fills in once
+// the body has been appended after it.
+func appendHeader(dst []byte, t MsgType, xid uint32) []byte {
+	dst = append(dst, ProtocolVersion, byte(t), 0, 0)
+	return binary.BigEndian.AppendUint32(dst, xid)
+}
+
+// setLength writes the length of the message that starts at off and runs
+// to the end of b into its header.
+func setLength(b []byte, off int) []byte {
+	binary.BigEndian.PutUint16(b[off+2:off+4], uint16(len(b)-off))
 	return b
 }
 
@@ -125,7 +141,21 @@ type FlowMod struct {
 
 // EncodeFlowMod renders fm with the given transaction id.
 func EncodeFlowMod(fm *FlowMod, xid uint32) []byte {
-	body := fm.Match.encode(nil)
+	// Every fixed-size action is at most 16 bytes, so this is exact for all
+	// but group actions with more than five ports.
+	return AppendFlowMod(make([]byte, 0, headerLen+flowModFixed+16*len(fm.Actions)), fm, xid)
+}
+
+// flowModFixed is a FLOW_MOD body without its actions: the match and 24
+// bytes of cookie, command, timeouts, priority, buffer id, out_port, flags.
+const flowModFixed = matchLen + 24
+
+// AppendFlowMod appends fm, rendered with the given transaction id, to dst:
+// the bytes EncodeFlowMod returns, without an allocation of their own.
+func AppendFlowMod(dst []byte, fm *FlowMod, xid uint32) []byte {
+	off := len(dst)
+	body := appendHeader(dst, TypeFlowMod, xid)
+	body = fm.Match.encode(body)
 	body = binary.BigEndian.AppendUint64(body, fm.Cookie)
 	body = binary.BigEndian.AppendUint16(body, fm.Command)
 	body = binary.BigEndian.AppendUint16(body, 0) // idle timeout
@@ -137,7 +167,7 @@ func EncodeFlowMod(fm *FlowMod, xid uint32) []byte {
 	for _, a := range fm.Actions {
 		body = a.encode(body)
 	}
-	return Encode(TypeFlowMod, xid, body)
+	return setLength(body, off)
 }
 
 // DecodeFlowMod parses a FLOW_MOD body.
@@ -145,7 +175,7 @@ func (m *Message) DecodeFlowMod() (*FlowMod, error) {
 	if m.Type != TypeFlowMod {
 		return nil, fmt.Errorf("openflow: %v is not FLOW_MOD", m.Type)
 	}
-	if len(m.Body) < matchLen+24 {
+	if len(m.Body) < flowModFixed {
 		return nil, fmt.Errorf("openflow: FLOW_MOD truncated: %d bytes", len(m.Body))
 	}
 	fm := &FlowMod{}

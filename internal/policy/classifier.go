@@ -2,7 +2,7 @@ package policy
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"sdx/internal/netutil"
@@ -98,8 +98,23 @@ func sortedActions(as []Mods) []Mods {
 			out = append(out, a)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	// Sort by each action's rendering, formatted once per action rather
+	// than twice per comparison.
+	keyed := make([]keyedMods, len(out))
+	for i, a := range out {
+		keyed[i] = keyedMods{key: a.String(), mods: a}
+	}
+	slices.SortFunc(keyed, func(x, y keyedMods) int { return strings.Compare(x.key, y.key) })
+	for i, k := range keyed {
+		out[i] = k.mods
+	}
 	return out
+}
+
+// keyedMods is an action with its rendering, the key sortedActions orders by.
+type keyedMods struct {
+	key  string
+	mods Mods
 }
 
 func unionActions(a, b []Mods) []Mods {
@@ -408,7 +423,7 @@ func (x seqIndex) lookup(buf []int, m Match, act Mods) ([]int, bool) {
 	buf = append(buf, x[seqKey{1 << FPort, port, netutil.MAC{}}]...)
 	buf = append(buf, x[seqKey{1 << FDstMAC, 0, mac}]...)
 	buf = append(buf, x[seqKey{}]...)
-	sort.Ints(buf)
+	slices.Sort(buf)
 	return buf, true
 }
 
