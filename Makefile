@@ -46,7 +46,9 @@ bench-harness:
 
 # Every benchmark in the root bench_test.go, internal/core
 # (BenchmarkSetBasePush, one 100 x 5k SetBase diff-push over loopback TCP to
-# a served switch, up to the barrier reply), internal/dataplane
+# a served switch, up to the barrier reply; BenchmarkPolicyRecompile, one
+# 100 x 5k policy change's SetPolicies + Compile, with full/op the share
+# that rebuilt the FEC state), internal/dataplane
 # (BenchmarkFlowTableDiffPush's shape=diff SetBase diffs and shape=fast
 # quick-stage pushes above every rule, BenchmarkInjectTelemetryOverhead),
 # internal/policy (BenchmarkCompileDisjointUnion, the compiler's Union over

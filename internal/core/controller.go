@@ -72,8 +72,9 @@ type Controller struct {
 	pool *netutil.IPPool
 	fecs *FECTable
 	// mds caches the incremental MDS inputs (reach sets, universe,
-	// signatures) between background passes; invalidated alongside
-	// fastCache on configuration changes.
+	// signatures) between background passes. Participant registration
+	// invalidates it; a policy change reaches it only through the reach
+	// keys, which every refresh compares.
 	mds *fecState
 	// fastCache memoizes quick-stage compilations by MDS signature;
 	// invalidated by any configuration change and by every
@@ -164,7 +165,11 @@ func (c *Controller) AddParticipant(p Participant) error {
 }
 
 // SetPolicies replaces a participant's policies. Call Compile afterwards to
-// realize the change (the paper's "configuration change" workload).
+// realize the change (the paper's "configuration change" workload). The
+// cached MDS state is kept: the only policy input it reads is the reach keys
+// (which participants forward to which next hops), and the next refresh
+// rebuilds it from scratch if those changed. A change that keeps them, such
+// as a new header match toward the same next hops, compiles incrementally.
 func (c *Controller) SetPolicies(id ID, inbound, outbound policy.Policy) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -174,7 +179,6 @@ func (c *Controller) SetPolicies(id ID, inbound, outbound policy.Policy) error {
 	}
 	p.Inbound, p.Outbound = inbound, outbound
 	c.fastCache.invalidate()
-	c.mds.invalidate()
 	return nil
 }
 

@@ -18,18 +18,20 @@ const (
 )
 
 // FlowModsForRules lowers an ordered rule list (highest priority first) to
-// FLOW_MODs in the given priority band.
+// FLOW_MODs in the given priority band. The FLOW_MODs share one backing
+// slice, so a table costs one allocation for them plus one action list per
+// rule.
 func FlowModsForRules(rules []policy.Rule, top uint16) ([]*openflow.FlowMod, error) {
 	if int(top) < len(rules) {
 		return nil, fmt.Errorf("core: %d rules do not fit under priority %d", len(rules), top)
 	}
+	slab := make([]openflow.FlowMod, len(rules))
 	out := make([]*openflow.FlowMod, len(rules))
 	for i, r := range rules {
-		fm, err := openflow.FlowModFromRule(r, top-uint16(i))
-		if err != nil {
+		if err := openflow.LowerRule(&slab[i], r, top-uint16(i)); err != nil {
 			return nil, fmt.Errorf("core: rule %d (%v): %w", i, r, err)
 		}
-		out[i] = fm
+		out[i] = &slab[i]
 	}
 	return out, nil
 }

@@ -44,7 +44,7 @@ type fecSig struct {
 // fecState is the controller's cached MDS input, shared by reference into
 // every compilation pipeline. All mutation happens under compileMu (only
 // the background pass refreshes it); the mutex exists for invalidate(),
-// which configuration changes call from outside the compile path.
+// which participant registration calls from outside the compile path.
 type fecState struct {
 	mu    sync.Mutex
 	valid bool
@@ -73,15 +73,18 @@ type fecState struct {
 	universe map[vrfPrefix]*fecSig
 	sorted   []vrfPrefix
 
-	// sigs hash-conses signatures so the grouping sweep is pointer-based.
+	// sigs hash-conses signatures so the grouping sweep is pointer-based;
+	// grouping trims it to the live classes.
 	sigs map[string]*fecSig
 }
 
 func newFECState() *fecState { return &fecState{} }
 
 // invalidate forces the next background pass to rebuild from scratch.
-// Called on any configuration change that feeds the signatures:
-// participant registration, policy replacement.
+// Participant registration calls it: it changes the portless list and the
+// VRF map. The other rebuild triggers are checked by refresh itself: an
+// export-epoch bump and changed reach keys. A policy change that keeps the
+// reach keys leaves the state valid.
 func (st *fecState) invalidate() {
 	st.mu.Lock()
 	st.valid = false
@@ -124,6 +127,9 @@ func (st *fecState) refresh(p *pipeline) ([]reachSet, bool, int) {
 // signatures in first-appearance order along the sorted prefixes, and the
 // member prefixes of each. The member slices alias the sweep's appends and
 // are in sorted order, exactly as the from-scratch pass produced them.
+// The sweep sees every live signature, so it also drops the interned ones
+// no prefix holds any more: without that, a long-running controller that
+// rebuilds rarely would keep every signature patchLocked ever rendered.
 func (st *fecState) grouping() ([]*fecSig, map[*fecSig][]netip.Prefix) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -136,11 +142,16 @@ func (st *fecState) grouping() ([]*fecSig, map[*fecSig][]netip.Prefix) {
 		}
 		groups[sig] = append(groups[sig], key.prefix)
 	}
+	st.sigs = make(map[string]*fecSig, len(order))
+	for _, sig := range order {
+		st.sigs[sig.key] = sig
+	}
 	return order, groups
 }
 
 // rebuildLocked recomputes everything from the route server: the shape a
-// first pass, a configuration change, or an export-epoch bump requires.
+// first pass, a participant registration, changed reach keys or an
+// export-epoch bump requires.
 func (st *fecState) rebuildLocked(p *pipeline, keys []reachKey, epoch uint64) {
 	st.keys = keys
 	st.epoch = epoch

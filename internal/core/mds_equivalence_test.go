@@ -76,6 +76,8 @@ func mdsRoute(mi int, prefix netip.Prefix, variant int) bgp.Route {
 // from-scratch rebuild. The §4.2 determinism invariant requires the two to
 // produce byte-identical equivalence classes — same prefix grouping, same
 // IDs, same VNH/VMAC assignments, same best-two advertisers — every round.
+// Two policy changes ride along: one that keeps the reach keys (the pass
+// after it stays incremental) and one that alters them (a full rebuild).
 func TestIncrementalFECEquivalence(t *testing.T) {
 	const (
 		nParts    = 8
@@ -140,8 +142,21 @@ func TestIncrementalFECEquivalence(t *testing.T) {
 				advertised[i][mi] = true
 			}
 		}
-		// A mid-test configuration change must knock both back to a full
-		// rebuild without breaking equivalence.
+		// A policy change that keeps the reach keys (P2 still forwards to
+		// P3 and P5, on a different port) leaves the cached state valid.
+		if round == 3 {
+			for _, c := range []*Controller{inc, full} {
+				out := policy.Par(
+					policy.SeqOf(policy.MatchPolicy(policy.MatchAll.DstPort(80)), c.FwdTo(pid(3))),
+					policy.SeqOf(policy.MatchPolicy(policy.MatchAll.DstPort(8080)), c.FwdTo(pid(5))),
+				)
+				if err := c.SetPolicies(pid(2), nil, out); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// A policy change that alters the reach keys must knock both back
+		// to a full rebuild without breaking equivalence.
 		if round == 5 {
 			for _, c := range []*Controller{inc, full} {
 				out := policy.Par(
@@ -169,8 +184,9 @@ func TestIncrementalFECEquivalence(t *testing.T) {
 		}
 		switch {
 		case round == 0 || round == 5:
-			// First pass ever, and the pass right after the policy change:
-			// the incremental controller must detect it cannot patch.
+			// First pass ever, and the pass right after the key-changing
+			// policy change: the incremental controller must detect it
+			// cannot patch.
 			if ires.Stats.Incremental {
 				t.Fatalf("round %d: expected a full rebuild, got incremental", round)
 			}
@@ -203,4 +219,69 @@ func TestIncrementalFECEquivalence(t *testing.T) {
 				round, len(ires.Rules), len(fres.Rules))
 		}
 	}
+}
+
+// TestInternedSignaturesBounded pins the interned-signature map to the live
+// classes. Re-advertisements keep moving prefixes between signatures, and a
+// policy change that keeps the reach keys does not rebuild the state, so
+// without a bound the map would keep every signature ever rendered.
+func TestInternedSignaturesBounded(t *testing.T) {
+	const (
+		nParts    = 8
+		nPrefixes = 200
+		rounds    = 30
+		perRound  = 20
+	)
+	c := mdsExchange(t, nParts)
+	pid := func(i int) ID { return ID(fmt.Sprintf("P%d", i)) }
+	rs := c.RouteServer()
+	rng := rand.New(rand.NewSource(7))
+	prefix := func(i int) netip.Prefix {
+		return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+	}
+	for i := 0; i < nPrefixes; i++ {
+		for k := 0; k < 2; k++ {
+			mi := rng.Intn(nParts)
+			if _, err := rs.Advertise(pid(mi), mdsRoute(mi, prefix(i), rng.Intn(8))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rendered := make(map[string]bool)
+	for round := 0; round < rounds; round++ {
+		for e := 0; e < perRound; e++ {
+			mi := rng.Intn(nParts)
+			if _, err := rs.Advertise(pid(mi), mdsRoute(mi, prefix(rng.Intn(nPrefixes)), rng.Intn(8))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round == rounds/2 {
+			out := policy.Par(
+				policy.SeqOf(policy.MatchPolicy(policy.MatchAll.DstPort(22)), c.FwdTo(pid(1))),
+				policy.SeqOf(policy.MatchPolicy(policy.MatchAll.DstPort(443)), c.FwdTo(pid(3))),
+			)
+			if err := c.SetPolicies(pid(0), nil, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := c.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round > 0 && !res.Stats.Incremental {
+			t.Fatalf("round %d: rebuilt from scratch; the bound is only tested on incremental passes", round)
+		}
+		for key := range c.mds.sigs {
+			rendered[key] = true
+		}
+		if len(c.mds.sigs) != res.Stats.PrefixGroups {
+			t.Fatalf("round %d: %d interned signatures for %d classes",
+				round, len(c.mds.sigs), res.Stats.PrefixGroups)
+		}
+	}
+	if len(rendered) <= len(c.mds.sigs) {
+		t.Fatalf("churn retired no signature (%d rendered, %d live); the test proves nothing",
+			len(rendered), len(c.mds.sigs))
+	}
+	t.Logf("%d signatures rendered over %d rounds, %d live", len(rendered), rounds, len(c.mds.sigs))
 }

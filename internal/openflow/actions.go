@@ -90,6 +90,9 @@ func (a Action) encode(b []byte) []byte {
 
 func decodeActions(b []byte) ([]Action, error) {
 	var out []Action
+	if n := countActions(b); n > 0 {
+		out = make([]Action, 0, n)
+	}
 	for len(b) > 0 {
 		if len(b) < 4 {
 			return nil, fmt.Errorf("openflow: action header truncated")
@@ -130,6 +133,21 @@ func decodeActions(b []byte) ([]Action, error) {
 	return out, nil
 }
 
+// countActions counts the well-framed actions at the front of b, so that
+// decodeActions sizes its list once.
+func countActions(b []byte) int {
+	n := 0
+	for len(b) >= 4 {
+		alen := int(binary.BigEndian.Uint16(b[2:4]))
+		if alen < 8 || alen > len(b) {
+			break
+		}
+		b = b[alen:]
+		n++
+	}
+	return n
+}
+
 // ActionsFromMods lowers one policy action (a Mods rewrite whose port field
 // is the output) to an OpenFlow action list: set-field actions followed by
 // an output. A Mods without a port assignment drops, which in OpenFlow is
@@ -139,7 +157,7 @@ func ActionsFromMods(mods policy.Mods) ([]Action, error) {
 	if !ok {
 		return nil, nil // drop
 	}
-	var out []Action
+	out := make([]Action, 0, modsWeight(mods)+1)
 	if v, ok := mods.GetSrcMAC(); ok {
 		out = append(out, Action{Type: ActionTypeSetDLSrc, MAC: v})
 	}
@@ -172,21 +190,35 @@ func ActionsFromMods(mods policy.Mods) ([]Action, error) {
 // that matches a non-IPv4 prefix or sets a non-IPv4 address is an error
 // too: OF 1.0's address fields are 32 bits wide.
 func FlowModFromRule(r policy.Rule, priority uint16) (*FlowMod, error) {
-	if err := checkIPv4(r); err != nil {
+	fm := new(FlowMod)
+	if err := LowerRule(fm, r, priority); err != nil {
 		return nil, err
 	}
-	fm := &FlowMod{
+	return fm, nil
+}
+
+// LowerRule is FlowModFromRule writing into fm, so that a caller lowering a
+// whole table can allocate its FLOW_MODs as one slice. A single-copy rule,
+// the common case, costs one allocation: its action list.
+func LowerRule(fm *FlowMod, r policy.Rule, priority uint16) error {
+	if err := checkIPv4(r); err != nil {
+		return err
+	}
+	*fm = FlowMod{
 		Match:    MatchFromPolicy(r.Match),
 		Command:  FlowModAdd,
 		Priority: priority,
 	}
 	if r.IsDrop() {
-		return fm, nil // no actions = drop
+		return nil // no actions = drop
 	}
-	actions := append([]policy.Mods(nil), r.Actions...)
-	sort.Slice(actions, func(i, j int) bool {
-		return modsWeight(actions[i]) < modsWeight(actions[j])
-	})
+	actions := r.Actions
+	if len(actions) >= 2 {
+		actions = append([]policy.Mods(nil), actions...)
+		sort.Slice(actions, func(i, j int) bool {
+			return modsWeight(actions[i]) < modsWeight(actions[j])
+		})
+	}
 	// Copies that differ only in output port are a replication rule: lower
 	// to the shared rewrites once plus a single Group action over the member
 	// ports, so the dataplane serializes the rewritten frame exactly once.
@@ -197,28 +229,32 @@ func FlowModFromRule(r policy.Rule, priority uint16) (*FlowMod, error) {
 		}
 		acts, err := ActionsFromMods(actions[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fm.Actions = append(acts[:len(acts)-1], Group(ports))
-		return fm, nil
+		return nil
 	}
 	applied := policy.Identity
 	for _, mods := range actions {
 		delta, err := deltaMods(applied, mods, r.Match)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		acts, err := ActionsFromMods(delta)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if acts == nil {
-			return nil, fmt.Errorf("openflow: multicast copy without an output port in %v", r)
+			return fmt.Errorf("openflow: multicast copy without an output port in %v", r)
 		}
-		fm.Actions = append(fm.Actions, acts...)
+		if fm.Actions == nil {
+			fm.Actions = acts
+		} else {
+			fm.Actions = append(fm.Actions, acts...)
+		}
 		applied = applied.Then(delta)
 	}
-	return fm, nil
+	return nil
 }
 
 // checkIPv4 rejects a rule naming an address the wire cannot carry. Lowered

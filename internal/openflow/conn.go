@@ -3,6 +3,7 @@ package openflow
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -54,15 +55,35 @@ func (c *Conn) Send(b []byte) error {
 	return nil
 }
 
-// Recv reads one message through the connection's read buffer.
+// Recv reads one message through the connection's read buffer. The header
+// is parsed where it lies in the buffer, so a message costs two allocations:
+// its Message and its body.
 func (c *Conn) Recv() (*Message, error) {
-	m, err := ReadMessage(c.r)
+	m, err := c.read()
 	if err != nil {
 		c.metrics.decodeError(err)
 		return m, err
 	}
 	c.metrics.msgIn(m.Type)
 	return m, nil
+}
+
+// read is ReadMessage over the read buffer, failing as it does: io.EOF at
+// a clean end of stream, io.ErrUnexpectedEOF inside a message.
+func (c *Conn) read() (*Message, error) {
+	hdr, err := c.r.Peek(headerLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	h, n, err := parseHeader(hdr)
+	if err != nil {
+		return nil, err
+	}
+	c.r.Discard(headerLen)
+	return readBody(c.r, h, n)
 }
 
 // Close tears down the transport.

@@ -90,6 +90,48 @@ func TestRecvMessageSplitAcrossReads(t *testing.T) {
 	}
 }
 
+// TestRecvFailsAsReadMessage: a stream cut anywhere, a wrong version and a
+// length shorter than the header fail Recv exactly as they fail
+// ReadMessage: io.EOF only at a message boundary, io.ErrUnexpectedEOF
+// inside a header or a body.
+func TestRecvFailsAsReadMessage(t *testing.T) {
+	msgs, _ := testStream()
+	badVersion := Encode(TypeHello, 1, nil)
+	badVersion[0] = 0x04
+	badLength := Encode(TypeHello, 1, nil)
+	badLength[2], badLength[3] = 0, 4
+	inputs := [][]byte{badVersion, badLength}
+	for n := 0; n < len(msgs[0]); n++ {
+		inputs = append(inputs, msgs[0][:n])
+	}
+	for _, in := range inputs {
+		_, want := ReadMessage(bytes.NewReader(in))
+		_, got := NewConn(&memConn{data: in, chunk: 3}).Recv()
+		if got == nil || want == nil || got.Error() != want.Error() {
+			t.Errorf("%x: Recv failed with %v, ReadMessage with %v", in, got, want)
+		}
+	}
+}
+
+// TestRecvAllocations: once the connection exists, receiving a message
+// allocates its Message and its body and nothing else.
+func TestRecvAllocations(t *testing.T) {
+	msgs, stream := testStream()
+	mc := &memConn{}
+	c := NewConn(mc)
+	allocs := testing.AllocsPerRun(100, func() {
+		mc.data = stream
+		for range msgs {
+			if _, err := c.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if want := float64(2 * len(msgs)); allocs > want {
+		t.Errorf("%.0f allocations to receive %d messages, want at most %.0f", allocs, len(msgs), want)
+	}
+}
+
 // TestAppendMatchesEncode: the append forms write exactly the bytes of the
 // single-message encoders, wherever in a buffer they start.
 func TestAppendMatchesEncode(t *testing.T) {

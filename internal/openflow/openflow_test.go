@@ -96,6 +96,39 @@ func TestMatchRandomRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLowerRuleAllocations: lowering a single-copy rule into a caller's
+// FlowMod allocates only its action list, and a drop rule nothing; the
+// action list decoded back from the wire is sized once too.
+func TestLowerRuleAllocations(t *testing.T) {
+	rule := policy.Rule{
+		Match:   policy.MatchAll.Port(1).DstPort(80),
+		Actions: []policy.Mods{policy.Identity.SetDstMAC(macY).SetPort(7)},
+	}
+	drop := policy.Rule{Match: policy.MatchAll.Port(2)}
+	var fm FlowMod
+	for _, c := range []struct {
+		name string
+		rule policy.Rule
+		want float64
+	}{{"single copy", rule, 1}, {"drop", drop, 0}} {
+		got := testing.AllocsPerRun(100, func() {
+			if err := LowerRule(&fm, c.rule, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: %.0f allocations, want %.0f", c.name, got, c.want)
+		}
+	}
+	if err := LowerRule(&fm, rule, 1); err != nil {
+		t.Fatal(err)
+	}
+	body := EncodeFlowMod(&fm, 1)[headerLen+matchLen+24:]
+	if got := testing.AllocsPerRun(100, func() { _, _ = decodeActions(body) }); got != 1 {
+		t.Errorf("decoding two actions: %.0f allocations, want 1", got)
+	}
+}
+
 func TestFlowModRoundTrip(t *testing.T) {
 	rule := policy.Rule{
 		Match: policy.MatchAll.Port(1).DstPort(80),

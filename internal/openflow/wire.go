@@ -98,21 +98,34 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
+	h, n, err := parseHeader(hdr[:])
+	if err != nil {
+		return nil, err
+	}
+	return readBody(r, h, n)
+}
+
+// parseHeader checks a message header and returns it with the length of
+// the body that follows it.
+func parseHeader(hdr []byte) (Header, int, error) {
 	if hdr[0] != ProtocolVersion {
-		return nil, fmt.Errorf("openflow: unsupported version %#02x", hdr[0])
+		return Header{}, 0, fmt.Errorf("openflow: unsupported version %#02x", hdr[0])
 	}
 	length := binary.BigEndian.Uint16(hdr[2:4])
 	if length < headerLen {
-		return nil, fmt.Errorf("openflow: bad length %d", length)
+		return Header{}, 0, fmt.Errorf("openflow: bad length %d", length)
 	}
-	body := make([]byte, length-headerLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	h := Header{Type: MsgType(hdr[1]), XID: binary.BigEndian.Uint32(hdr[4:8])}
+	return h, int(length) - headerLen, nil
+}
+
+// readBody reads an n-byte body from r into a new Message with header h.
+func readBody(r io.Reader, h Header, n int) (*Message, error) {
+	m := &Message{Header: h, Body: make([]byte, n)}
+	if _, err := io.ReadFull(r, m.Body); err != nil {
 		return nil, err
 	}
-	return &Message{
-		Header: Header{Type: MsgType(hdr[1]), XID: binary.BigEndian.Uint32(hdr[4:8])},
-		Body:   body,
-	}, nil
+	return m, nil
 }
 
 // FlowMod commands.
