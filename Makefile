@@ -58,9 +58,9 @@ bench-harness:
 # prefixes with no filter, an export filter and VRFs), once: keeps them
 # compiling and running, and puts the push's channel cost, the Union's and
 # the composition's compile times and the route server's read cost in
-# every check log.
+# every check log, each with its B/op and allocs/op (-benchmem).
 bench:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' . ./internal/core ./internal/dataplane ./internal/policy ./internal/routeserver
+	$(GO) test -bench=. -benchtime=1x -benchmem -run '^$$' . ./internal/core ./internal/dataplane ./internal/policy ./internal/routeserver
 
 # Every Fuzz* target in the module for ten seconds each (plain `go test`
 # runs only their seed corpora). A failing input lands in the package's

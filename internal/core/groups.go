@@ -32,8 +32,8 @@ func (c *Controller) AddGroup(g Group) error {
 	if g.Name == "" {
 		return fmt.Errorf("core: multicast group needs a name")
 	}
-	if !g.Prefix.IsValid() {
-		return fmt.Errorf("core: multicast group %q needs a valid prefix", g.Name)
+	if !g.Prefix.IsValid() || !g.Prefix.Addr().Is4() {
+		return fmt.Errorf("core: multicast group %q needs a valid IPv4 prefix", g.Name)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -23,11 +23,12 @@ func figure1WithGroup(t *testing.T) *Controller {
 func TestAddGroupValidation(t *testing.T) {
 	c := figure1(t, DefaultOptions())
 	bad := []Group{
-		{Prefix: groupPrefix, Members: []ID{"A", "B"}},                 // no name
-		{Name: "g", Members: []ID{"A", "B"}},                           // no prefix
-		{Name: "g", Prefix: groupPrefix, Members: []ID{"A"}},           // one member
-		{Name: "g", Prefix: groupPrefix, Members: []ID{"A", "A"}},      // one after dedup
-		{Name: "g", Prefix: groupPrefix, Members: []ID{"A", "nobody"}}, // unknown member
+		{Prefix: groupPrefix, Members: []ID{"A", "B"}},                                   // no name
+		{Name: "g", Members: []ID{"A", "B"}},                                             // no prefix
+		{Name: "g", Prefix: netip.MustParsePrefix("ff0e::/16"), Members: []ID{"A", "B"}}, // IPv6
+		{Name: "g", Prefix: groupPrefix, Members: []ID{"A"}},                             // one member
+		{Name: "g", Prefix: groupPrefix, Members: []ID{"A", "A"}},                        // one after dedup
+		{Name: "g", Prefix: groupPrefix, Members: []ID{"A", "nobody"}},                   // unknown member
 	}
 	for _, g := range bad {
 		if err := c.AddGroup(g); err == nil {

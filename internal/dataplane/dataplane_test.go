@@ -114,7 +114,7 @@ func TestSwitchHeaderRewrite(t *testing.T) {
 		Match:    policy.MatchAll.Port(1),
 		Priority: 5,
 		Actions: []openflow.Action{
-			{Type: openflow.ActionTypeSetNWDst, IP: newDst},
+			{Type: openflow.ActionTypeSetNWDst, IP: netutil.Addr4From(newDst)},
 			{Type: openflow.ActionTypeSetDLDst, MAC: macB},
 			openflow.Output(2),
 		},

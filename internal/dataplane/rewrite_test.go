@@ -209,7 +209,7 @@ func FuzzRewritePreservesFrame(f *testing.F) {
 		Actions: []openflow.Action{setDLDst(macRouter), openflow.Output(3)}})
 	sw.Table.Add(&FlowEntry{Match: policy.MatchAll.Port(2), Priority: 1,
 		Actions: []openflow.Action{
-			{Type: openflow.ActionTypeSetNWDst, IP: ipVNH},
+			{Type: openflow.ActionTypeSetNWDst, IP: netutil.Addr4From(ipVNH)},
 			{Type: openflow.ActionTypeSetTPDst, TP: newPort},
 			openflow.Output(3),
 		}})

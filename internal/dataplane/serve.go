@@ -54,7 +54,8 @@ func (s *Switch) ServeController(conn net.Conn) error {
 	var pending []*openflow.FlowMod
 	flush := func() error {
 		err := s.InstallFlowMods(pending)
-		pending = nil
+		clear(pending)
+		pending = pending[:0]
 		return err
 	}
 	// Only adds and modifies are held, and applying them cannot fail.

@@ -520,7 +520,7 @@ func (s *Switch) applyActions(actions []openflow.Action, pkt *packet.Packet, fra
 		case openflow.ActionTypeSetDLDst:
 			packet.PatchEthDst(frame, a.MAC)
 		case openflow.ActionTypeSetNWSrc, openflow.ActionTypeSetNWDst:
-			pkt.PatchIPv4Addr(frame, a.Type == openflow.ActionTypeSetNWDst, a.IP)
+			pkt.PatchIPv4Addr(frame, a.Type == openflow.ActionTypeSetNWDst, a.IP.Addr())
 		case openflow.ActionTypeSetTPSrc, openflow.ActionTypeSetTPDst:
 			pkt.PatchL4Port(frame, a.Type == openflow.ActionTypeSetTPDst, a.TP)
 		}
@@ -605,11 +605,14 @@ func (s *Switch) punt(frame []byte, ctx *frameCtx) {
 // consecutive adds/modifies coalesce into single AddBatch table operations,
 // so a run takes the table lock and invalidates the caches once instead of
 // per rule. Deletes apply one at a time; a strict delete touches one entry.
+// Neither fms nor the batch slice outlives the call: AddBatch keeps the
+// entries, not the slice, so the batch is reused across runs.
 func (s *Switch) InstallFlowMods(fms []*openflow.FlowMod) error {
 	var batch []*FlowEntry
 	flush := func() {
 		s.Table.AddBatch(batch)
-		batch = nil
+		clear(batch)
+		batch = batch[:0]
 	}
 	defer flush()
 	for _, fm := range fms {

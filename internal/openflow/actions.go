@@ -3,7 +3,6 @@ package openflow
 import (
 	"encoding/binary"
 	"fmt"
-	"net/netip"
 	"sort"
 
 	"sdx/internal/netutil"
@@ -31,11 +30,11 @@ const (
 // order; Output emits the packet as currently rewritten.
 type Action struct {
 	Type  uint16
-	Port  uint16      // Output
-	MAC   netutil.MAC // SetDLSrc / SetDLDst
-	IP    netip.Addr  // SetNWSrc / SetNWDst
-	TP    uint16      // SetTPSrc / SetTPDst
-	Ports []uint16    // Group: member ports, ascending
+	Port  uint16        // Output
+	MAC   netutil.MAC   // SetDLSrc / SetDLDst
+	TP    uint16        // SetTPSrc / SetTPDst
+	IP    netutil.Addr4 // SetNWSrc / SetNWDst
+	Ports []uint16      // Group: member ports, ascending
 }
 
 // Output returns an output action.
@@ -63,7 +62,7 @@ func (a Action) encode(b []byte) []byte {
 	case ActionTypeSetNWSrc, ActionTypeSetNWDst:
 		b = binary.BigEndian.AppendUint16(b, a.Type)
 		b = binary.BigEndian.AppendUint16(b, 8)
-		return appendAddr4(b, a.IP)
+		return binary.BigEndian.AppendUint32(b, uint32(a.IP))
 	case ActionTypeSetTPSrc, ActionTypeSetTPDst:
 		b = binary.BigEndian.AppendUint16(b, a.Type)
 		b = binary.BigEndian.AppendUint16(b, 8)
@@ -112,7 +111,7 @@ func decodeActions(b []byte) ([]Action, error) {
 			}
 			copy(a.MAC[:], b[4:10])
 		case ActionTypeSetNWSrc, ActionTypeSetNWDst:
-			a.IP = netip.AddrFrom4([4]byte(b[4:8]))
+			a.IP = netutil.Addr4(binary.BigEndian.Uint32(b[4:8]))
 		case ActionTypeSetTPSrc, ActionTypeSetTPDst:
 			a.TP = binary.BigEndian.Uint16(b[4:6])
 		case ActionTypeGroup:
@@ -186,9 +185,7 @@ func ActionsFromMods(mods policy.Mods) ([]Action, error) {
 // modified for an earlier copy but needed unmodified by a later one is
 // restored from the rule's match when it pins that field exactly. When no
 // exact value is available the rule cannot be expressed in OF 1.0 and an
-// error is returned (the SDX applications never need this case). A rule
-// that matches a non-IPv4 prefix or sets a non-IPv4 address is an error
-// too: OF 1.0's address fields are 32 bits wide.
+// error is returned (the SDX applications never need this case).
 func FlowModFromRule(r policy.Rule, priority uint16) (*FlowMod, error) {
 	fm := new(FlowMod)
 	if err := LowerRule(fm, r, priority); err != nil {
@@ -201,9 +198,6 @@ func FlowModFromRule(r policy.Rule, priority uint16) (*FlowMod, error) {
 // whole table can allocate its FLOW_MODs as one slice. A single-copy rule,
 // the common case, costs one allocation: its action list.
 func LowerRule(fm *FlowMod, r policy.Rule, priority uint16) error {
-	if err := checkIPv4(r); err != nil {
-		return err
-	}
 	*fm = FlowMod{
 		Match:    MatchFromPolicy(r.Match),
 		Command:  FlowModAdd,
@@ -253,27 +247,6 @@ func LowerRule(fm *FlowMod, r policy.Rule, priority uint16) error {
 			fm.Actions = append(fm.Actions, acts...)
 		}
 		applied = applied.Then(delta)
-	}
-	return nil
-}
-
-// checkIPv4 rejects a rule naming an address the wire cannot carry. Lowered
-// anyway, an IPv6 prefix's length would corrupt the match's wildcard bits
-// (a /64 reads back as match-all) and its address would become 0.0.0.0.
-func checkIPv4(r policy.Rule) error {
-	if p, ok := r.Match.GetSrcIP(); ok && !p.Addr().Is4() {
-		return fmt.Errorf("openflow: match on non-IPv4 source %v", p)
-	}
-	if p, ok := r.Match.GetDstIP(); ok && !p.Addr().Is4() {
-		return fmt.Errorf("openflow: match on non-IPv4 destination %v", p)
-	}
-	for _, m := range r.Actions {
-		if a, ok := m.GetSrcIP(); ok && !a.Is4() {
-			return fmt.Errorf("openflow: action sets non-IPv4 source %v", a)
-		}
-		if a, ok := m.GetDstIP(); ok && !a.Is4() {
-			return fmt.Errorf("openflow: action sets non-IPv4 destination %v", a)
-		}
 	}
 	return nil
 }
@@ -365,7 +338,7 @@ func deltaMods(prev, next policy.Mods, match policy.Match) (policy.Mods, error) 
 			if !ok || v.Bits() != 32 {
 				return out, false
 			}
-			return out.SetSrcIP(v.Addr()), true
+			return out.SetSrcIPv4(v.Addr()), true
 		})
 		if err != nil {
 			return out, err
@@ -379,7 +352,7 @@ func deltaMods(prev, next policy.Mods, match policy.Match) (policy.Mods, error) 
 			if !ok || v.Bits() != 32 {
 				return out, false
 			}
-			return out.SetDstIP(v.Addr()), true
+			return out.SetDstIPv4(v.Addr()), true
 		})
 		if err != nil {
 			return out, err

@@ -24,10 +24,15 @@ func FuzzDecodeFlowMod(f *testing.F) {
 			Command: FlowModDeleteStrict, Priority: 0xefff, Cookie: 7},
 		{Match: MatchFromPolicy(policy.MatchAll.Proto(6).SrcPort(4000)), Command: FlowModDelete},
 		{Match: MatchFromPolicy(policy.MatchAll.DstIP(netip.MustParsePrefix("239.9.0.0/16"))), Command: FlowModAdd,
-			Actions: []Action{Group([]uint16{3, 1, 2}), {Type: ActionTypeSetNWDst, IP: netip.MustParseAddr("1.1.1.1")},
+			Actions: []Action{Group([]uint16{3, 1, 2}), {Type: ActionTypeSetNWDst, IP: 0x01010101},
 				{Type: ActionTypeSetTPSrc, TP: 99}, Output(PortController)}},
 	} {
 		f.Add(EncodeFlowMod(fm, 1))
+	}
+	// The prefix lengths at the edges of the 6-bit wildcard counters.
+	for _, p := range []string{"0.0.0.0/0", "128.0.0.0/1", "10.0.0.6/31", "10.0.0.7/32"} {
+		m := policy.MatchAll.SrcIP(netip.MustParsePrefix(p)).DstIP(netip.MustParsePrefix(p))
+		f.Add(EncodeFlowMod(&FlowMod{Match: MatchFromPolicy(m), Command: FlowModAdd, Actions: []Action{Output(1)}}, 2))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

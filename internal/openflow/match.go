@@ -3,7 +3,6 @@ package openflow
 import (
 	"encoding/binary"
 	"fmt"
-	"net/netip"
 
 	"sdx/internal/netutil"
 	"sdx/internal/policy"
@@ -36,7 +35,8 @@ const matchLen = 40
 
 // Match is the OpenFlow 1.0 40-byte ofp_match: explicit wildcard bits plus
 // field values. IP prefixes are encoded via the 6-bit wildcarded-low-bits
-// counters in the wildcards word.
+// counters in the wildcards word; NWSrc and NWDst hold the same lengths, so
+// the conversions to and from policy.Match copy the prefixes as they are.
 type Match struct {
 	Wildcards uint32
 	InPort    uint16
@@ -44,19 +44,17 @@ type Match struct {
 	DLDst     netutil.MAC
 	DLType    uint16
 	NWProto   uint8
-	NWSrc     netip.Addr
-	NWSrcBits uint8 // prefix length; meaningful when the field is not fully wildcarded
-	NWDst     netip.Addr
-	NWDstBits uint8
 	TPSrc     uint16
 	TPDst     uint16
+	NWSrc     netutil.Prefix4 // its length is 32 less the wildcard counter; 0.0.0.0/0 when wildcarded
+	NWDst     netutil.Prefix4
 }
 
 // MatchFromPolicy converts a compiled policy match to the wire form. The
 // policy port is carried in InPort (the SDX core has already flattened
 // virtual locations to physical ports by the time rules are installed).
 func MatchFromPolicy(m policy.Match) Match {
-	om := Match{Wildcards: wcAll, NWSrc: netip.IPv4Unspecified(), NWDst: netip.IPv4Unspecified()}
+	om := Match{Wildcards: wcAll}
 	if v, ok := m.GetPort(); ok {
 		om.InPort = v
 		om.Wildcards &^= wcInPort
@@ -78,11 +76,11 @@ func MatchFromPolicy(m policy.Match) Match {
 		om.Wildcards &^= wcNWProto
 	}
 	if v, ok := m.GetSrcIP(); ok {
-		om.NWSrc, om.NWSrcBits = v.Addr(), uint8(v.Bits())
+		om.NWSrc = v
 		om.Wildcards = om.Wildcards&^wcNWSrcMask | uint32(32-v.Bits())<<wcNWSrcShift
 	}
 	if v, ok := m.GetDstIP(); ok {
-		om.NWDst, om.NWDstBits = v.Addr(), uint8(v.Bits())
+		om.NWDst = v
 		om.Wildcards = om.Wildcards&^wcNWDstMask | uint32(32-v.Bits())<<wcNWDstShift
 	}
 	if v, ok := m.GetSrcPort(); ok {
@@ -114,11 +112,11 @@ func (om Match) ToPolicy() policy.Match {
 	if om.Wildcards&wcNWProto == 0 {
 		m = m.Proto(om.NWProto)
 	}
-	if bits := nwBits(om.Wildcards, wcNWSrcShift); bits > 0 {
-		m = m.SrcIP(netip.PrefixFrom(om.NWSrc, bits))
+	if om.NWSrc.Bits() > 0 {
+		m = m.SrcIPv4(om.NWSrc)
 	}
-	if bits := nwBits(om.Wildcards, wcNWDstShift); bits > 0 {
-		m = m.DstIP(netip.PrefixFrom(om.NWDst, bits))
+	if om.NWDst.Bits() > 0 {
+		m = m.DstIPv4(om.NWDst)
 	}
 	if om.Wildcards&wcTPSrc == 0 {
 		m = m.SrcPort(om.TPSrc)
@@ -148,20 +146,10 @@ func (om Match) encode(b []byte) []byte {
 	b = append(b, 0, 0)                          // dl_vlan_pcp, pad
 	b = binary.BigEndian.AppendUint16(b, om.DLType)
 	b = append(b, 0, om.NWProto, 0, 0) // nw_tos, nw_proto, pad
-	b = appendAddr4(b, om.NWSrc)
-	b = appendAddr4(b, om.NWDst)
+	b = binary.BigEndian.AppendUint32(b, uint32(om.NWSrc.Addr()))
+	b = binary.BigEndian.AppendUint32(b, uint32(om.NWDst.Addr()))
 	b = binary.BigEndian.AppendUint16(b, om.TPSrc)
 	return binary.BigEndian.AppendUint16(b, om.TPDst)
-}
-
-// appendAddr4 appends a's four bytes; a non-IPv4 address is written as
-// 0.0.0.0.
-func appendAddr4(b []byte, a netip.Addr) []byte {
-	if !a.Is4() {
-		return append(b, 0, 0, 0, 0)
-	}
-	v := a.As4()
-	return append(b, v[:]...)
 }
 
 func decodeMatch(b []byte) (Match, error) {
@@ -177,10 +165,8 @@ func decodeMatch(b []byte) (Match, error) {
 	// b[24] nw_tos
 	om.NWProto = b[25]
 	// b[26:28] pad
-	om.NWSrc = netip.AddrFrom4([4]byte(b[28:32]))
-	om.NWDst = netip.AddrFrom4([4]byte(b[32:36]))
-	om.NWSrcBits = uint8(nwBits(om.Wildcards, wcNWSrcShift))
-	om.NWDstBits = uint8(nwBits(om.Wildcards, wcNWDstShift))
+	om.NWSrc = netutil.PrefixFrom4(netutil.Addr4(binary.BigEndian.Uint32(b[28:32])), nwBits(om.Wildcards, wcNWSrcShift))
+	om.NWDst = netutil.PrefixFrom4(netutil.Addr4(binary.BigEndian.Uint32(b[32:36])), nwBits(om.Wildcards, wcNWDstShift))
 	om.TPSrc = binary.BigEndian.Uint16(b[36:38])
 	om.TPDst = binary.BigEndian.Uint16(b[38:40])
 	return om, nil

@@ -66,17 +66,22 @@ type Packet struct {
 // wildcards. IP fields match by prefix, all others exactly. The zero Match
 // matches every packet. Match has value semantics and is comparable, which
 // the compiler exploits for memoization and duplicate elimination.
+//
+// Match is IPv4-only and pointer-free: each field is held at its OpenFlow
+// 1.0 wire width, the IP prefixes as netutil.Prefix4, in 40 bytes. The
+// compiler copies, hashes and compares matches by the million; the garbage
+// collector never has to scan one. An IPv6 prefix cannot be expressed.
 type Match struct {
 	set     uint16 // bitmask indexed by Field
 	port    uint16
 	srcMAC  netutil.MAC
 	dstMAC  netutil.MAC
 	ethType uint16
-	srcIP   netip.Prefix
-	dstIP   netip.Prefix
-	proto   uint8
 	srcPort uint16
 	dstPort uint16
+	proto   uint8
+	srcIP   netutil.Prefix4
+	dstIP   netutil.Prefix4
 }
 
 // MatchAll is the empty constraint set: it matches every packet.
@@ -96,17 +101,17 @@ func (m Match) DstMAC(a netutil.MAC) Match { m.dstMAC, m.set = a, m.set|1<<FDstM
 // EthType constrains the EtherType.
 func (m Match) EthType(t uint16) Match { m.ethType, m.set = t, m.set|1<<FEthType; return m }
 
-// SrcIP constrains the IPv4 source to a prefix.
-func (m Match) SrcIP(p netip.Prefix) Match {
-	m.srcIP, m.set = p.Masked(), m.set|1<<FSrcIP
-	return m
-}
+// SrcIP constrains the IPv4 source to a prefix; a non-IPv4 one panics.
+func (m Match) SrcIP(p netip.Prefix) Match { return m.SrcIPv4(netutil.Prefix4From(p)) }
 
-// DstIP constrains the IPv4 destination to a prefix.
-func (m Match) DstIP(p netip.Prefix) Match {
-	m.dstIP, m.set = p.Masked(), m.set|1<<FDstIP
-	return m
-}
+// DstIP constrains the IPv4 destination to a prefix; a non-IPv4 one panics.
+func (m Match) DstIP(p netip.Prefix) Match { return m.DstIPv4(netutil.Prefix4From(p)) }
+
+// SrcIPv4 is SrcIP for a prefix already in wire form.
+func (m Match) SrcIPv4(p netutil.Prefix4) Match { m.srcIP, m.set = p, m.set|1<<FSrcIP; return m }
+
+// DstIPv4 is DstIP for a prefix already in wire form.
+func (m Match) DstIPv4(p netutil.Prefix4) Match { m.dstIP, m.set = p, m.set|1<<FDstIP; return m }
 
 // Proto constrains the IP protocol number.
 func (m Match) Proto(p uint8) Match { m.proto, m.set = p, m.set|1<<FProto; return m }
@@ -151,10 +156,10 @@ func (m Match) Covers(pkt Packet) bool {
 	if m.has(FEthType) && m.ethType != pkt.EthType {
 		return false
 	}
-	if m.has(FSrcIP) && !(pkt.SrcIP.IsValid() && m.srcIP.Contains(pkt.SrcIP)) {
+	if m.has(FSrcIP) && !containsIP(m.srcIP, pkt.SrcIP) {
 		return false
 	}
-	if m.has(FDstIP) && !(pkt.DstIP.IsValid() && m.dstIP.Contains(pkt.DstIP)) {
+	if m.has(FDstIP) && !containsIP(m.dstIP, pkt.DstIP) {
 		return false
 	}
 	if m.has(FProto) && m.proto != pkt.Proto {
@@ -185,9 +190,9 @@ func (m Match) Intersect(o Match) (Match, bool) {
 		case FSrcIP, FDstIP:
 			a, b := out.prefix(f), o.prefix(f)
 			switch {
-			case a.Contains(b.Addr()) && b.Bits() >= a.Bits():
+			case a.Covers(b):
 				out = out.copyField(o, f) // b is the narrower prefix
-			case b.Contains(a.Addr()) && a.Bits() >= b.Bits():
+			case b.Covers(a):
 				// a already narrower; keep
 			default:
 				return Match{}, false
@@ -212,8 +217,7 @@ func (m Match) Subsumes(o Match) bool {
 		}
 		switch f {
 		case FSrcIP, FDstIP:
-			a, b := m.prefix(f), o.prefix(f)
-			if !(a.Contains(b.Addr()) && b.Bits() >= a.Bits()) {
+			if !m.prefix(f).Covers(o.prefix(f)) {
 				return false
 			}
 		default:
@@ -231,7 +235,12 @@ func (m Match) Disjoint(o Match) bool {
 	return !ok
 }
 
-func (m Match) prefix(f Field) netip.Prefix {
+// containsIP reports whether a is an IPv4 address inside p.
+func containsIP(p netutil.Prefix4, a netip.Addr) bool {
+	return a.Is4() && p.Contains(netutil.Addr4From(a))
+}
+
+func (m Match) prefix(f Field) netutil.Prefix4 {
 	if f == FSrcIP {
 		return m.srcIP
 	}
@@ -328,9 +337,9 @@ func (m Match) without(f Field) Match {
 	case FEthType:
 		m.ethType = 0
 	case FSrcIP:
-		m.srcIP = netip.Prefix{}
+		m.srcIP = netutil.Prefix4{}
 	case FDstIP:
-		m.dstIP = netip.Prefix{}
+		m.dstIP = netutil.Prefix4{}
 	case FProto:
 		m.proto = 0
 	case FSrcPort:
@@ -390,10 +399,10 @@ func (m Match) GetDstMAC() (netutil.MAC, bool) { return m.dstMAC, m.has(FDstMAC)
 func (m Match) GetSrcMAC() (netutil.MAC, bool) { return m.srcMAC, m.has(FSrcMAC) }
 
 // GetDstIP returns the destination prefix constraint, if any.
-func (m Match) GetDstIP() (netip.Prefix, bool) { return m.dstIP, m.has(FDstIP) }
+func (m Match) GetDstIP() (netutil.Prefix4, bool) { return m.dstIP, m.has(FDstIP) }
 
 // GetSrcIP returns the source prefix constraint, if any.
-func (m Match) GetSrcIP() (netip.Prefix, bool) { return m.srcIP, m.has(FSrcIP) }
+func (m Match) GetSrcIP() (netutil.Prefix4, bool) { return m.srcIP, m.has(FSrcIP) }
 
 // GetEthType returns the EtherType constraint, if any.
 func (m Match) GetEthType() (uint16, bool) { return m.ethType, m.has(FEthType) }

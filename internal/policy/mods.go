@@ -11,18 +11,19 @@ import (
 
 // Mods is a set of field rewrites applied to a packet as it is emitted:
 // the action half of a classifier rule. The zero Mods is the identity.
-// Like Match it has value semantics and is comparable.
+// Like Match it has value semantics, is comparable and pointer-free, and
+// holds IPv4 addresses only.
 type Mods struct {
 	set     uint16
 	port    uint16
 	srcMAC  netutil.MAC
 	dstMAC  netutil.MAC
 	ethType uint16
-	srcIP   netip.Addr
-	dstIP   netip.Addr
-	proto   uint8
 	srcPort uint16
 	dstPort uint16
+	proto   uint8
+	srcIP   netutil.Addr4
+	dstIP   netutil.Addr4
 }
 
 // Identity is the empty rewrite.
@@ -45,11 +46,17 @@ func (d Mods) SetDstMAC(a netutil.MAC) Mods { d.dstMAC, d.set = a, d.set|1<<FDst
 // SetEthType rewrites the EtherType.
 func (d Mods) SetEthType(t uint16) Mods { d.ethType, d.set = t, d.set|1<<FEthType; return d }
 
-// SetSrcIP rewrites the IPv4 source address.
-func (d Mods) SetSrcIP(a netip.Addr) Mods { d.srcIP, d.set = a, d.set|1<<FSrcIP; return d }
+// SetSrcIP rewrites the IPv4 source address; a non-IPv4 one panics.
+func (d Mods) SetSrcIP(a netip.Addr) Mods { return d.SetSrcIPv4(netutil.Addr4From(a)) }
 
-// SetDstIP rewrites the IPv4 destination address.
-func (d Mods) SetDstIP(a netip.Addr) Mods { d.dstIP, d.set = a, d.set|1<<FDstIP; return d }
+// SetDstIP rewrites the IPv4 destination address; a non-IPv4 one panics.
+func (d Mods) SetDstIP(a netip.Addr) Mods { return d.SetDstIPv4(netutil.Addr4From(a)) }
+
+// SetSrcIPv4 is SetSrcIP for an address already in wire form.
+func (d Mods) SetSrcIPv4(a netutil.Addr4) Mods { d.srcIP, d.set = a, d.set|1<<FSrcIP; return d }
+
+// SetDstIPv4 is SetDstIP for an address already in wire form.
+func (d Mods) SetDstIPv4(a netutil.Addr4) Mods { d.dstIP, d.set = a, d.set|1<<FDstIP; return d }
 
 // SetProto rewrites the IP protocol number.
 func (d Mods) SetProto(p uint8) Mods { d.proto, d.set = p, d.set|1<<FProto; return d }
@@ -75,10 +82,10 @@ func (d Mods) Apply(pkt Packet) Packet {
 		pkt.EthType = d.ethType
 	}
 	if d.has(FSrcIP) {
-		pkt.SrcIP = d.srcIP
+		pkt.SrcIP = d.srcIP.Addr()
 	}
 	if d.has(FDstIP) {
-		pkt.DstIP = d.dstIP
+		pkt.DstIP = d.dstIP.Addr()
 	}
 	if d.has(FProto) {
 		pkt.Proto = d.proto
@@ -135,10 +142,10 @@ func (d Mods) GetDstMAC() (netutil.MAC, bool) { return d.dstMAC, d.has(FDstMAC) 
 func (d Mods) GetSrcMAC() (netutil.MAC, bool) { return d.srcMAC, d.has(FSrcMAC) }
 
 // GetDstIP returns the destination IP rewrite, if any.
-func (d Mods) GetDstIP() (netip.Addr, bool) { return d.dstIP, d.has(FDstIP) }
+func (d Mods) GetDstIP() (netutil.Addr4, bool) { return d.dstIP, d.has(FDstIP) }
 
 // GetSrcIP returns the source IP rewrite, if any.
-func (d Mods) GetSrcIP() (netip.Addr, bool) { return d.srcIP, d.has(FSrcIP) }
+func (d Mods) GetSrcIP() (netutil.Addr4, bool) { return d.srcIP, d.has(FSrcIP) }
 
 // GetDstPort returns the transport destination port rewrite, if any.
 func (d Mods) GetDstPort() (uint16, bool) { return d.dstPort, d.has(FDstPort) }

@@ -156,7 +156,7 @@ func TestModsApplyAndThen(t *testing.T) {
 	if p, _ := combined.GetPort(); p != 9 {
 		t.Errorf("Then should let e override port: %v", combined)
 	}
-	if ip, ok := combined.GetDstIP(); !ok || ip != netip.MustParseAddr("74.125.1.1") {
+	if ip, ok := combined.GetDstIP(); !ok || ip.Addr() != netip.MustParseAddr("74.125.1.1") {
 		t.Errorf("Then should keep d's dstip: %v", combined)
 	}
 }
