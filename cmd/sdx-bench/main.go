@@ -36,7 +36,7 @@ func main() {
 	flag.Parse()
 
 	if *pprofAddr != "" {
-		srv, err := telemetry.Serve(*pprofAddr, nil, nil, telemetry.PprofMounts()...)
+		srv, err := telemetry.Serve(*pprofAddr, nil, telemetry.PprofMounts()...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

@@ -68,7 +68,7 @@ func main() {
 		nextHop       = flag.String("nexthop", "", "NEXT_HOP for announcements (default: -id)")
 		withdrawAfter = flag.Duration("withdraw-after", 0, "withdraw all announcements after this long (0 = never)")
 		telemetryAddr = flag.String("telemetry-addr", "",
-			"HTTP listen address for /metrics and /debug/sdx (empty = no listener)")
+			"HTTP listen address for /metrics (empty = no listener)")
 		pprofAddr = flag.String("pprof-addr", "",
 			"HTTP listen address for net/http/pprof (may equal -telemetry-addr to share its mux)")
 		redialMin = flag.Duration("redial-min-backoff", 100*time.Millisecond,
@@ -98,7 +98,7 @@ func main() {
 		if *pprofAddr == *telemetryAddr {
 			mounts = telemetry.PprofMounts()
 		}
-		tsrv, err := telemetry.Serve(*telemetryAddr, reg, nil, mounts...)
+		tsrv, err := telemetry.Serve(*telemetryAddr, reg, mounts...)
 		if err != nil {
 			log.Fatalf("telemetry listen: %v", err)
 		}
@@ -108,7 +108,7 @@ func main() {
 		}
 	}
 	if *pprofAddr != "" && *pprofAddr != *telemetryAddr {
-		psrv, err := telemetry.Serve(*pprofAddr, nil, nil, telemetry.PprofMounts()...)
+		psrv, err := telemetry.Serve(*pprofAddr, nil, telemetry.PprofMounts()...)
 		if err != nil {
 			log.Fatalf("pprof listen: %v", err)
 		}

@@ -53,7 +53,7 @@ func main() {
 		reoptAfter = flag.Duration("reoptimize-after", 2*time.Second,
 			"background recompilation delay after the last BGP change (burst detection)")
 		telemetryAddr = flag.String("telemetry-addr", "",
-			"HTTP listen address for /metrics and /debug/sdx (empty = no listener)")
+			"HTTP listen address for /metrics (empty = no listener)")
 		pprofAddr = flag.String("pprof-addr", "",
 			"HTTP listen address for net/http/pprof (may equal -telemetry-addr to share its mux)")
 		logListen = flag.String("log-listen", "",
@@ -75,14 +75,9 @@ func main() {
 	opts := cfg.ControllerOptions()
 
 	// Telemetry is always collected (the instruments are cheap atomics);
-	// -telemetry-addr only controls whether it is served over HTTP. The
-	// tracer mirrors its events to the log, which is where the per-compile
-	// summary line comes from.
+	// -telemetry-addr only controls whether it is served over HTTP.
 	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(0)
-	tracer.SetLogf(log.Printf)
 	opts.Telemetry = reg
-	opts.Tracer = tracer
 
 	rs := routeserver.New(nil)
 	rs.EnableTelemetry(reg)
@@ -116,6 +111,7 @@ func main() {
 	}
 	fe := routeserver.NewFrontend(rs, speaker)
 	fe.EnableTelemetry(reg)
+	fe.Logf = log.Printf
 	rep := core.NewReplica(ctrl, switches)
 	rep.Logf = log.Printf
 	rep.EnableTelemetry(reg)
@@ -142,17 +138,17 @@ func main() {
 		if *pprofAddr == *telemetryAddr {
 			mounts = telemetry.PprofMounts()
 		}
-		tsrv, err := telemetry.Serve(*telemetryAddr, reg, tracer, mounts...)
+		tsrv, err := telemetry.Serve(*telemetryAddr, reg, mounts...)
 		if err != nil {
 			log.Fatalf("telemetry listen: %v", err)
 		}
-		log.Printf("telemetry on http://%v/metrics (events at /debug/sdx)", tsrv.Addr())
+		log.Printf("telemetry on http://%v/metrics", tsrv.Addr())
 		if len(mounts) > 0 {
 			log.Printf("pprof on http://%v/debug/pprof/", tsrv.Addr())
 		}
 	}
 	if *pprofAddr != "" && *pprofAddr != *telemetryAddr {
-		psrv, err := telemetry.Serve(*pprofAddr, reg, tracer, telemetry.PprofMounts()...)
+		psrv, err := telemetry.Serve(*pprofAddr, reg, telemetry.PprofMounts()...)
 		if err != nil {
 			log.Fatalf("pprof listen: %v", err)
 		}

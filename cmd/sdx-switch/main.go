@@ -70,7 +70,7 @@ func main() {
 		controller    = flag.String("controller", "127.0.0.1:6633", "controller OpenFlow address")
 		dpid          = flag.Uint64("dpid", 1, "datapath id")
 		telemetryAddr = flag.String("telemetry-addr", "",
-			"HTTP listen address for /metrics and /debug/sdx (empty = no listener)")
+			"HTTP listen address for /metrics (empty = no listener)")
 		minBackoff = flag.Duration("reconnect-min-backoff", 100*time.Millisecond,
 			"initial controller-redial backoff")
 		maxBackoff = flag.Duration("reconnect-max-backoff", 30*time.Second,
@@ -96,7 +96,7 @@ func main() {
 		if *pprofAddr == *telemetryAddr {
 			mounts = telemetry.PprofMounts()
 		}
-		tsrv, err := telemetry.Serve(*telemetryAddr, reg, nil, mounts...)
+		tsrv, err := telemetry.Serve(*telemetryAddr, reg, mounts...)
 		if err != nil {
 			log.Fatalf("telemetry listen: %v", err)
 		}
@@ -106,7 +106,7 @@ func main() {
 		}
 	}
 	if *pprofAddr != "" && *pprofAddr != *telemetryAddr {
-		psrv, err := telemetry.Serve(*pprofAddr, reg, nil, telemetry.PprofMounts()...)
+		psrv, err := telemetry.Serve(*pprofAddr, reg, telemetry.PprofMounts()...)
 		if err != nil {
 			log.Fatalf("pprof listen: %v", err)
 		}

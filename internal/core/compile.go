@@ -7,7 +7,6 @@ import (
 
 	"sdx/internal/netutil"
 	"sdx/internal/policy"
-	"sdx/internal/telemetry"
 )
 
 // CompileStats extends the policy compiler's operation counts with the
@@ -73,27 +72,12 @@ func (c *Controller) Compile() (*CompileResult, error) {
 			c.pool.Release(a)
 		}
 		c.metrics.compileFailed()
-		c.tracer.Emit("compile_error", telemetry.Str("err", err.Error()))
 		return nil, err
 	}
 	if snap.opts.VNHEncoding {
 		c.commit(fecs)
 	}
-	dur := time.Since(start)
-	c.metrics.compileDone(res, wait, dur)
-	c.tracer.Emit("compile",
-		telemetry.Dur("dur", dur),
-		telemetry.Dur("vnh", res.Stats.VNHTime),
-		telemetry.Dur("policy", res.Stats.PolicyTime),
-		telemetry.Dur("wait", wait),
-		telemetry.Int("rules", res.Stats.FlowRules),
-		telemetry.Int("classifier", len(res.Classifier.Rules)),
-		telemetry.Int("fecs", res.Stats.PrefixGroups),
-		telemetry.Int("participants", res.Stats.Participants),
-		telemetry.Int("parallel", res.Stats.Parallel),
-		telemetry.Int("memo_hits", res.Stats.MemoHits),
-		telemetry.Bool("incremental", res.Stats.Incremental),
-		telemetry.Int("resigned", res.Stats.ResignedPrefixes))
+	c.metrics.compileDone(res, wait, time.Since(start))
 	return res, nil
 }
 

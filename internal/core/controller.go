@@ -29,9 +29,6 @@ type Options struct {
 	// durations and stage splits, classifier and flow-rule counts, FEC
 	// count, VNH pool occupancy, serialization waits) with the registry.
 	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, receives one structured event per compilation
-	// and per fast-path reaction.
-	Tracer *telemetry.Tracer
 }
 
 // DefaultOptions is the paper's configuration: VNH encoding and every
@@ -81,10 +78,9 @@ type Controller struct {
 	// full-compilation commit.
 	fastCache fastPathCache
 
-	// metrics and tracer are set at construction from Options and never
-	// mutated, so the compile paths read them without locking.
+	// metrics is set at construction from Options and never mutated, so
+	// the compile paths read it without locking.
 	metrics *coreMetrics
-	tracer  *telemetry.Tracer
 }
 
 // NewController returns a controller bound to a route-server engine.
@@ -107,7 +103,6 @@ func NewController(rs *routeserver.Server, opts Options) *Controller {
 		pool:         pool,
 		fecs:         newFECTable(),
 		mds:          newFECState(),
-		tracer:       opts.Tracer,
 	}
 	c.metrics = newCoreMetrics(opts.Telemetry, c)
 	return c

@@ -76,13 +76,16 @@ type FastPathResult struct {
 	Elapsed time.Duration
 }
 
-// FastReact is the quick reaction stage of §4.3.2: for every touched prefix
-// (what the route server's apply path returns) it mints a fresh virtual next
-// hop (bypassing minimum-disjoint-subset optimization entirely) and
-// recompiles only the parts of the policy that can carry that prefix's
-// traffic. The returned rules go in at higher priority than the base table;
-// Reoptimize later recomputes the optimal tables in the background. The
-// prefix list must already be deduplicated.
+// FastReact is the quick reaction stage of §4.3.2. For each touched prefix
+// (what the route server's apply path returns) that still has a best route,
+// it mints a fresh virtual next hop (bypassing minimum-disjoint-subset
+// optimization entirely) and produces the rules for the parts of the policy
+// that can carry that prefix's traffic: compiled on the first prefix with a
+// given MDS signature, cloned from the stored template with the new tag on
+// every later one. A withdrawn prefix mints nothing; its traffic falls back
+// to the base table. The returned rules go in at higher priority than the
+// base table; Reoptimize later recomputes the optimal tables in the
+// background. The prefix list must already be deduplicated.
 func (c *Controller) FastReact(affected []netip.Prefix) (*FastPathResult, error) {
 	start := time.Now()
 	// The read lock is held for the whole reaction: it keeps the quick
@@ -124,11 +127,6 @@ func (c *Controller) FastReact(affected []netip.Prefix) (*FastPathResult, error)
 	}
 	res.Elapsed = time.Since(start)
 	c.metrics.fastpathDone(res)
-	c.tracer.Emit("fastpath",
-		telemetry.Dur("dur", res.Elapsed),
-		telemetry.Int("prefixes", len(affected)),
-		telemetry.Int("rules", len(res.Rules)),
-		telemetry.Int("fecs", len(res.NewFECs)))
 	return res, nil
 }
 

@@ -294,17 +294,21 @@ func (s *SwitchServer) resyncLocked(conn *openflow.Conn) error {
 	if err != nil {
 		return err
 	}
+	// The dump arrives in as many parts as the table needs; the last one
+	// lacks OFPSF_REPLY_MORE.
 	var have []openflow.FlowStatsEntry
-	for {
+	for more := true; more; {
 		msg, err := conn.Recv()
 		if err != nil {
 			return err
 		}
 		if msg.Type == openflow.TypeStatsReply && msg.XID == xid {
-			if have, err = msg.DecodeFlowStatsReply(); err != nil {
+			var part []openflow.FlowStatsEntry
+			if part, more, err = msg.DecodeFlowStatsReply(); err != nil {
 				return err
 			}
-			break
+			have = append(have, part...)
+			continue
 		}
 		// The switch may punt table-miss frames mid-resync; service them so
 		// ARP resolution is not starved by the reconciliation.

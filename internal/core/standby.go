@@ -3,6 +3,7 @@ package core
 import (
 	"net/netip"
 	"sync/atomic"
+	"time"
 
 	"sdx/internal/routeserver"
 	"sdx/internal/telemetry"
@@ -46,9 +47,11 @@ func NewReplica(ctrl *Controller, switches *SwitchServer) *Replica {
 // the controller's own route server: update and flush entries run the quick
 // stage for the touched prefixes, compile points run the full compilation
 // and commit the base table, and advertised next hops are the controller's
-// VNHs. Reaction errors are logged, not returned: a dead switch channel
-// reconciles on reattach, and a follower that logs and continues is in the
-// same state as the leader that did.
+// VNHs. Each compile point logs one summary line; quick-stage reactions log
+// nothing (the sdx_core_fastpath_* metrics count them). Reaction errors are
+// logged, not returned: a dead switch channel reconciles on reattach, and a
+// follower that logs and continues is in the same state as the leader that
+// did.
 func (r *Replica) Drive(fe *routeserver.Frontend) {
 	r.fe = fe
 	fe.NextHop = r.Ctrl.NextHopFor
@@ -63,11 +66,15 @@ func (r *Replica) Drive(fe *routeserver.Frontend) {
 		}
 	}
 	fe.OnMark = func() {
+		start := time.Now()
 		res, err := r.Ctrl.Compile()
 		if err != nil {
 			r.logf("core: compiling: %v", err)
 			return
 		}
+		r.logf("core: compile dur=%v rules=%d classifier=%d fecs=%d incremental=%t resigned=%d",
+			time.Since(start).Round(time.Microsecond), res.Stats.FlowRules, len(res.Classifier.Rules),
+			res.Stats.PrefixGroups, res.Stats.Incremental, res.Stats.ResignedPrefixes)
 		if err := r.Switches.SetBase(res); err != nil {
 			r.logf("core: pushing base: %v", err)
 		}

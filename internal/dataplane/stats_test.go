@@ -50,9 +50,9 @@ func TestServeControllerFlowStats(t *testing.T) {
 	if msg.XID != xid {
 		t.Fatalf("xid = %d, want %d", msg.XID, xid)
 	}
-	entries, err := msg.DecodeFlowStatsReply()
-	if err != nil {
-		t.Fatal(err)
+	entries, more, err := msg.DecodeFlowStatsReply()
+	if err != nil || more {
+		t.Fatalf("more %v, err %v", more, err)
 	}
 	if len(entries) != 2 {
 		t.Fatalf("full dump returned %d entries", len(entries))
@@ -69,9 +69,9 @@ func TestServeControllerFlowStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err = msg.DecodeFlowStatsReply()
-	if err != nil {
-		t.Fatal(err)
+	entries, more, err = msg.DecodeFlowStatsReply()
+	if err != nil || more {
+		t.Fatalf("more %v, err %v", more, err)
 	}
 	if len(entries) != 1 {
 		t.Fatalf("restricted dump returned %d entries", len(entries))
@@ -129,9 +129,9 @@ func TestServeControllerPortStats(t *testing.T) {
 	if msg.XID != xid {
 		t.Fatalf("xid = %d, want %d", msg.XID, xid)
 	}
-	entries, err := msg.DecodePortStatsReply()
-	if err != nil {
-		t.Fatal(err)
+	entries, more, err := msg.DecodePortStatsReply()
+	if err != nil || more {
+		t.Fatalf("more %v, err %v", more, err)
 	}
 	if len(entries) != 3 {
 		t.Fatalf("full dump returned %d entries, want 3", len(entries))
@@ -153,9 +153,9 @@ func TestServeControllerPortStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err = msg.DecodePortStatsReply()
-	if err != nil {
-		t.Fatal(err)
+	entries, more, err = msg.DecodePortStatsReply()
+	if err != nil || more {
+		t.Fatalf("more %v, err %v", more, err)
 	}
 	if len(entries) != 1 || entries[0].PortNo != 2 {
 		t.Fatalf("filtered dump = %+v, want just port 2", entries)

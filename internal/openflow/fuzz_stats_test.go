@@ -20,8 +20,10 @@ import (
 // FuzzDecodeFlowStatsReply: any flow-stats reply the controller accepts from
 // a switch — the resync's table dump, the one place the controller parses
 // table state a switch supplies — re-encodes to a reply that decodes to the
-// same entries and re-encodes to the same bytes. Decoding may canonicalize
-// (flags, durations, timeouts, cookies), but only once.
+// same entries and re-encodes to the same bytes. The input is a stream of
+// parts read the way the resync reads them, until one lacks
+// StatsReplyMore. Decoding may canonicalize (flags, durations, timeouts,
+// cookies, the cut between parts), but only once.
 func FuzzDecodeFlowStatsReply(f *testing.F) {
 	dump := figure1Dump(f)
 	f.Add(dump)
@@ -33,24 +35,23 @@ func FuzzDecodeFlowStatsReply(f *testing.F) {
 	}
 	entryLen := int(binary.BigEndian.Uint16(msg.Body[4:6]))
 	f.Add(openflow.Encode(msg.Type, msg.XID, msg.Body[:4+entryLen+entryLen/2]))
+	// The same dump in two parts: the first entry flagged with more to
+	// come, then the rest.
+	first := append(binary.BigEndian.AppendUint16(nil, openflow.StatsTypeFlow), 0, byte(openflow.StatsReplyMore))
+	first = append(first, msg.Body[4:4+entryLen]...)
+	rest := append([]byte(nil), msg.Body[:4]...)
+	rest = append(rest, msg.Body[4+entryLen:]...)
+	f.Add(append(openflow.Encode(msg.Type, msg.XID, first), openflow.Encode(msg.Type, msg.XID, rest)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := openflow.ReadMessage(bytes.NewReader(data))
+		es1, err := readDump(data)
 		if err != nil {
 			return
 		}
-		es1, err := msg.DecodeFlowStatsReply()
-		if err != nil {
-			return
-		}
-		wire1 := openflow.EncodeFlowStatsReply(es1, msg.XID)
-		msg2, err := openflow.ReadMessage(bytes.NewReader(wire1))
+		wire1 := openflow.EncodeFlowStatsReply(es1, 1)
+		es2, err := readDump(wire1)
 		if err != nil {
 			t.Fatalf("re-encoding of %+v does not read back: %v\n %x", es1, err, wire1)
-		}
-		es2, err := msg2.DecodeFlowStatsReply()
-		if err != nil {
-			t.Fatalf("re-encoding of %+v does not decode: %v\n %x", es1, err, wire1)
 		}
 		if !reflect.DeepEqual(es1, es2) {
 			t.Fatalf("round trip changed the entries:\n in  %+v\n out %+v", es1, es2)
@@ -61,10 +62,29 @@ func FuzzDecodeFlowStatsReply(f *testing.F) {
 					i, es1[i].Match.ToPolicy(), es2[i].Match.ToPolicy())
 			}
 		}
-		if wire2 := openflow.EncodeFlowStatsReply(es2, msg.XID); !bytes.Equal(wire1, wire2) {
+		if wire2 := openflow.EncodeFlowStatsReply(es2, 1); !bytes.Equal(wire1, wire2) {
 			t.Fatalf("re-encoding is not a fixpoint:\n %x\n %x", wire1, wire2)
 		}
 	})
+}
+
+// readDump decodes a flow-stats reply stream part by part until a part
+// arrives without StatsReplyMore, and returns every part's entries.
+func readDump(data []byte) ([]openflow.FlowStatsEntry, error) {
+	r := bytes.NewReader(data)
+	var all []openflow.FlowStatsEntry
+	for more := true; more; {
+		msg, err := openflow.ReadMessage(r)
+		if err != nil {
+			return nil, err
+		}
+		var es []openflow.FlowStatsEntry
+		if es, more, err = msg.DecodeFlowStatsReply(); err != nil {
+			return nil, err
+		}
+		all = append(all, es...)
+	}
+	return all, nil
 }
 
 // figure1Dump compiles the paper's Figure 1 exchange (A peers by
@@ -162,8 +182,8 @@ func figure1Dump(tb testing.TB) []byte {
 	if msg.Type != openflow.TypeStatsReply || msg.XID != xid {
 		tb.Fatalf("got %v xid %d, want the STATS_REPLY to xid %d", msg.Type, msg.XID, xid)
 	}
-	if es, err := msg.DecodeFlowStatsReply(); err != nil || len(es) != len(res.Rules) {
-		tb.Fatalf("dump holds %d entries (%v), want %d", len(es), err, len(res.Rules))
+	if es, more, err := msg.DecodeFlowStatsReply(); err != nil || more || len(es) != len(res.Rules) {
+		tb.Fatalf("dump holds %d entries (more %v, %v), want %d in one part", len(es), more, err, len(res.Rules))
 	}
 	return openflow.Encode(msg.Type, msg.XID, msg.Body)
 }

@@ -74,13 +74,17 @@ func FuzzDecodeFeaturesReply(f *testing.F) {
 		(*Message).DecodeFeaturesReply, EncodeFeaturesReply)
 }
 
-// FuzzDecodePortStatsReply: per-port counters. Seeds: two ports' counters
-// and the reply cut inside its second entry.
+// FuzzDecodePortStatsReply: per-port counters, one part at a time. Seeds:
+// two ports' counters and the reply cut inside its second entry.
 func FuzzDecodePortStatsReply(f *testing.F) {
+	decode := func(m *Message) ([]PortStatsEntry, error) {
+		es, _, err := m.DecodePortStatsReply()
+		return es, err
+	}
 	msg := EncodePortStatsReply([]PortStatsEntry{
 		{PortNo: 1, RxPackets: 10, TxPackets: 20, RxBytes: 1000, TxBytes: 2000},
 		{PortNo: 2, TxPackets: 1, TxBytes: 60},
 	}, 10)
 	fuzzRoundTrip(f, [][]byte{msg, truncated(msg, 4+portStatsEntryLen+portStatsEntryLen/2)},
-		(*Message).DecodePortStatsReply, EncodePortStatsReply)
+		decode, EncodePortStatsReply)
 }

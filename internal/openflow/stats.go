@@ -13,6 +13,67 @@ const (
 	StatsTypePort uint16 = 4
 )
 
+// StatsReplyMore (OFPSF_REPLY_MORE) flags every part of a multi-part
+// STATS_REPLY but the last.
+const StatsReplyMore uint16 = 0x0001
+
+// statsReplyHead is the length of a STATS_REPLY part before its first
+// entry: the message header, then the stats type and flags.
+const statsReplyHead = headerLen + 4
+
+// statsReply builds a STATS_REPLY whose entries may exceed one message:
+// parts are cut at entry boundaries so each fits the header's 16-bit
+// length, and every part but the last carries StatsReplyMore.
+type statsReply struct {
+	b    []byte
+	part int // offset of the open part's header in b
+	typ  uint16
+	xid  uint32
+}
+
+func newStatsReply(typ uint16, xid uint32) *statsReply {
+	r := &statsReply{typ: typ, xid: xid}
+	r.open()
+	return r
+}
+
+func (r *statsReply) open() {
+	r.part = len(r.b)
+	r.b = appendHeader(r.b, TypeStatsReply, r.xid)
+	r.b = binary.BigEndian.AppendUint16(r.b, r.typ)
+	r.b = binary.BigEndian.AppendUint16(r.b, 0)
+}
+
+// reserve readies the open part for an n-byte entry: if the entry would
+// push the part past 65,535 bytes, the part is closed with StatsReplyMore
+// and a new one opened. A part always takes at least one entry.
+func (r *statsReply) reserve(n int) {
+	if size := len(r.b) - r.part; size > statsReplyHead && size+n > 0xffff {
+		binary.BigEndian.PutUint16(r.b[r.part+headerLen+2:], StatsReplyMore)
+		setLength(r.b, r.part)
+		r.open()
+	}
+}
+
+// bytes closes the last part and returns every part, back to back.
+func (r *statsReply) bytes() []byte { return setLength(r.b, r.part) }
+
+// decodeStatsReply checks that m is a STATS_REPLY of type typ and returns
+// its entries and whether more parts follow.
+func (m *Message) decodeStatsReply(typ uint16) ([]byte, bool, error) {
+	if m.Type != TypeStatsReply {
+		return nil, false, fmt.Errorf("openflow: %v is not STATS_REPLY", m.Type)
+	}
+	if len(m.Body) < 4 {
+		return nil, false, fmt.Errorf("openflow: STATS_REPLY truncated")
+	}
+	if st := binary.BigEndian.Uint16(m.Body[0:2]); st != typ {
+		return nil, false, fmt.Errorf("openflow: unsupported stats type %d", st)
+	}
+	more := binary.BigEndian.Uint16(m.Body[2:4])&StatsReplyMore != 0
+	return m.Body[4:], more, nil
+}
+
 // StatsType returns the stats subtype of a STATS_REQUEST or STATS_REPLY.
 func (m *Message) StatsType() (uint16, error) {
 	if m.Type != TypeStatsRequest && m.Type != TypeStatsReply {
@@ -69,16 +130,18 @@ type FlowStatsEntry struct {
 
 const flowStatsFixed = 2 + 1 + 1 + matchLen + 4 + 4 + 2 + 2 + 2 + 6 + 8 + 8 + 8
 
-// EncodeFlowStatsReply renders the counters of the given entries.
+// EncodeFlowStatsReply renders the counters of the given entries as one
+// or more STATS_REPLY parts, back to back (see StatsReplyMore).
 func EncodeFlowStatsReply(entries []FlowStatsEntry, xid uint32) []byte {
-	body := binary.BigEndian.AppendUint16(nil, StatsTypeFlow)
-	body = binary.BigEndian.AppendUint16(body, 0) // flags: no more parts
+	r := newStatsReply(StatsTypeFlow, xid)
+	var acts []byte
 	for _, e := range entries {
-		var acts []byte
+		acts = acts[:0]
 		for _, a := range e.Actions {
 			acts = a.encode(acts)
 		}
-		body = binary.BigEndian.AppendUint16(body, uint16(flowStatsFixed+len(acts)))
+		r.reserve(flowStatsFixed + len(acts))
+		body := binary.BigEndian.AppendUint16(r.b, uint16(flowStatsFixed+len(acts)))
 		body = append(body, 0, 0) // table id, pad
 		body = e.Match.encode(body)
 		body = binary.BigEndian.AppendUint32(body, 0) // duration sec
@@ -90,37 +153,32 @@ func EncodeFlowStatsReply(entries []FlowStatsEntry, xid uint32) []byte {
 		body = binary.BigEndian.AppendUint64(body, 0) // cookie
 		body = binary.BigEndian.AppendUint64(body, e.Packets)
 		body = binary.BigEndian.AppendUint64(body, e.Bytes)
-		body = append(body, acts...)
+		r.b = append(body, acts...)
 	}
-	return Encode(TypeStatsReply, xid, body)
+	return r.bytes()
 }
 
-// DecodeFlowStatsReply parses a STATS_REPLY body.
-func (m *Message) DecodeFlowStatsReply() ([]FlowStatsEntry, error) {
-	if m.Type != TypeStatsReply {
-		return nil, fmt.Errorf("openflow: %v is not STATS_REPLY", m.Type)
+// DecodeFlowStatsReply parses one part of a flow-stats STATS_REPLY; more
+// reports that further parts of the same reply follow.
+func (m *Message) DecodeFlowStatsReply() (entries []FlowStatsEntry, more bool, err error) {
+	b, more, err := m.decodeStatsReply(StatsTypeFlow)
+	if err != nil {
+		return nil, false, err
 	}
-	if len(m.Body) < 4 {
-		return nil, fmt.Errorf("openflow: STATS_REPLY truncated")
-	}
-	if st := binary.BigEndian.Uint16(m.Body[0:2]); st != StatsTypeFlow {
-		return nil, fmt.Errorf("openflow: unsupported stats type %d", st)
-	}
-	b := m.Body[4:]
 	var out []FlowStatsEntry
 	for len(b) > 0 {
 		if len(b) < flowStatsFixed {
-			return nil, fmt.Errorf("openflow: flow stats entry truncated: %d bytes", len(b))
+			return nil, false, fmt.Errorf("openflow: flow stats entry truncated: %d bytes", len(b))
 		}
 		entryLen := int(binary.BigEndian.Uint16(b[0:2]))
 		if entryLen < flowStatsFixed || entryLen > len(b) {
-			return nil, fmt.Errorf("openflow: bad flow stats entry length %d", entryLen)
+			return nil, false, fmt.Errorf("openflow: bad flow stats entry length %d", entryLen)
 		}
 		var e FlowStatsEntry
 		var err error
 		e.Match, err = decodeMatch(b[4 : 4+matchLen])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		rest := b[4+matchLen:]
 		// rest layout: duration sec(4) nsec(4), priority(2), idle(2),
@@ -130,12 +188,12 @@ func (m *Message) DecodeFlowStatsReply() ([]FlowStatsEntry, error) {
 		e.Bytes = binary.BigEndian.Uint64(rest[36:44])
 		e.Actions, err = decodeActions(b[flowStatsFixed:entryLen])
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		out = append(out, e)
 		b = b[entryLen:]
 	}
-	return out, nil
+	return out, more, nil
 }
 
 // RequestFlowStats sends a flow-stats request and returns its transaction
@@ -181,12 +239,13 @@ type PortStatsEntry struct {
 // 64-bit counters.
 const portStatsEntryLen = 2 + 6 + 12*8
 
-// EncodePortStatsReply renders the counters of the given ports.
+// EncodePortStatsReply renders the counters of the given ports as one or
+// more STATS_REPLY parts, back to back (see StatsReplyMore).
 func EncodePortStatsReply(entries []PortStatsEntry, xid uint32) []byte {
-	body := binary.BigEndian.AppendUint16(nil, StatsTypePort)
-	body = binary.BigEndian.AppendUint16(body, 0) // flags: no more parts
+	r := newStatsReply(StatsTypePort, xid)
 	for _, e := range entries {
-		body = binary.BigEndian.AppendUint16(body, e.PortNo)
+		r.reserve(portStatsEntryLen)
+		body := binary.BigEndian.AppendUint16(r.b, e.PortNo)
 		body = append(body, 0, 0, 0, 0, 0, 0) // pad
 		body = binary.BigEndian.AppendUint64(body, e.RxPackets)
 		body = binary.BigEndian.AppendUint64(body, e.TxPackets)
@@ -195,27 +254,22 @@ func EncodePortStatsReply(entries []PortStatsEntry, xid uint32) []byte {
 		for i := 0; i < 8; i++ { // rx/tx dropped & errors, frame/over/crc, collisions
 			body = binary.BigEndian.AppendUint64(body, 0)
 		}
+		r.b = body
 	}
-	return Encode(TypeStatsReply, xid, body)
+	return r.bytes()
 }
 
-// DecodePortStatsReply parses a port-stats STATS_REPLY body.
-func (m *Message) DecodePortStatsReply() ([]PortStatsEntry, error) {
-	st, err := m.StatsType()
+// DecodePortStatsReply parses one part of a port-stats STATS_REPLY; more
+// reports that further parts of the same reply follow.
+func (m *Message) DecodePortStatsReply() (entries []PortStatsEntry, more bool, err error) {
+	b, more, err := m.decodeStatsReply(StatsTypePort)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if m.Type != TypeStatsReply || st != StatsTypePort {
-		return nil, fmt.Errorf("openflow: not a port-stats reply")
-	}
-	if len(m.Body) < 4 {
-		return nil, fmt.Errorf("openflow: port-stats reply truncated")
-	}
-	b := m.Body[4:]
 	var out []PortStatsEntry
 	for len(b) > 0 {
 		if len(b) < portStatsEntryLen {
-			return nil, fmt.Errorf("openflow: port stats entry truncated: %d bytes", len(b))
+			return nil, false, fmt.Errorf("openflow: port stats entry truncated: %d bytes", len(b))
 		}
 		out = append(out, PortStatsEntry{
 			PortNo:    binary.BigEndian.Uint16(b[0:2]),
@@ -226,5 +280,5 @@ func (m *Message) DecodePortStatsReply() ([]PortStatsEntry, error) {
 		})
 		b = b[portStatsEntryLen:]
 	}
-	return out, nil
+	return out, more, nil
 }

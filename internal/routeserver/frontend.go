@@ -65,9 +65,9 @@ type Frontend struct {
 	Log *replog.Log
 	// Ownership gates Originate; nil allows everything (test/demo mode).
 	Ownership OwnershipChecker
-	// Tracer, when set, records rejected updates and other noteworthy
-	// events. A nil tracer is a no-op.
-	Tracer *telemetry.Tracer
+	// Logf, when set, receives one line per rejected UPDATE and per
+	// re-advertisement that could not be packed.
+	Logf func(format string, args ...any)
 
 	mu      sync.Mutex
 	byBGPID map[netip.Addr]ID
@@ -339,8 +339,8 @@ func (f *Frontend) Applied() uint64 { return f.applied.Load() }
 var errUnknownParticipant = errors.New("no participant registered for session")
 
 // rejectUpdate records an update the server refused and tears the session
-// down: a rejected update must not vanish silently — count it and leave a
-// trace naming the peer — and a session whose routes the engine refuses
+// down: a rejected update must not vanish silently — count it and log a
+// line naming the peer — and a session whose routes the engine refuses
 // must not stay established, or the peer (e.g. one racing its
 // participant's deprovisioning) keeps streaming routes into a black hole
 // while believing them accepted. Close sends a NOTIFICATION (Cease) and
@@ -348,13 +348,15 @@ var errUnknownParticipant = errors.New("no participant registered for session")
 // had previously placed in the engine.
 func (f *Frontend) rejectUpdate(id ID, p *bgp.Peer, u *bgp.Update, err error) {
 	f.mRejectedUpdates.Inc()
-	f.Tracer.Emit("routeserver.update_rejected",
-		telemetry.Str("participant", string(id)),
-		telemetry.Str("peer", p.Session.PeerID().String()),
-		telemetry.Int("nlri", len(u.NLRI)),
-		telemetry.Int("withdrawn", len(u.Withdrawn)),
-		telemetry.Str("error", err.Error()))
+	f.logf("routeserver: rejected UPDATE from participant %s (peer %v, %d NLRI, %d withdrawn): %v",
+		id, p.Session.PeerID(), len(u.NLRI), len(u.Withdrawn), err)
 	p.Session.CloseCease(bgp.CeaseDeconfigured)
+}
+
+func (f *Frontend) logf(format string, args ...any) {
+	if f.Logf != nil {
+		f.Logf(format, args...)
+	}
 }
 
 // originPeerID synthesizes a deterministic router identifier for routes the
@@ -583,11 +585,9 @@ func (f *Frontend) sendPacked(id ID, peer *bgp.Peer, withdrawn []netip.Prefix, a
 	msgs, err := bgp.PackUpdates(withdrawn, adverts)
 	if err != nil {
 		// Unpackable output (non-IPv4 NLRI, oversized attribute set)
-		// cannot come from routes the engine accepted; trace and drop
+		// cannot come from routes the engine accepted; log and drop
 		// rather than crash the session goroutine.
-		f.Tracer.Emit("routeserver.pack_failed",
-			telemetry.Str("participant", string(id)),
-			telemetry.Str("error", err.Error()))
+		f.logf("routeserver: packing UPDATEs for participant %s: %v", id, err)
 		return
 	}
 	for _, u := range msgs {

@@ -1,8 +1,10 @@
 package routeserver
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -108,12 +110,18 @@ func TestReadvertiseAllPacking(t *testing.T) {
 
 // TestFrontendRejectedUpdateSurfaced closes the silent-rejection hole: an
 // UPDATE the engine refuses (its participant was deprovisioned while the
-// session was still up) must increment the rejection counter and leave a
-// trace event, and must not disturb other sessions.
+// session was still up) must increment the rejection counter and log one
+// line naming the participant, the peer and the error, and must not disturb
+// other sessions.
 func TestFrontendRejectedUpdateSurfaced(t *testing.T) {
 	fe, addr := newLiveRouteServer(t, nil)
-	tracer := telemetry.NewTracer(16)
-	fe.Tracer = tracer
+	var mu sync.Mutex
+	var lines []string
+	fe.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
 
 	a := dialClient(t, addr, 65001, "10.0.0.1")
 	b := dialClient(t, addr, 65002, "10.0.0.2")
@@ -127,21 +135,27 @@ func TestFrontendRejectedUpdateSurfaced(t *testing.T) {
 	fe.Server.RemoveParticipant("B")
 	advertise(t, b, "20.0.0.0/8", 65002)
 
+	logged := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), lines...)
+	}
 	deadline := time.Now().Add(3 * time.Second)
-	for fe.mRejectedUpdates.Value() == 0 {
+	for fe.mRejectedUpdates.Value() == 0 || len(logged()) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("rejected update was not counted")
+			t.Fatalf("rejected update was not counted and logged: %d counted, lines %q",
+				fe.mRejectedUpdates.Value(), logged())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	found := false
-	for _, e := range tracer.Recent(0) {
-		if e.Name == "routeserver.update_rejected" && strings.Contains(e.String(), `participant=B`) {
-			found = true
-		}
+	got := logged()
+	if len(got) != 1 {
+		t.Fatalf("want one rejection line, got %q", got)
 	}
-	if !found {
-		t.Errorf("no rejection trace event; got %v", tracer.Recent(0))
+	for _, want := range []string{"participant B", "peer 10.0.0.2", `unknown participant "B"`} {
+		if !strings.Contains(got[0], want) {
+			t.Errorf("rejection line %q does not name %q", got[0], want)
+		}
 	}
 
 	// Other participants are unaffected.

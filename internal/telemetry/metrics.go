@@ -1,8 +1,7 @@
 // Package telemetry is the SDX observability layer: a zero-dependency
 // metrics registry (atomic counters, gauges, fixed-bucket histograms,
-// labeled families, scrape-time collector functions) plus a bounded
-// event/span tracer, exposed over HTTP in Prometheus text-exposition
-// format (/metrics) and JSON (/debug/sdx).
+// labeled families, scrape-time collector functions), exposed over HTTP in
+// Prometheus text-exposition format at /metrics.
 //
 // The design has two properties the SDX hot paths depend on:
 //

@@ -1,13 +1,11 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestConcurrentInstruments hammers one counter, gauge, histogram, and a
@@ -143,16 +141,6 @@ func TestNilSafety(t *testing.T) {
 	reg.CounterVecFunc("xvf_total", "", nil, nil)
 	reg.GaugeVecFunc("xvf", "", nil, nil)
 
-	var tr *Tracer
-	tr.Emit("nothing", Str("k", "v"))
-	tr.SetLogf(nil)
-	sp := tr.StartSpan("nothing")
-	sp.Attr(Int("n", 1))
-	sp.End()
-	if got := tr.Recent(10); got != nil {
-		t.Errorf("nil tracer Recent = %v, want nil", got)
-	}
-
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil || b.Len() != 0 {
 		t.Errorf("nil registry wrote %q, err %v", b.String(), err)
@@ -200,69 +188,12 @@ func TestRegistryReuse(t *testing.T) {
 	reg.Gauge("dup_total", "")
 }
 
-func TestTracerRing(t *testing.T) {
-	tr := NewTracer(4)
-	for i := 0; i < 10; i++ {
-		tr.Emit("e", Int("i", i))
-	}
-	got := tr.Recent(0)
-	if len(got) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(got))
-	}
-	for i, e := range got {
-		if want := Int("i", 6+i).Value; e.Attrs[0].Value != want {
-			t.Errorf("event %d = %v, want i=%s", i, e, want)
-		}
-	}
-	if tr.Total() != 10 {
-		t.Errorf("total = %d, want 10", tr.Total())
-	}
-	if got := tr.Recent(2); len(got) != 2 || got[1].Attrs[0].Value != "9" {
-		t.Errorf("Recent(2) = %v", got)
-	}
-}
-
-func TestSpanAndLogf(t *testing.T) {
-	tr := NewTracer(8)
-	var mu sync.Mutex
-	var lines []string
-	tr.SetLogf(func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		lines = append(lines, strings.TrimSpace(strings.ReplaceAll(format, "%s", "")+args[0].(string)))
-	})
-	sp := tr.StartSpan("compile", Int("participants", 3))
-	time.Sleep(time.Millisecond)
-	sp.End(Int("rules", 7))
-	ev := tr.Recent(1)[0]
-	if ev.Name != "compile" {
-		t.Fatalf("event name = %q", ev.Name)
-	}
-	attrs := map[string]string{}
-	for _, a := range ev.Attrs {
-		attrs[a.Key] = a.Value
-	}
-	if attrs["participants"] != "3" || attrs["rules"] != "7" {
-		t.Errorf("span attrs = %v", attrs)
-	}
-	if _, ok := attrs["dur"]; !ok {
-		t.Error("span event missing dur attribute")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(lines) != 1 || !strings.HasPrefix(lines[0], "compile ") {
-		t.Errorf("logf mirror = %v", lines)
-	}
-}
-
 func TestHTTPHandlers(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("sdx_demo_total", "demo").Add(9)
 	reg.Histogram("sdx_demo_seconds", "", []float64{1}).Observe(0.5)
-	tr := NewTracer(4)
-	tr.Emit("hello", Str("who", "world"))
 
-	srv := httptest.NewServer(Handler(reg, tr))
+	srv := httptest.NewServer(Handler(reg))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
@@ -279,21 +210,5 @@ func TestHTTPHandlers(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "sdx_demo_total 9") {
 		t.Errorf("metrics output missing counter:\n%s", body)
-	}
-
-	resp2, err := srv.Client().Get(srv.URL + "/debug/sdx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var snap DebugSnapshot
-	if err := json.NewDecoder(resp2.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Metrics) == 0 || len(snap.Events) != 1 {
-		t.Fatalf("snapshot has %d metrics, %d events", len(snap.Metrics), len(snap.Events))
-	}
-	if snap.Events[0].Name != "hello" || snap.Events[0].Attrs["who"] != "world" {
-		t.Errorf("event = %+v", snap.Events[0])
 	}
 }
