@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
+
+	"sdx/internal/netutil"
 )
 
 // Route is one path to a prefix as learned from a specific peer: the unit
@@ -110,48 +112,64 @@ func SelectBest(rs []Route) (Route, bool) {
 // to one peer (an Adj-RIB-Out): at most one route per prefix per RIB, since
 // a BGP session implicitly replaces earlier advertisements. RIB is safe for
 // concurrent use: session goroutines write while the controller reads.
+//
+// Routes are keyed by their prefix as one netutil.Prefix4 word. A RIB holds
+// IPv4 routes only, as the UPDATE codec does: a non-IPv4 prefix is never
+// stored and always absent.
 type RIB struct {
 	mu     sync.RWMutex
-	routes map[netip.Prefix]Route
+	routes map[netutil.Prefix4]Route
 }
 
 // NewRIB returns an empty RIB.
 func NewRIB() *RIB {
-	return &RIB{routes: make(map[netip.Prefix]Route)}
+	return &RIB{routes: make(map[netutil.Prefix4]Route)}
 }
 
 // Set installs or replaces the route for its prefix and reports whether the
-// entry changed. With interned attributes the unchanged-re-advertisement
-// case (the bulk of BGP refresh traffic) is detected by pointer compare.
+// entry changed; a non-IPv4 route is not stored and reports false. With
+// interned attributes the unchanged-re-advertisement case (the bulk of BGP
+// refresh traffic) is detected by pointer compare.
 func (t *RIB) Set(r Route) bool {
+	k, ok := netutil.AsPrefix4(r.Prefix)
+	if !ok {
+		return false
+	}
+	r.Prefix = k.Prefix()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r.Prefix = r.Prefix.Masked()
-	old, had := t.routes[r.Prefix]
+	old, had := t.routes[k]
 	if had && routesEqual(old, r) {
 		return false
 	}
-	t.routes[r.Prefix] = r
+	t.routes[k] = r
 	return true
 }
 
 // Remove deletes the route for prefix, reporting whether one was present.
 func (t *RIB) Remove(p netip.Prefix) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p = p.Masked()
-	if _, ok := t.routes[p]; !ok {
+	k, ok := netutil.AsPrefix4(p)
+	if !ok {
 		return false
 	}
-	delete(t.routes, p)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.routes[k]; !ok {
+		return false
+	}
+	delete(t.routes, k)
 	return true
 }
 
 // Get returns the route for prefix.
 func (t *RIB) Get(p netip.Prefix) (Route, bool) {
+	k, ok := netutil.AsPrefix4(p)
+	if !ok {
+		return Route{}, false
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	r, ok := t.routes[p.Masked()]
+	r, ok := t.routes[k]
 	return r, ok
 }
 
@@ -167,8 +185,8 @@ func (t *RIB) Prefixes() []netip.Prefix {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]netip.Prefix, 0, len(t.routes))
-	for p := range t.routes {
-		out = append(out, p)
+	for _, r := range t.routes {
+		out = append(out, r.Prefix)
 	}
 	return out
 }

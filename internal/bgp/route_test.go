@@ -1,6 +1,9 @@
 package bgp
 
-import "testing"
+import (
+	"net/netip"
+	"testing"
+)
 
 func route(prefix string, opts ...func(*Route)) Route {
 	// Build against a private attribute copy — interned sets are shared and
@@ -136,6 +139,33 @@ func TestRIBSetGetRemove(t *testing.T) {
 	}
 	if rib.Len() != 0 {
 		t.Errorf("Len = %d", rib.Len())
+	}
+}
+
+// TestRIBRefusesNonIPv4 checks that a RIB keys IPv4 only: a non-IPv4
+// route is not stored, and a non-IPv4 prefix is absent, host bits of an
+// IPv4 one are ignored.
+func TestRIBRefusesNonIPv4(t *testing.T) {
+	rib := NewRIB()
+	rib.Set(route("10.0.0.0/8"))
+	for _, s := range []string{"2001:db8::/32", "::ffff:10.0.0.0/104", "::/0"} {
+		r := route("10.0.0.0/8")
+		r.Prefix = mp(s)
+		if rib.Set(r) {
+			t.Errorf("Set(%s) reported a change", s)
+		}
+		if _, ok := rib.Get(mp(s)); ok {
+			t.Errorf("Get(%s) found a route", s)
+		}
+		if rib.Remove(mp(s)) {
+			t.Errorf("Remove(%s) removed a route", s)
+		}
+	}
+	if rib.Set(Route{}) || rib.Remove(netip.Prefix{}) {
+		t.Error("the invalid prefix was keyed")
+	}
+	if got, ok := rib.Get(mp("10.1.2.3/8")); !ok || got.Prefix != mp("10.0.0.0/8") || rib.Len() != 1 {
+		t.Errorf("Get(10.1.2.3/8) = %v, %v with %d routes, want the one 10.0.0.0/8 route", got, ok, rib.Len())
 	}
 }
 

@@ -174,25 +174,36 @@ func (s *SwitchServer) PushFastAll(res *FastPathResult) error {
 // holds mu.
 func (s *SwitchServer) pushDiff(conn *openflow.Conn, wipe bool, adds, stale []*openflow.FlowMod) (uint32, error) {
 	b := s.pushBuf[:0]
+	var err error
+	add := func(fm *openflow.FlowMod) {
+		if err == nil {
+			b, err = openflow.AppendFlowMod(b, fm, conn.NextXID())
+		}
+	}
 	if wipe {
-		b = openflow.AppendFlowMod(b, &openflow.FlowMod{
+		add(&openflow.FlowMod{
 			Match:   openflow.MatchFromPolicy(policy.MatchAll),
 			Command: openflow.FlowModDelete,
-		}, conn.NextXID())
+		})
 	}
 	for _, fm := range adds {
-		b = openflow.AppendFlowMod(b, fm, conn.NextXID())
+		add(fm)
 	}
 	for _, fm := range stale {
-		b = openflow.AppendFlowMod(b, &openflow.FlowMod{
+		add(&openflow.FlowMod{
 			Match:    fm.Match,
 			Priority: fm.Priority,
 			Command:  openflow.FlowModDeleteStrict,
-		}, conn.NextXID())
+		})
 	}
 	xid := conn.NextXID()
-	b = openflow.AppendMessage(b, openflow.TypeBarrierRequest, xid, nil)
+	if err == nil {
+		b, err = openflow.AppendMessage(b, openflow.TypeBarrierRequest, xid, nil)
+	}
 	s.pushBuf = b
+	if err != nil {
+		return 0, err // a FLOW_MOD too long to frame: nothing is sent
+	}
 	return xid, conn.Send(b)
 }
 
@@ -264,7 +275,7 @@ func (s *SwitchServer) dispatch(conn *openflow.Conn, msg *openflow.Message) erro
 			}
 		}
 	case openflow.TypeEchoRequest:
-		if err := conn.Send(openflow.Encode(openflow.TypeEchoReply, msg.XID, msg.Body)); err != nil {
+		if err := conn.SendMessage(openflow.TypeEchoReply, msg.XID, msg.Body); err != nil {
 			return err
 		}
 	case openflow.TypeBarrierReply, openflow.TypeEchoReply, openflow.TypeStatsReply:

@@ -108,7 +108,11 @@ func checkPush(t *testing.T, step string, write []byte, wipe bool, adds []*openf
 	if m := msgs[i]; m.Type != openflow.TypeBarrierRequest || m.XID != xid+uint32(i) {
 		t.Fatalf("%s: last message is %v xid %d, want BARRIER_REQUEST xid %d", step, m.Type, m.XID, xid+uint32(i))
 	}
-	perMessage = append(perMessage, openflow.Encode(openflow.TypeBarrierRequest, msgs[i].XID, nil)...)
+	barrier, err := openflow.Encode(openflow.TypeBarrierRequest, msgs[i].XID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perMessage = append(perMessage, barrier...)
 	if !bytes.Equal(write, perMessage) {
 		t.Fatalf("%s: the write differs from the per-message encodings", step)
 	}

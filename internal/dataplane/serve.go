@@ -29,7 +29,11 @@ func (s *Switch) ServeController(conn net.Conn) error {
 	gen := s.attachController(func(pi *openflow.PacketIn) {
 		sendMu.Lock()
 		defer sendMu.Unlock()
-		if err := oc.Send(openflow.EncodePacketIn(pi, oc.NextXID())); err != nil {
+		b, err := openflow.EncodePacketIn(pi, oc.NextXID())
+		if err != nil {
+			return // a frame too long for one PACKET_IN is not punted
+		}
+		if err := oc.Send(b); err != nil {
 			// The control channel is dead: the failed write was counted by
 			// the connection's send-error metric, and closing the transport
 			// makes the Recv loop below unwind so a reconnect loop can dial
@@ -107,14 +111,14 @@ func (s *Switch) ServeController(conn net.Conn) error {
 			// The switch applies messages synchronously, so the barrier is
 			// trivially satisfied.
 			sendMu.Lock()
-			err := oc.Send(openflow.Encode(openflow.TypeBarrierReply, msg.XID, nil))
+			err := oc.SendMessage(openflow.TypeBarrierReply, msg.XID, nil)
 			sendMu.Unlock()
 			if err != nil {
 				return err
 			}
 		case openflow.TypeEchoRequest:
 			sendMu.Lock()
-			err := oc.Send(openflow.Encode(openflow.TypeEchoReply, msg.XID, msg.Body))
+			err := oc.SendMessage(openflow.TypeEchoReply, msg.XID, msg.Body)
 			sendMu.Unlock()
 			if err != nil {
 				return err
@@ -170,7 +174,7 @@ func (s *Switch) statsReply(msg *openflow.Message) ([]byte, error) {
 				Actions:  e.Actions,
 			})
 		}
-		return openflow.EncodeFlowStatsReply(entries, msg.XID), nil
+		return openflow.EncodeFlowStatsReply(entries, msg.XID)
 	}
 }
 

@@ -114,7 +114,7 @@ func TestServeControllerPortStats(t *testing.T) {
 		body = binary.BigEndian.AppendUint16(body, 0) // flags
 		body = binary.BigEndian.AppendUint16(body, portNo)
 		body = append(body, 0, 0, 0, 0, 0, 0)
-		if err := ctrl.Send(openflow.Encode(openflow.TypeStatsRequest, xid, body)); err != nil {
+		if err := ctrl.SendMessage(openflow.TypeStatsRequest, xid, body); err != nil {
 			t.Fatal(err)
 		}
 		return xid

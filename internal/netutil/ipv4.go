@@ -57,17 +57,37 @@ func (a Addr4) Addr() netip.Addr {
 
 func (a Addr4) String() string { return a.Addr().String() }
 
-// Prefix4 is an IPv4 prefix as its masked address plus its length. Host
-// bits are always clear, so two Prefix4s are equal exactly when they name
-// the same address block. The zero value is 0.0.0.0/0.
-type Prefix4 struct {
-	addr Addr4
-	bits uint8
-}
+// Prefix4 is an IPv4 prefix in one 64-bit word: the masked address in the
+// high 32 bits and the length in the low byte (10.0.0.0/8 is
+// 0x0a000000_00000008). Host bits are always clear, so two Prefix4s are
+// equal exactly when they name the same address block, and numeric order is
+// ComparePrefixes' order: by address, then by length. Being a plain uint64
+// makes it the cheapest map key Go has (the runtime's 64-bit fast path) and
+// leaves a struct holding it free of padding. The zero value is 0.0.0.0/0.
+type Prefix4 uint64
 
 // Prefix4From converts an IPv4 prefix, clearing its host bits. An invalid
 // or non-IPv4 prefix panics, for the reason Addr4From gives.
-func Prefix4From(p netip.Prefix) Prefix4 { return PrefixFrom4(Addr4From(p.Addr()), p.Bits()) }
+func Prefix4From(p netip.Prefix) Prefix4 {
+	k, ok := AsPrefix4(p)
+	if !ok {
+		panic(fmt.Sprintf("netutil: %v is not an IPv4 prefix", p))
+	}
+	return k
+}
+
+// AsPrefix4 converts an IPv4 prefix, clearing its host bits, and reports
+// false for an invalid or non-IPv4 one (an IPv4-mapped IPv6 prefix
+// included): the conversion for tables that take prefixes from callers and
+// must refuse, not panic on, what they cannot key.
+func AsPrefix4(p netip.Prefix) (Prefix4, bool) {
+	a, bits := p.Addr(), p.Bits()
+	if !a.Is4() || bits < 0 {
+		return 0, false
+	}
+	b := a.As4()
+	return PrefixFrom4(Addr4(binary.BigEndian.Uint32(b[:])), bits), true
+}
 
 // PrefixFrom4 returns the bits-long prefix holding a. It panics unless
 // 0 <= bits <= 32.
@@ -75,7 +95,7 @@ func PrefixFrom4(a Addr4, bits int) Prefix4 {
 	if bits < 0 || bits > 32 {
 		panic(fmt.Sprintf("netutil: IPv4 prefix length %d", bits))
 	}
-	return Prefix4{addr: a & mask4(uint8(bits)), bits: uint8(bits)}
+	return Prefix4(a&mask4(uint8(bits)))<<32 | Prefix4(bits)
 }
 
 // mask4 is the netmask of a bits-long prefix (Go shifts a 32-bit word by 32
@@ -83,18 +103,18 @@ func PrefixFrom4(a Addr4, bits int) Prefix4 {
 func mask4(bits uint8) Addr4 { return ^Addr4(0) << (32 - bits) }
 
 // Addr returns p's first address.
-func (p Prefix4) Addr() Addr4 { return p.addr }
+func (p Prefix4) Addr() Addr4 { return Addr4(p >> 32) }
 
 // Bits returns p's length.
-func (p Prefix4) Bits() int { return int(p.bits) }
+func (p Prefix4) Bits() int { return int(uint8(p)) }
 
 // Contains reports whether a lies in p.
-func (p Prefix4) Contains(a Addr4) bool { return a&mask4(p.bits) == p.addr }
+func (p Prefix4) Contains(a Addr4) bool { return a&mask4(uint8(p)) == p.Addr() }
 
 // Covers reports whether every address of o lies in p.
-func (p Prefix4) Covers(o Prefix4) bool { return o.bits >= p.bits && p.Contains(o.addr) }
+func (p Prefix4) Covers(o Prefix4) bool { return uint8(o) >= uint8(p) && p.Contains(o.Addr()) }
 
 // Prefix returns p as a netip.Prefix.
-func (p Prefix4) Prefix() netip.Prefix { return netip.PrefixFrom(p.addr.Addr(), int(p.bits)) }
+func (p Prefix4) Prefix() netip.Prefix { return netip.PrefixFrom(p.Addr().Addr(), p.Bits()) }
 
 func (p Prefix4) String() string { return p.Prefix().String() }

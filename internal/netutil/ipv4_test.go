@@ -1,8 +1,10 @@
 package netutil
 
 import (
+	"cmp"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
@@ -16,8 +18,8 @@ func randPrefix4(rng *rand.Rand) netip.Prefix {
 	return netip.PrefixFrom(Addr4(a).Addr(), bits)
 }
 
-// TestPrefix4MatchesNetip checks Prefix4's masking, Contains and Covers
-// against netip.Prefix on random prefixes and addresses.
+// TestPrefix4MatchesNetip checks Prefix4's masking, Contains, Covers and
+// numeric order against netip.Prefix on random prefixes and addresses.
 func TestPrefix4MatchesNetip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 20000; i++ {
@@ -39,6 +41,45 @@ func TestPrefix4MatchesNetip(t *testing.T) {
 		if (p4 == q4) != (p.Masked() == q.Masked()) {
 			t.Fatalf("%v == %v disagrees with netip", p, q)
 		}
+		if got, want := cmp.Compare(p4, q4), ComparePrefixes(p.Masked(), q.Masked()); got != want {
+			t.Fatalf("numeric order of %v, %v is %d, ComparePrefixes says %d", p, q, got, want)
+		}
+		if k, ok := AsPrefix4(p); !ok || k != p4 {
+			t.Fatalf("AsPrefix4(%v) = %v, %v, want %v", p, k, ok, p4)
+		}
+	}
+}
+
+// TestPrefix4Word pins the one-word representation: a uint64 (so a map keyed
+// by it takes the runtime's 64-bit fast path) with the masked address above
+// the length, which round-trips through netip.Prefix at the edge lengths.
+// TestPrefix4MatchesNetip checks that its numeric order is ComparePrefixes'.
+func TestPrefix4Word(t *testing.T) {
+	if k := reflect.TypeOf(Prefix4(0)).Kind(); k != reflect.Uint64 {
+		t.Fatalf("Prefix4 is a %v, want uint64", k)
+	}
+	for _, c := range []struct {
+		in   string
+		word Prefix4
+		out  string
+	}{
+		{"255.255.255.255/0", 0x00000000_00000000, "0.0.0.0/0"},
+		{"255.255.255.255/1", 0x80000000_00000001, "128.0.0.0/1"},
+		{"10.1.2.3/8", 0x0a000000_00000008, "10.0.0.0/8"},
+		{"10.1.2.3/31", 0x0a010202_0000001f, "10.1.2.2/31"},
+		{"10.1.2.3/32", 0x0a010203_00000020, "10.1.2.3/32"},
+		{"255.255.255.255/32", 0xffffffff_00000020, "255.255.255.255/32"},
+	} {
+		p4 := Prefix4From(netip.MustParsePrefix(c.in))
+		if p4 != c.word {
+			t.Errorf("Prefix4From(%s) = %#x, want %#x", c.in, uint64(p4), uint64(c.word))
+		}
+		if got := p4.Prefix(); got != netip.MustParsePrefix(c.out) {
+			t.Errorf("%s round-trips to %v, want %s", c.in, got, c.out)
+		}
+		if Prefix4From(p4.Prefix()) != p4 {
+			t.Errorf("%s does not survive a second round trip", c.in)
+		}
 	}
 }
 
@@ -48,6 +89,12 @@ func TestIPv4ConversionsRejectOthers(t *testing.T) {
 	}
 	for _, p := range []netip.Prefix{netip.MustParsePrefix("2001:db8::/32"), netip.MustParsePrefix("::ffff:10.0.0.0/104"), {}} {
 		mustPanic(t, p.String(), func() { Prefix4From(p) })
+		if k, ok := AsPrefix4(p); ok {
+			t.Errorf("AsPrefix4(%v) = %v, want not ok", p, k)
+		}
+	}
+	if k, ok := AsPrefix4(netip.PrefixFrom(netip.MustParseAddr("10.0.0.0"), 33)); ok {
+		t.Errorf("AsPrefix4 of an IPv4 /33 = %v, want not ok", k)
 	}
 	mustPanic(t, "/33", func() { PrefixFrom4(0, 33) })
 	mustPanic(t, "/-1", func() { PrefixFrom4(0, -1) })

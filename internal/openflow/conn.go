@@ -55,6 +55,16 @@ func (c *Conn) Send(b []byte) error {
 	return nil
 }
 
+// SendMessage encodes one message and sends it; a body too long for one
+// message is an error and nothing is sent.
+func (c *Conn) SendMessage(t MsgType, xid uint32, body []byte) error {
+	b, err := Encode(t, xid, body)
+	if err != nil {
+		return err
+	}
+	return c.Send(b)
+}
+
 // Recv reads one message through the connection's read buffer. The header
 // is parsed where it lies in the buffer, so a message costs two allocations:
 // its Message and its body.
@@ -93,7 +103,7 @@ func (c *Conn) Close() error { return c.conn.Close() }
 // exchange followed by FEATURES_REQUEST/REPLY. It returns the switch's
 // feature description.
 func (c *Conn) HandshakeController() (*FeaturesReply, error) {
-	if err := c.Send(Encode(TypeHello, c.NextXID(), nil)); err != nil {
+	if err := c.SendMessage(TypeHello, c.NextXID(), nil); err != nil {
 		return nil, fmt.Errorf("openflow: sending HELLO: %w", err)
 	}
 	msg, err := c.Recv()
@@ -103,7 +113,7 @@ func (c *Conn) HandshakeController() (*FeaturesReply, error) {
 	if msg.Type != TypeHello {
 		return nil, fmt.Errorf("openflow: expected HELLO, got %v", msg.Type)
 	}
-	if err := c.Send(Encode(TypeFeaturesRequest, c.NextXID(), nil)); err != nil {
+	if err := c.SendMessage(TypeFeaturesRequest, c.NextXID(), nil); err != nil {
 		return nil, fmt.Errorf("openflow: sending FEATURES_REQUEST: %w", err)
 	}
 	msg, err = c.Recv()
@@ -123,7 +133,7 @@ func (c *Conn) HandshakeSwitch(features FeaturesReply) error {
 	if msg.Type != TypeHello {
 		return fmt.Errorf("openflow: expected HELLO, got %v", msg.Type)
 	}
-	if err := c.Send(Encode(TypeHello, c.NextXID(), nil)); err != nil {
+	if err := c.SendMessage(TypeHello, c.NextXID(), nil); err != nil {
 		return fmt.Errorf("openflow: sending HELLO: %w", err)
 	}
 	msg, err = c.Recv()
@@ -138,17 +148,25 @@ func (c *Conn) HandshakeSwitch(features FeaturesReply) error {
 
 // SendFlowMod encodes and sends a flow modification.
 func (c *Conn) SendFlowMod(fm *FlowMod) error {
-	return c.Send(EncodeFlowMod(fm, c.NextXID()))
+	b, err := encodeFlowMod(fm, c.NextXID())
+	if err != nil {
+		return err
+	}
+	return c.Send(b)
 }
 
 // SendPacketOut encodes and sends a packet injection.
 func (c *Conn) SendPacketOut(po *PacketOut) error {
-	return c.Send(EncodePacketOut(po, c.NextXID()))
+	b, err := EncodePacketOut(po, c.NextXID())
+	if err != nil {
+		return err
+	}
+	return c.Send(b)
 }
 
 // SendBarrier sends a BARRIER_REQUEST and returns its transaction id; the
 // caller matches the eventual BARRIER_REPLY by xid.
 func (c *Conn) SendBarrier() (uint32, error) {
 	xid := c.NextXID()
-	return xid, c.Send(Encode(TypeBarrierRequest, xid, nil))
+	return xid, c.SendMessage(TypeBarrierRequest, xid, nil)
 }

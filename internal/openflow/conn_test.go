@@ -48,8 +48,8 @@ func testStream() ([][]byte, []byte) {
 		EncodeFlowMod(&FlowMod{Match: MatchFromPolicy(policy.MatchAll.Port(1).DstIP(netip.MustParsePrefix("10.0.0.0/8"))),
 			Command: FlowModAdd, Priority: 9, Actions: []Action{{Type: ActionTypeSetDLDst, MAC: macY}, Output(2)}}, 1),
 		EncodeFlowMod(&FlowMod{Match: MatchFromPolicy(policy.MatchAll.DstMAC(macX)), Command: FlowModDeleteStrict, Priority: 3}, 2),
-		EncodePacketOut(&PacketOut{InPort: 1, Actions: []Action{Output(3)}, Data: []byte("frame")}, 3),
-		Encode(TypeBarrierRequest, 4, nil),
+		must(EncodePacketOut(&PacketOut{InPort: 1, Actions: []Action{Output(3)}, Data: []byte("frame")}, 3)),
+		must(Encode(TypeBarrierRequest, 4, nil)),
 	}
 	return msgs, bytes.Join(msgs, nil)
 }
@@ -63,7 +63,7 @@ func recvAll(t *testing.T, c *Conn, want [][]byte) {
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
-		if got := Encode(m.Type, m.XID, m.Body); !bytes.Equal(got, w) {
+		if got := must(Encode(m.Type, m.XID, m.Body)); !bytes.Equal(got, w) {
 			t.Fatalf("message %d: read %x, want %x", i, got, w)
 		}
 	}
@@ -96,9 +96,9 @@ func TestRecvMessageSplitAcrossReads(t *testing.T) {
 // inside a header or a body.
 func TestRecvFailsAsReadMessage(t *testing.T) {
 	msgs, _ := testStream()
-	badVersion := Encode(TypeHello, 1, nil)
+	badVersion := must(Encode(TypeHello, 1, nil))
 	badVersion[0] = 0x04
-	badLength := Encode(TypeHello, 1, nil)
+	badLength := must(Encode(TypeHello, 1, nil))
 	badLength[2], badLength[3] = 0, 4
 	inputs := [][]byte{badVersion, badLength}
 	for n := 0; n < len(msgs[0]); n++ {
@@ -138,11 +138,11 @@ func TestAppendMatchesEncode(t *testing.T) {
 	fm := &FlowMod{Match: MatchFromPolicy(policy.MatchAll.Port(4).DstPort(443)), Command: FlowModAdd, Priority: 77, Cookie: 5,
 		Actions: []Action{Group([]uint16{1, 2, 3, 4, 5, 6, 7}), Output(1)}}
 	prefix := []byte("xyz")
-	if got, want := AppendFlowMod(prefix, fm, 42), append(prefix, EncodeFlowMod(fm, 42)...); !bytes.Equal(got, want) {
+	if got, want := must(AppendFlowMod(prefix, fm, 42)), append(prefix, EncodeFlowMod(fm, 42)...); !bytes.Equal(got, want) {
 		t.Errorf("AppendFlowMod:\n %x\nwant\n %x", got, want)
 	}
 	body := []byte{1, 2, 3}
-	if got, want := AppendMessage(prefix, TypeEchoReply, 9, body), append(prefix, Encode(TypeEchoReply, 9, body)...); !bytes.Equal(got, want) {
+	if got, want := must(AppendMessage(prefix, TypeEchoReply, 9, body)), append(prefix, must(Encode(TypeEchoReply, 9, body))...); !bytes.Equal(got, want) {
 		t.Errorf("AppendMessage:\n %x\nwant\n %x", got, want)
 	}
 }
@@ -200,7 +200,7 @@ func FuzzReadMessageStream(f *testing.F) {
 			if err != nil {
 				return
 			}
-			wire := Encode(m.Type, m.XID, m.Body)
+			wire := must(Encode(m.Type, m.XID, m.Body))
 			if off+len(wire) > len(data) || !bytes.Equal(wire, data[off:off+len(wire)]) {
 				t.Fatalf("message at offset %d re-encodes to %x, not the stream's bytes", off, wire)
 			}

@@ -34,21 +34,25 @@ func FuzzDecodeFlowStatsReply(f *testing.F) {
 		f.Fatal(err)
 	}
 	entryLen := int(binary.BigEndian.Uint16(msg.Body[4:6]))
-	f.Add(openflow.Encode(msg.Type, msg.XID, msg.Body[:4+entryLen+entryLen/2]))
+	f.Add(must(openflow.Encode(msg.Type, msg.XID, msg.Body[:4+entryLen+entryLen/2])))
 	// The same dump in two parts: the first entry flagged with more to
 	// come, then the rest.
 	first := append(binary.BigEndian.AppendUint16(nil, openflow.StatsTypeFlow), 0, byte(openflow.StatsReplyMore))
 	first = append(first, msg.Body[4:4+entryLen]...)
 	rest := append([]byte(nil), msg.Body[:4]...)
 	rest = append(rest, msg.Body[4+entryLen:]...)
-	f.Add(append(openflow.Encode(msg.Type, msg.XID, first), openflow.Encode(msg.Type, msg.XID, rest)...))
+	f.Add(append(must(openflow.Encode(msg.Type, msg.XID, first)), must(openflow.Encode(msg.Type, msg.XID, rest))...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		es1, err := readDump(data)
 		if err != nil {
 			return
 		}
-		wire1 := openflow.EncodeFlowStatsReply(es1, 1)
+		// Every entry came out of a message, so it fits one again.
+		wire1, err := openflow.EncodeFlowStatsReply(es1, 1)
+		if err != nil {
+			t.Fatalf("re-encoding %d entries: %v", len(es1), err)
+		}
 		es2, err := readDump(wire1)
 		if err != nil {
 			t.Fatalf("re-encoding of %+v does not read back: %v\n %x", es1, err, wire1)
@@ -62,7 +66,7 @@ func FuzzDecodeFlowStatsReply(f *testing.F) {
 					i, es1[i].Match.ToPolicy(), es2[i].Match.ToPolicy())
 			}
 		}
-		if wire2 := openflow.EncodeFlowStatsReply(es2, 1); !bytes.Equal(wire1, wire2) {
+		if wire2 := must(openflow.EncodeFlowStatsReply(es2, 1)); !bytes.Equal(wire1, wire2) {
 			t.Fatalf("re-encoding is not a fixpoint:\n %x\n %x", wire1, wire2)
 		}
 	})
@@ -185,5 +189,13 @@ func figure1Dump(tb testing.TB) []byte {
 	if es, more, err := msg.DecodeFlowStatsReply(); err != nil || more || len(es) != len(res.Rules) {
 		tb.Fatalf("dump holds %d entries (more %v, %v), want %d in one part", len(es), more, err, len(res.Rules))
 	}
-	return openflow.Encode(msg.Type, msg.XID, msg.Body)
+	return must(openflow.Encode(msg.Type, msg.XID, msg.Body))
+}
+
+// must returns an encoder's result for a message known to fit.
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
 }

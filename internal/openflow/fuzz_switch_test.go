@@ -48,7 +48,15 @@ func fuzzRoundTrip[T any](f *testing.F, seeds [][]byte, decode func(*Message) (T
 // truncated re-frames msg with its body cut to n bytes, so the header's
 // length agrees with what follows and only the body decoder sees the cut.
 func truncated(msg []byte, n int) []byte {
-	return Encode(MsgType(msg[1]), binary.BigEndian.Uint32(msg[4:8]), msg[headerLen:headerLen+n])
+	return must(Encode(MsgType(msg[1]), binary.BigEndian.Uint32(msg[4:8]), msg[headerLen:headerLen+n]))
+}
+
+// must returns an encoder's result for a message known to fit.
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // FuzzDecodePacketIn: the table-miss punt (the ARP requests the controller
@@ -61,9 +69,9 @@ func FuzzDecodePacketIn(f *testing.F) {
 		0x02, 0x0a, 0, 0, 0, 0x01, 172, 31, 0, 1, // sender
 		0, 0, 0, 0, 0, 0, 172, 16, 0, 5, // target: a VNH
 	}
-	msg := EncodePacketIn(&PacketIn{BufferID: 0xffffffff, InPort: 1, Reason: ReasonNoMatch, Data: arp}, 9)
+	msg := must(EncodePacketIn(&PacketIn{BufferID: 0xffffffff, InPort: 1, Reason: ReasonNoMatch, Data: arp}, 9))
 	fuzzRoundTrip(f, [][]byte{msg, truncated(msg, 7)},
-		(*Message).DecodePacketIn, EncodePacketIn)
+		(*Message).DecodePacketIn, func(pi *PacketIn, xid uint32) []byte { return must(EncodePacketIn(pi, xid)) })
 }
 
 // FuzzDecodeFeaturesReply: the switch's answer to the handshake. Seeds: a

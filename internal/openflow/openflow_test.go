@@ -264,7 +264,7 @@ func TestFlowModFromRuleIPv4RoundTrip(t *testing.T) {
 
 func TestPacketInOutRoundTrip(t *testing.T) {
 	pi := &PacketIn{BufferID: 0xffffffff, InPort: 4, Reason: ReasonNoMatch, Data: []byte{1, 2, 3}}
-	msg, err := ReadMessage(bytes.NewReader(EncodePacketIn(pi, 5)))
+	msg, err := ReadMessage(bytes.NewReader(must(EncodePacketIn(pi, 5))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestPacketInOutRoundTrip(t *testing.T) {
 	}
 
 	po := &PacketOut{InPort: PortNone, Actions: []Action{Output(2), Output(5)}, Data: []byte{9, 9}}
-	msg, err = ReadMessage(bytes.NewReader(EncodePacketOut(po, 6)))
+	msg, err = ReadMessage(bytes.NewReader(must(EncodePacketOut(po, 6))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,18 +346,18 @@ func TestConnFlowModDelivery(t *testing.T) {
 
 func TestReadMessageErrors(t *testing.T) {
 	// Wrong version.
-	bad := Encode(TypeHello, 1, nil)
+	bad := must(Encode(TypeHello, 1, nil))
 	bad[0] = 0x04
 	if _, err := ReadMessage(bytes.NewReader(bad)); err == nil {
 		t.Error("wrong version should fail")
 	}
 	// Truncated.
-	good := Encode(TypeHello, 1, []byte{1, 2, 3})
+	good := must(Encode(TypeHello, 1, []byte{1, 2, 3}))
 	if _, err := ReadMessage(bytes.NewReader(good[:9])); err == nil {
 		t.Error("truncated message should fail")
 	}
 	// Bad length field.
-	short := Encode(TypeHello, 1, nil)
+	short := must(Encode(TypeHello, 1, nil))
 	short[2], short[3] = 0, 4
 	if _, err := ReadMessage(bytes.NewReader(short)); err == nil {
 		t.Error("length < header should fail")
@@ -397,7 +397,7 @@ func TestBarrier(t *testing.T) {
 	if msg.Type != TypeBarrierRequest {
 		t.Fatalf("got %v", msg.Type)
 	}
-	go sw.Send(Encode(TypeBarrierReply, msg.XID, nil))
+	go sw.SendMessage(TypeBarrierReply, msg.XID, nil)
 	reply, err := ctrl.Recv()
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,7 @@ type statsReply struct {
 	part int // offset of the open part's header in b
 	typ  uint16
 	xid  uint32
+	err  error // the first part that could not be closed
 }
 
 func newStatsReply(typ uint16, xid uint32) *statsReply {
@@ -45,18 +46,34 @@ func (r *statsReply) open() {
 }
 
 // reserve readies the open part for an n-byte entry: if the entry would
-// push the part past 65,535 bytes, the part is closed with StatsReplyMore
-// and a new one opened. A part always takes at least one entry.
+// push the part past MaxMessageLen, the part is closed with StatsReplyMore
+// and a new one opened. A part always takes at least one entry, so one
+// entry too long for any part makes the reply an error (see bytes).
 func (r *statsReply) reserve(n int) {
-	if size := len(r.b) - r.part; size > statsReplyHead && size+n > 0xffff {
+	if size := len(r.b) - r.part; size > statsReplyHead && size+n > MaxMessageLen {
 		binary.BigEndian.PutUint16(r.b[r.part+headerLen+2:], StatsReplyMore)
-		setLength(r.b, r.part)
+		r.close()
 		r.open()
 	}
 }
 
-// bytes closes the last part and returns every part, back to back.
-func (r *statsReply) bytes() []byte { return setLength(r.b, r.part) }
+// close writes the open part's length, keeping the first error.
+func (r *statsReply) close() {
+	var err error
+	if r.b, err = setLength(r.b, r.part); err != nil && r.err == nil {
+		r.err = err
+	}
+}
+
+// bytes closes the last part and returns every part, back to back, or the
+// error of a part too long for its length field.
+func (r *statsReply) bytes() ([]byte, error) {
+	r.close()
+	if r.err != nil {
+		return nil, r.err
+	}
+	return r.b, nil
+}
 
 // decodeStatsReply checks that m is a STATS_REPLY of type typ and returns
 // its entries and whether more parts follow.
@@ -98,7 +115,8 @@ func EncodeFlowStatsRequest(req *FlowStatsRequest, xid uint32) []byte {
 	body = req.Match.encode(body)
 	body = append(body, 0xff, 0)                         // table id: all, pad
 	body = binary.BigEndian.AppendUint16(body, PortNone) // out_port filter: none
-	return Encode(TypeStatsRequest, xid, body)
+	b, _ := Encode(TypeStatsRequest, xid, body)          // 56 bytes always fit
+	return b
 }
 
 // DecodeFlowStatsRequest parses a STATS_REQUEST body.
@@ -131,8 +149,9 @@ type FlowStatsEntry struct {
 const flowStatsFixed = 2 + 1 + 1 + matchLen + 4 + 4 + 2 + 2 + 2 + 6 + 8 + 8 + 8
 
 // EncodeFlowStatsReply renders the counters of the given entries as one
-// or more STATS_REPLY parts, back to back (see StatsReplyMore).
-func EncodeFlowStatsReply(entries []FlowStatsEntry, xid uint32) []byte {
+// or more STATS_REPLY parts, back to back (see StatsReplyMore). An entry
+// whose actions cannot fit one part is an error.
+func EncodeFlowStatsReply(entries []FlowStatsEntry, xid uint32) ([]byte, error) {
 	r := newStatsReply(StatsTypeFlow, xid)
 	var acts []byte
 	for _, e := range entries {
@@ -256,7 +275,8 @@ func EncodePortStatsReply(entries []PortStatsEntry, xid uint32) []byte {
 		}
 		r.b = body
 	}
-	return r.bytes()
+	b, _ := r.bytes() // fixed-size entries always fit a part
+	return b
 }
 
 // DecodePortStatsReply parses one part of a port-stats STATS_REPLY; more

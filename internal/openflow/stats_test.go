@@ -26,7 +26,7 @@ func TestFlowStatsRoundTrip(t *testing.T) {
 			Actions:  []Action{{Type: ActionTypeSetDLDst, MAC: macX}, Output(3)},
 		},
 	}
-	wire := EncodeFlowStatsReply(entries, 7)
+	wire := must(EncodeFlowStatsReply(entries, 7))
 	msg, err := ReadMessage(bytes.NewReader(wire))
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestFlowStatsRequestRoundTrip(t *testing.T) {
 }
 
 func TestFlowStatsEmptyReply(t *testing.T) {
-	msg, _ := ReadMessage(bytes.NewReader(EncodeFlowStatsReply(nil, 1)))
+	msg, _ := ReadMessage(bytes.NewReader(must(EncodeFlowStatsReply(nil, 1))))
 	got, more, err := msg.DecodeFlowStatsReply()
 	if err != nil || len(got) != 0 || more {
 		t.Errorf("empty reply = %v, more %v, %v", got, more, err)
@@ -93,7 +93,7 @@ func TestPortStatsRoundTrip(t *testing.T) {
 	// built by hand: single port and the all-ports wildcard.
 	for _, portNo := range []uint16{3, PortNone} {
 		body := []byte{0, byte(StatsTypePort), 0, 0, byte(portNo >> 8), byte(portNo), 0, 0, 0, 0, 0, 0}
-		raw := Encode(TypeStatsRequest, 9, body)
+		raw := must(Encode(TypeStatsRequest, 9, body))
 		msg, err := ReadMessage(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
@@ -137,7 +137,7 @@ func TestPortStatsRoundTrip(t *testing.T) {
 	if _, _, err := msg.DecodeFlowStatsReply(); err == nil {
 		t.Error("DecodeFlowStatsReply on a port-stats reply should fail")
 	}
-	flowRaw := EncodeFlowStatsReply(nil, 11)
+	flowRaw := must(EncodeFlowStatsReply(nil, 11))
 	flowMsg, err := ReadMessage(bytes.NewReader(flowRaw))
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestStatsReplySplitAtLimit(t *testing.T) {
 			r.b = append(r.b, entry...)
 			want = append(want, entry...)
 		}
-		parts := readParts(t, r.bytes())
+		parts := readParts(t, must(r.bytes()))
 		if len(parts) != tc.parts {
 			t.Errorf("entries %v: %d parts, want %d", tc.entries, len(parts), tc.parts)
 		}
@@ -212,6 +212,66 @@ func TestStatsReplySplitAtLimit(t *testing.T) {
 	}
 }
 
+// TestMessageLengthLimit pins the 16-bit length field: a message of
+// exactly MaxMessageLen bytes is framed, and one byte more is an error that
+// leaves the buffer as it was, from every encoder that can get there.
+func TestMessageLengthLimit(t *testing.T) {
+	prefix := []byte("earlier messages")
+	for _, n := range []int{MaxMessageLen, MaxMessageLen + 1} {
+		body := make([]byte, n-headerLen)
+		b, err := AppendMessage(prefix, TypeEchoReply, 1, body)
+		if n <= MaxMessageLen {
+			if err != nil || len(b) != len(prefix)+n || binary.BigEndian.Uint16(b[len(prefix)+2:]) != MaxMessageLen {
+				t.Errorf("%d-byte message: %d bytes, %v", n, len(b)-len(prefix), err)
+			}
+			continue
+		}
+		if err == nil || !bytes.Equal(b, prefix) {
+			t.Errorf("%d-byte message: %d bytes, err %v; want an error and the buffer untouched", n, len(b)-len(prefix), err)
+		}
+		if _, err := Encode(TypeEchoReply, 1, body); err == nil {
+			t.Errorf("Encode took a %d-byte message", n)
+		}
+		if _, err := EncodePacketIn(&PacketIn{Data: body}, 1); err == nil {
+			t.Error("EncodePacketIn took an oversized frame")
+		}
+		if _, err := EncodePacketOut(&PacketOut{Data: body}, 1); err == nil {
+			t.Error("EncodePacketOut took an oversized frame")
+		}
+	}
+
+	// FLOW_MODs and flow-stats entries grow in 8-byte output actions: a
+	// FLOW_MOD (72 bytes without them) takes 8,182, and a flow-stats entry
+	// (88 bytes, alone in a part whose head is 12) takes 8,179.
+	outputs := make([]Action, 8183)
+	for i := range outputs {
+		outputs[i] = Output(uint16(i))
+	}
+	for _, n := range []int{8182, 8183} {
+		b, err := AppendFlowMod(prefix, &FlowMod{Actions: outputs[:n]}, 1)
+		if fits := n == 8182; fits != (err == nil) || (!fits && !bytes.Equal(b, prefix)) {
+			t.Errorf("FLOW_MOD with %d actions: %d bytes, %v", n, len(b)-len(prefix), err)
+		}
+	}
+	for _, n := range []int{8179, 8180} {
+		_, err := EncodeFlowStatsReply([]FlowStatsEntry{{Actions: outputs[:n]}}, 1)
+		if fits := n == 8179; fits != (err == nil) {
+			t.Errorf("flow-stats entry with %d actions: %v", n, err)
+		}
+	}
+	mustPanic(t, func() { EncodeFlowMod(&FlowMod{Actions: outputs}, 1) })
+}
+
+func mustPanic(t *testing.T, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic")
+		}
+	}()
+	f()
+}
+
 // TestStatsReplyMultiPart round-trips tables too large for one message:
 // 1,500 one-action flows (about 144 kB) and 700 ports (about 73 kB).
 func TestStatsReplyMultiPart(t *testing.T) {
@@ -225,7 +285,7 @@ func TestStatsReplyMultiPart(t *testing.T) {
 		}
 	}
 	var gotFlows []FlowStatsEntry
-	parts := readParts(t, EncodeFlowStatsReply(flows, 5))
+	parts := readParts(t, must(EncodeFlowStatsReply(flows, 5)))
 	for _, p := range parts {
 		es, _, err := p.DecodeFlowStatsReply()
 		if err != nil {

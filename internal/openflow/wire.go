@@ -65,14 +65,20 @@ type Message struct {
 	Body []byte
 }
 
-// Encode renders a message for the wire.
-func Encode(t MsgType, xid uint32, body []byte) []byte {
+// MaxMessageLen is the longest OpenFlow message: the header's length field
+// is 16 bits and counts the header itself.
+const MaxMessageLen = 0xffff
+
+// Encode renders a message for the wire. A body too long for the header's
+// length field is an error.
+func Encode(t MsgType, xid uint32, body []byte) ([]byte, error) {
 	return AppendMessage(make([]byte, 0, headerLen+len(body)), t, xid, body)
 }
 
 // AppendMessage appends the wire form of a message to dst, so several
-// messages can be written with one Conn.Send.
-func AppendMessage(dst []byte, t MsgType, xid uint32, body []byte) []byte {
+// messages can be written with one Conn.Send. A body too long for the
+// header's length field is an error, and dst comes back as it was.
+func AppendMessage(dst []byte, t MsgType, xid uint32, body []byte) ([]byte, error) {
 	off := len(dst)
 	dst = append(appendHeader(dst, t, xid), body...)
 	return setLength(dst, off)
@@ -86,10 +92,17 @@ func appendHeader(dst []byte, t MsgType, xid uint32) []byte {
 }
 
 // setLength writes the length of the message that starts at off and runs
-// to the end of b into its header.
-func setLength(b []byte, off int) []byte {
-	binary.BigEndian.PutUint16(b[off+2:off+4], uint16(len(b)-off))
-	return b
+// to the end of b into its header. A message longer than MaxMessageLen is
+// cut off again, b[:off] is returned, and the error names its type and
+// length: a truncated length field would frame the stream wrongly from
+// there on.
+func setLength(b []byte, off int) ([]byte, error) {
+	n := len(b) - off
+	if n > MaxMessageLen {
+		return b[:off], fmt.Errorf("openflow: %v of %d bytes exceeds the %d-byte message limit", MsgType(b[off+1]), n, MaxMessageLen)
+	}
+	binary.BigEndian.PutUint16(b[off+2:off+4], uint16(n))
+	return b, nil
 }
 
 // ReadMessage reads one OpenFlow message from r.
@@ -152,8 +165,19 @@ type FlowMod struct {
 	Actions  []Action
 }
 
-// EncodeFlowMod renders fm with the given transaction id.
+// EncodeFlowMod renders fm with the given transaction id. A FLOW_MOD past
+// MaxMessageLen (thousands of actions) panics; AppendFlowMod, which every
+// send path uses, returns that as an error.
 func EncodeFlowMod(fm *FlowMod, xid uint32) []byte {
+	b, err := encodeFlowMod(fm, xid)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// encodeFlowMod is AppendFlowMod into a buffer of its own.
+func encodeFlowMod(fm *FlowMod, xid uint32) ([]byte, error) {
 	// Every fixed-size action is at most 16 bytes, so this is exact for all
 	// but group actions with more than five ports.
 	return AppendFlowMod(make([]byte, 0, headerLen+flowModFixed+16*len(fm.Actions)), fm, xid)
@@ -164,8 +188,9 @@ func EncodeFlowMod(fm *FlowMod, xid uint32) []byte {
 const flowModFixed = matchLen + 24
 
 // AppendFlowMod appends fm, rendered with the given transaction id, to dst:
-// the bytes EncodeFlowMod returns, without an allocation of their own.
-func AppendFlowMod(dst []byte, fm *FlowMod, xid uint32) []byte {
+// the bytes EncodeFlowMod returns, without an allocation of their own. A
+// FLOW_MOD past MaxMessageLen is an error, and dst comes back as it was.
+func AppendFlowMod(dst []byte, fm *FlowMod, xid uint32) ([]byte, error) {
 	off := len(dst)
 	body := appendHeader(dst, TypeFlowMod, xid)
 	body = fm.Match.encode(body)
@@ -221,8 +246,8 @@ const (
 	ReasonAction  uint8 = 1
 )
 
-// EncodePacketIn renders pi.
-func EncodePacketIn(pi *PacketIn, xid uint32) []byte {
+// EncodePacketIn renders pi. A frame too long for one message is an error.
+func EncodePacketIn(pi *PacketIn, xid uint32) ([]byte, error) {
 	body := binary.BigEndian.AppendUint32(nil, pi.BufferID)
 	body = binary.BigEndian.AppendUint16(body, uint16(len(pi.Data)))
 	body = binary.BigEndian.AppendUint16(body, pi.InPort)
@@ -254,8 +279,9 @@ type PacketOut struct {
 	Data    []byte
 }
 
-// EncodePacketOut renders po.
-func EncodePacketOut(po *PacketOut, xid uint32) []byte {
+// EncodePacketOut renders po. Actions and frame too long for one message
+// are an error.
+func EncodePacketOut(po *PacketOut, xid uint32) ([]byte, error) {
 	var acts []byte
 	for _, a := range po.Actions {
 		acts = a.encode(acts)
@@ -307,7 +333,8 @@ func EncodeFeaturesReply(fr *FeaturesReply, xid uint32) []byte {
 	body = binary.BigEndian.AppendUint32(body, 0)   // actions
 	// Port descriptions elided; we carry only the count for convenience.
 	body = binary.BigEndian.AppendUint16(body, fr.NumPorts)
-	return Encode(TypeFeaturesReply, xid, body)
+	b, _ := Encode(TypeFeaturesReply, xid, body) // 34 bytes always fit
+	return b
 }
 
 // DecodeFeaturesReply parses a FEATURES_REPLY body.

@@ -337,9 +337,9 @@ func (m Match) without(f Field) Match {
 	case FEthType:
 		m.ethType = 0
 	case FSrcIP:
-		m.srcIP = netutil.Prefix4{}
+		m.srcIP = 0
 	case FDstIP:
-		m.dstIP = netutil.Prefix4{}
+		m.dstIP = 0
 	case FProto:
 		m.proto = 0
 	case FSrcPort:

@@ -4,11 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"sdx/internal/bgp"
+	"sdx/internal/netutil"
 	"sdx/internal/replog"
 	"sdx/internal/telemetry"
 )
@@ -73,8 +74,10 @@ type Frontend struct {
 	byBGPID map[netip.Addr]ID
 	peers   map[ID]*bgp.Peer
 	// adjOut tracks what has been advertised to each participant, so
-	// withdrawals are only sent for routes the peer actually holds.
-	adjOut map[ID]map[netip.Prefix]bool
+	// withdrawals are only sent for routes the peer actually holds. A
+	// participant's set is written under f.mu AND its emit lock, once per
+	// drain.
+	adjOut map[ID]map[netutil.Prefix4]struct{}
 	// emitLocks serializes emission per receiving peer; entries are
 	// created lazily and never removed (a participant's lock survives its
 	// session, so a displaced session and its replacement contend on the
@@ -104,7 +107,7 @@ func NewFrontend(server *Server, speaker *bgp.Speaker) *Frontend {
 		Speaker:   speaker,
 		byBGPID:   make(map[netip.Addr]ID),
 		peers:     make(map[ID]*bgp.Peer),
-		adjOut:    make(map[ID]map[netip.Prefix]bool),
+		adjOut:    make(map[ID]map[netutil.Prefix4]struct{}),
 		emitLocks: make(map[ID]*sync.Mutex),
 		emitters:  make(map[ID]*peerEmitter),
 	}
@@ -159,7 +162,7 @@ func (f *Frontend) onEstablished(p *bgp.Peer) {
 		id:      id,
 		peer:    p,
 		lock:    f.emitLock(id),
-		pending: make(map[netip.Prefix]bool),
+		pending: make(map[netutil.Prefix4]struct{}),
 		wake:    make(chan struct{}, 1),
 	}
 	f.mu.Lock()
@@ -175,43 +178,23 @@ func (f *Frontend) onEstablished(p *bgp.Peer) {
 	// re-reads the live decision, so routes that change while the dump is
 	// being assembled are re-emitted by their own change's propagation
 	// afterwards — the dump can be momentarily stale but never finally so.
+	// The fresh Adj-RIB-Out replaces the old session's in one step, before
+	// the emit lock is released.
 	e.lock.Lock()
-	f.mu.Lock()
-	f.adjOut[id] = make(map[netip.Prefix]bool)
-	f.mu.Unlock()
 	var adverts []bgp.Advertisement
-	for _, prefix := range f.Server.Prefixes() {
-		if best, ok := f.Server.BestFor(id, prefix); ok {
-			adverts = append(adverts, bgp.Advertisement{Prefix: prefix, Attrs: f.resolveAttrs(id, prefix, best)})
-			f.recordSent(id, prefix, true)
+	sent := make(map[netutil.Prefix4]struct{})
+	for _, k := range f.Server.prefixes4() {
+		if best, ok := f.bestAdvert(id, k); ok {
+			adverts = append(adverts, best)
+			sent[k] = struct{}{}
 		}
 	}
+	f.mu.Lock()
+	f.adjOut[id] = sent
+	f.mu.Unlock()
 	f.sendPacked(id, p, nil, adverts)
 	e.lock.Unlock()
 	go f.runEmitter(e)
-}
-
-// recordSent updates the Adj-RIB-Out bookkeeping for one peer.
-func (f *Frontend) recordSent(id ID, prefix netip.Prefix, present bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	m := f.adjOut[id]
-	if m == nil {
-		m = make(map[netip.Prefix]bool)
-		f.adjOut[id] = m
-	}
-	if present {
-		m[prefix] = true
-	} else {
-		delete(m, prefix)
-	}
-}
-
-// hasSent reports whether the peer currently holds an advertisement.
-func (f *Frontend) hasSent(id ID, prefix netip.Prefix) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.adjOut[id][prefix]
 }
 
 func (f *Frontend) onDown(p *bgp.Peer, _ error) {
@@ -418,15 +401,15 @@ type peerEmitter struct {
 	lock *sync.Mutex // shared per-participant emit lock
 
 	mu      sync.Mutex
-	pending map[netip.Prefix]bool
+	pending map[netutil.Prefix4]struct{}
 	wake    chan struct{} // capacity 1: a retained signal per drain
 }
 
 // enqueue adds prefixes to the pending set and nudges the drain goroutine.
-func (e *peerEmitter) enqueue(prefixes []netip.Prefix) {
+func (e *peerEmitter) enqueue(prefixes []netutil.Prefix4) {
 	e.mu.Lock()
 	for _, p := range prefixes {
-		e.pending[p] = true
+		e.pending[p] = struct{}{}
 	}
 	e.mu.Unlock()
 	select {
@@ -435,20 +418,20 @@ func (e *peerEmitter) enqueue(prefixes []netip.Prefix) {
 	}
 }
 
-// take removes and returns the whole pending set, sorted for deterministic
-// emission, or nil if there is nothing to do.
-func (e *peerEmitter) take() []netip.Prefix {
+// take removes and returns the whole pending set in canonical prefix order,
+// for deterministic emission, or nil if there is nothing to do.
+func (e *peerEmitter) take() []netutil.Prefix4 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.pending) == 0 {
 		return nil
 	}
-	out := make([]netip.Prefix, 0, len(e.pending))
+	out := make([]netutil.Prefix4, 0, len(e.pending))
 	for p := range e.pending {
 		out = append(out, p)
-		delete(e.pending, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr().Less(out[j].Addr()) })
+	clear(e.pending)
+	slices.Sort(out)
 	return out
 }
 
@@ -549,8 +532,17 @@ func (f *Frontend) propagatePrefixes(prefixes []netip.Prefix) {
 	if f.OnPrefixes != nil {
 		f.OnPrefixes(prefixes)
 	}
-	for _, e := range f.connectedEmitters() {
-		e.enqueue(prefixes)
+	emitters := f.connectedEmitters()
+	if len(emitters) == 0 {
+		return
+	}
+	// Touched prefixes come from the engine, which holds IPv4 only.
+	keys := make([]netutil.Prefix4, len(prefixes))
+	for i, p := range prefixes {
+		keys[i] = netutil.Prefix4From(p)
+	}
+	for _, e := range emitters {
+		e.enqueue(keys)
 	}
 }
 
@@ -559,21 +551,50 @@ func (f *Frontend) propagatePrefixes(prefixes []netip.Prefix) {
 // whole read-decide-send sequence runs under the receiver's emit lock:
 // concurrent emissions for the same receiver serialize, and each one
 // re-reads the engine state, so the last writer is always the freshest.
-func (f *Frontend) emitPrefixes(e *peerEmitter, prefixes []netip.Prefix) {
+// The receiver's Adj-RIB-Out is updated under one f.mu acquisition per
+// drain, after the engine reads.
+func (f *Frontend) emitPrefixes(e *peerEmitter, prefixes []netutil.Prefix4) {
 	e.lock.Lock()
 	defer e.lock.Unlock()
-	var withdrawn []netip.Prefix
 	adverts := make([]bgp.Advertisement, 0, len(prefixes))
-	for _, prefix := range prefixes {
-		if best, ok := f.Server.BestFor(e.id, prefix); ok {
-			adverts = append(adverts, bgp.Advertisement{Prefix: prefix, Attrs: f.resolveAttrs(e.id, prefix, best)})
-			f.recordSent(e.id, prefix, true)
-		} else if f.hasSent(e.id, prefix) {
-			withdrawn = append(withdrawn, prefix)
-			f.recordSent(e.id, prefix, false)
+	var have, gone []netutil.Prefix4
+	for _, k := range prefixes {
+		if best, ok := f.bestAdvert(e.id, k); ok {
+			adverts = append(adverts, best)
+			have = append(have, k)
+		} else {
+			gone = append(gone, k)
 		}
 	}
+	var withdrawn []netip.Prefix
+	f.mu.Lock()
+	sent := f.adjOut[e.id]
+	if sent == nil {
+		sent = make(map[netutil.Prefix4]struct{}, len(have))
+		f.adjOut[e.id] = sent
+	}
+	for _, k := range have {
+		sent[k] = struct{}{}
+	}
+	for _, k := range gone {
+		if _, had := sent[k]; had {
+			withdrawn = append(withdrawn, k.Prefix())
+			delete(sent, k)
+		}
+	}
+	f.mu.Unlock()
 	f.sendPacked(e.id, e.peer, withdrawn, adverts)
+}
+
+// bestAdvert renders receiver's current best route for prefix as the
+// advertisement it is sent, or reports that it has none.
+func (f *Frontend) bestAdvert(receiver ID, k netutil.Prefix4) (bgp.Advertisement, bool) {
+	_, best, ok := f.Server.best(receiver, k)
+	if !ok {
+		return bgp.Advertisement{}, false
+	}
+	prefix := k.Prefix()
+	return bgp.Advertisement{Prefix: prefix, Attrs: f.resolveAttrs(receiver, prefix, best)}, true
 }
 
 // sendPacked packs one receiver's withdrawals and advertisements into
@@ -618,7 +639,7 @@ func (f *Frontend) resolveAttrs(receiver ID, prefix netip.Prefix, best bgp.Route
 // virtual next hops moved pick up the new mapping; participants whose routes
 // are byte-identical simply refresh their RIBs (BGP updates are idempotent).
 func (f *Frontend) ReadvertiseAll() {
-	prefixes := f.Server.Prefixes()
+	prefixes := f.Server.prefixes4()
 	for _, e := range f.connectedEmitters() {
 		e.enqueue(prefixes)
 	}

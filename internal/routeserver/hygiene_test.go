@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sdx/internal/bgp"
+	"sdx/internal/netutil"
 )
 
 // TestDisplacedEmitterHandsPendingToSuccessor is the regression test for
@@ -49,10 +50,10 @@ func TestDisplacedEmitterHandsPendingToSuccessor(t *testing.T) {
 		id:      "A",
 		peer:    succ.peer,
 		lock:    succ.lock,
-		pending: make(map[netip.Prefix]bool),
+		pending: make(map[netutil.Prefix4]struct{}),
 		wake:    make(chan struct{}, 1),
 	}
-	old.enqueue([]netip.Prefix{prefix})
+	old.enqueue([]netutil.Prefix4{netutil.Prefix4From(prefix)})
 
 	done := make(chan struct{})
 	go func() {

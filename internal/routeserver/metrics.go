@@ -35,7 +35,7 @@ func (s *Server) EnableTelemetry(reg *telemetry.Registry) {
 			for i := range s.shards {
 				sh := &s.shards[i]
 				sh.mu.RLock()
-				n += len(sh.candidates)
+				n += len(sh.prefixes)
 				sh.mu.RUnlock()
 			}
 			return float64(n)

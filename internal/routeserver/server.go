@@ -19,8 +19,8 @@
 // (partMu), always acquired before a shard lock, never after.
 //
 // Decision cache. With no export filter and no VRFs every receiver's best
-// route derives from one (best, second-best) advertiser pair per prefix,
-// which each shard caches and drops whenever the prefix's candidates
+// route derives from one (best, second-best) candidate pair per prefix,
+// which each shard caches beside the candidates and clears whenever they
 // change, so the hot read path (BestFor during re-advertisement and policy
 // compilation) does not rescan the candidates. That pair is the only
 // cache: when visibility is receiver-dependent, a read scans the prefix's
@@ -31,14 +31,24 @@
 // (advertiser, route) rather than a map (a Go map's bucket array costs
 // several hundred bytes even for two entries), routes carry interned
 // *PathAttrs (one word instead of an inlined struct with three slices),
-// and the decision cache stores advertiser IDs only — the routes they name
-// are recovered by binary search in the candidate slice.
+// and the decision cache is two indexes into the candidate slice, held in
+// the same map entry.
+//
+// Keys. Every prefix-keyed table (the shards, each participant's
+// Adj-RIB-In, the frontend's Adj-RIB-Out and pending sets) is keyed by the
+// prefix as one netutil.Prefix4 word, which Go's map runtime hashes and
+// compares on its 64-bit fast path. Exported methods keep netip.Prefix and
+// convert once on entry; the engine is IPv4-only, so a non-IPv4 prefix is
+// refused by the writers (ApplyUpdateTouched, Load) and absent to the
+// readers.
 package routeserver
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"regexp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -69,7 +79,7 @@ type participant struct {
 
 // numShards is the candidate-table fan-out. 64 keeps per-shard maps small
 // and lets every session goroutine plus the compiler make progress
-// simultaneously on commodity core counts.
+// simultaneously on commodity core counts. A shard index is a byte.
 const numShards = 64
 
 // candRoute is one advertiser's route for a prefix. The per-prefix
@@ -90,22 +100,37 @@ func findCand(cands []candRoute, id ID) int {
 	return -1
 }
 
-// bestPair caches the decision process for one prefix when no export
-// filter is installed and no VRF is in use: the advertisers of the
-// globally best route and of the best route not from the same advertiser.
-// Every receiver's best is derivable from the pair — the first
-// advertiser's route, unless the receiver IS the first advertiser, in
-// which case the second's (a participant never learns its own route back).
-// Only the IDs are cached; the routes are recovered from the candidate
-// slice, so the cache costs two strings per prefix instead of two full
-// routes. Ties between byte-identical routes resolve to the lowest
+// prefixState is one prefix's entry in its shard: the candidates and, once
+// cached, the decision over them. With no export filter and no VRF in use
+// every receiver's best derives from two candidates — the globally best
+// route and the best route not from the same advertiser: the first, unless
+// the receiver IS its advertiser, in which case the second (a participant
+// never learns its own route back). first and second index cands (-1: no
+// such route), so the cache costs one word beside the slice it points
+// into, and one map probe reads both. Any change to cands sets first to
+// uncached. Ties between byte-identical routes resolve to the lowest
 // advertiser ID, so the derivation is insertion-order independent.
-type bestPair struct {
-	firstID, secondID ID
+type prefixState struct {
+	cands         []candRoute
+	first, second int32
 }
 
-// pairSnap is a bestPair with its routes materialized — the before/after
-// unit the apply path diffs.
+// uncached is prefixState.first while the pair is not computed.
+const uncached = -2
+
+func (st *prefixState) cached() bool { return st.first != uncached }
+
+// lookup returns prefix's state; an absent prefix has no candidates and no
+// cached pair. Any shard lock is held.
+func (sh *shard) lookup(prefix netutil.Prefix4) prefixState {
+	if st, ok := sh.prefixes[prefix]; ok {
+		return st
+	}
+	return prefixState{first: uncached}
+}
+
+// pairSnap is the cached pair with its routes materialized — the
+// before/after unit the apply path diffs.
 type pairSnap struct {
 	firstID, secondID ID
 	first, second     bgp.Route
@@ -132,16 +157,15 @@ func pairSnapEqual(a, b pairSnap) bool {
 	return true
 }
 
-// shard is one slice of the candidate table with its decision cache. A
-// prefix's pair entry is deleted whenever its candidates change and
-// refilled lazily on the next read. touched journals every prefix whose
-// candidate set changed since the last DrainTouched — the feed for the
-// controller's incremental FEC pass.
+// shard is one slice of the candidate table with its decision cache, both
+// in one map. A prefix's cached pair is dropped whenever its candidates
+// change and refilled by the apply diff or lazily on the next read.
+// touched journals every prefix whose candidate set changed since the last
+// DrainTouched — the feed for the controller's incremental FEC pass.
 type shard struct {
-	mu         sync.RWMutex
-	candidates map[netip.Prefix][]candRoute
-	pair       map[netip.Prefix]bestPair
-	touched    map[netip.Prefix]struct{}
+	mu       sync.RWMutex
+	prefixes map[netutil.Prefix4]prefixState
+	touched  map[netutil.Prefix4]struct{}
 }
 
 // Server is the route-server engine.
@@ -185,16 +209,26 @@ func New(f RouteExportFilter) *Server {
 		routeExport:  f,
 	}
 	for i := range s.shards {
-		s.shards[i].candidates = make(map[netip.Prefix][]candRoute)
-		s.shards[i].pair = make(map[netip.Prefix]bestPair)
-		s.shards[i].touched = make(map[netip.Prefix]struct{})
+		s.shards[i].prefixes = make(map[netutil.Prefix4]prefixState)
+		s.shards[i].touched = make(map[netutil.Prefix4]struct{})
 	}
 	return s
 }
 
-// shardOf hashes a prefix to its shard (FNV-1a over address and length).
-func (s *Server) shardOf(p netip.Prefix) *shard {
-	return &s.shards[s.shardIndex(p)]
+// shardIndex hashes a prefix to its shard: FNV-1a over the four address
+// bytes, first octet first, and the length.
+func shardIndex(p netutil.Prefix4) uint8 {
+	a := uint32(p.Addr())
+	h := uint32(2166136261)
+	for _, b := range [5]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a), byte(p.Bits())} {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return uint8(h % numShards)
+}
+
+// shardOf returns the shard holding a prefix.
+func (s *Server) shardOf(p netutil.Prefix4) *shard {
+	return &s.shards[shardIndex(p)]
 }
 
 // filteredLocked reports whether best routes are receiver-dependent:
@@ -249,9 +283,9 @@ func (s *Server) Reserve(prefixes int) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		if len(sh.candidates) == 0 {
-			sh.candidates = make(map[netip.Prefix][]candRoute, per)
-			sh.touched = make(map[netip.Prefix]struct{}, per)
+		if len(sh.prefixes) == 0 {
+			sh.prefixes = make(map[netutil.Prefix4]prefixState, per)
+			sh.touched = make(map[netutil.Prefix4]struct{}, per)
 		}
 		sh.mu.Unlock()
 	}
@@ -398,20 +432,34 @@ func (s *Server) DrainTouched() []netip.Prefix {
 		sh.mu.Lock()
 		if len(sh.touched) > 0 {
 			for p := range sh.touched {
-				out = append(out, p)
+				out = append(out, p.Prefix())
 			}
-			sh.touched = make(map[netip.Prefix]struct{})
+			sh.touched = make(map[netutil.Prefix4]struct{})
 		}
 		sh.mu.Unlock()
 	}
 	return out
 }
 
-// applyOp is the net effect of one UPDATE on one prefix.
+// applyOp is one withdrawal or advertisement of an UPDATE: seq is its
+// position in the UPDATE, withdrawals first.
 type applyOp struct {
-	prefix   netip.Prefix
+	prefix   netutil.Prefix4
+	shard    uint8
 	withdraw bool
+	seq      int32
 	route    bgp.Route
+}
+
+// compareOps orders ops by shard, then prefix, then position.
+func compareOps(a, b applyOp) int {
+	if c := cmp.Compare(a.shard, b.shard); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // ApplyUpdateTouched applies a whole UPDATE (or a coalesced burst) from one
@@ -430,6 +478,9 @@ type applyOp struct {
 // per-receiver outcome cannot be derived from the (best, second-best) pair,
 // so every prefix whose candidates changed is reported: a superset, safe
 // for consumers that re-read.
+//
+// A non-IPv4 prefix in either list is an error naming it, and then nothing
+// of the UPDATE is applied.
 func (s *Server) ApplyUpdateTouched(from ID, withdrawn []netip.Prefix, advertised []bgp.Route) ([]netip.Prefix, error) {
 	s.partMu.RLock()
 	defer s.partMu.RUnlock()
@@ -440,46 +491,59 @@ func (s *Server) ApplyUpdateTouched(from ID, withdrawn []netip.Prefix, advertise
 	if len(withdrawn) == 0 && len(advertised) == 0 {
 		return nil, nil
 	}
+
+	ops := make([]applyOp, 0, len(withdrawn)+len(advertised))
+	for _, w := range withdrawn {
+		k, ok := netutil.AsPrefix4(w)
+		if !ok {
+			return nil, errNotIPv4(w)
+		}
+		ops = append(ops, applyOp{prefix: k, shard: shardIndex(k), withdraw: true, seq: int32(len(ops))})
+	}
+	for _, r := range advertised {
+		k, ok := netutil.AsPrefix4(r.Prefix)
+		if !ok {
+			return nil, errNotIPv4(r.Prefix)
+		}
+		r.Prefix = k.Prefix()
+		ops = append(ops, applyOp{prefix: k, shard: shardIndex(k), seq: int32(len(ops)), route: r})
+	}
 	s.mWithdrawals.Add(uint64(len(withdrawn)))
 	s.mAdvertisements.Add(uint64(len(advertised)))
 
-	ops := make(map[netip.Prefix]applyOp, len(withdrawn)+len(advertised))
-	for _, w := range withdrawn {
-		w = w.Masked()
-		ops[w] = applyOp{prefix: w, withdraw: true}
-	}
-	for _, r := range advertised {
-		r.Prefix = r.Prefix.Masked()
-		ops[r.Prefix] = applyOp{prefix: r.Prefix, route: r}
+	// Sorted, each prefix's ops are adjacent and the last one is its net
+	// effect; every other op is dropped.
+	slices.SortFunc(ops, compareOps)
+	netOps := ops[:0]
+	for i, op := range ops {
+		if i+1 == len(ops) || ops[i+1].prefix != op.prefix {
+			netOps = append(netOps, op)
+		}
 	}
 
 	// Adj-RIB-In first, then the shared candidate table shard by shard.
-	var byShard [numShards][]applyOp
-	for _, op := range ops {
+	for _, op := range netOps {
 		if op.withdraw {
-			p.advertised.Remove(op.prefix)
+			p.advertised.Remove(op.prefix.Prefix())
 		} else {
 			p.advertised.Set(op.route)
 		}
-		si := s.shardIndex(op.prefix)
-		byShard[si] = append(byShard[si], op)
 	}
-
 	var touched []netip.Prefix
-	for si := range byShard {
-		list := byShard[si]
-		if len(list) == 0 {
-			continue
+	for len(netOps) > 0 {
+		n := 1
+		for n < len(netOps) && netOps[n].shard == netOps[0].shard {
+			n++
 		}
-		sort.Slice(list, func(i, j int) bool { return prefixLess(list[i].prefix, list[j].prefix) })
-		sh := &s.shards[si]
+		sh := &s.shards[netOps[0].shard]
 		sh.mu.Lock()
-		for _, op := range list {
+		for _, op := range netOps[:n] {
 			if s.applyOneLocked(sh, from, op) {
-				touched = append(touched, op.prefix)
+				touched = append(touched, op.prefix.Prefix())
 			}
 		}
 		sh.mu.Unlock()
+		netOps = netOps[n:]
 	}
 	s.mTouchedPrefixes.Add(uint64(len(touched)))
 	return touched, nil
@@ -500,21 +564,9 @@ func RoutesFromUpdate(u *bgp.Update, peerAS uint32, peerID netip.Addr) []bgp.Rou
 	return routes
 }
 
-func (s *Server) shardIndex(p netip.Prefix) uint32 {
-	a := p.Addr().As4()
-	h := uint32(2166136261)
-	for _, b := range a {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	h = (h ^ uint32(p.Bits())) * 16777619
-	return h % numShards
-}
-
-func prefixLess(a, b netip.Prefix) bool {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c < 0
-	}
-	return a.Bits() < b.Bits()
+// errNotIPv4 is the refusal of a prefix the IPv4-only engine cannot key.
+func errNotIPv4(p netip.Prefix) error {
+	return fmt.Errorf("routeserver: %v is not an IPv4 prefix", p)
 }
 
 // applyOneLocked mutates one prefix's candidates and reports whether the
@@ -528,121 +580,129 @@ func prefixLess(a, b netip.Prefix) bool {
 // churn on a non-best candidate) reports no change, since every receiver's
 // answer derives from the pair.
 func (s *Server) applyOneLocked(sh *shard, from ID, op applyOp) bool {
-	cands := sh.candidates[op.prefix]
-	ci := findCand(cands, from)
+	st := sh.lookup(op.prefix)
+	ci := findCand(st.cands, from)
 	if op.withdraw {
 		if ci < 0 {
 			return false // withdrawing a route that was never there
 		}
-	} else if ci >= 0 && routeEq(cands[ci].route, op.route) {
+	} else if ci >= 0 && routeEq(st.cands[ci].route, op.route) {
 		return false // unchanged re-advertisement: nothing downstream moves
 	}
 	if s.filteredLocked() {
 		// "The candidates changed" is the strongest statement derivable
 		// without a per-receiver diff.
-		sh.storeLocked(cands, ci, from, op)
+		sh.storeLocked(op.prefix, st.store(ci, from, op))
 		return true
 	}
-	before := s.pairSnapLocked(sh, op.prefix)
-	sh.storeLocked(cands, ci, from, op)
-	return !pairSnapEqual(before, s.pairSnapLocked(sh, op.prefix))
+	before := s.snap(&st)
+	st = st.store(ci, from, op)
+	after := s.snap(&st)
+	sh.storeLocked(op.prefix, st)
+	return !pairSnapEqual(before, after)
 }
 
-// storeLocked writes op into cands, the prefix's sorted candidate slice (ci
-// is findCand's answer for the advertiser), journals the prefix as touched
-// and drops its cached pair. The shard's write lock is held.
-func (sh *shard) storeLocked(cands []candRoute, ci int, from ID, op applyOp) {
-	prefix := op.prefix
+// store writes op into st's candidates (ci is findCand's answer for the
+// advertiser) and drops the cached pair.
+func (st prefixState) store(ci int, from ID, op applyOp) prefixState {
 	switch {
 	case op.withdraw:
-		cands = append(cands[:ci], cands[ci+1:]...)
-		if len(cands) == 0 {
-			delete(sh.candidates, prefix)
-		} else {
-			sh.candidates[prefix] = cands
-		}
+		st.cands = append(st.cands[:ci], st.cands[ci+1:]...)
 	case ci >= 0:
-		cands[ci].route = op.route
+		st.cands[ci].route = op.route
 	default:
-		i := sort.Search(len(cands), func(i int) bool { return cands[i].id >= from })
-		cands = append(cands, candRoute{})
-		copy(cands[i+1:], cands[i:])
-		cands[i] = candRoute{id: from, route: op.route}
-		sh.candidates[prefix] = cands
+		i := sort.Search(len(st.cands), func(i int) bool { return st.cands[i].id >= from })
+		st.cands = append(st.cands, candRoute{})
+		copy(st.cands[i+1:], st.cands[i:])
+		st.cands[i] = candRoute{id: from, route: op.route}
+	}
+	st.first = uncached
+	return st
+}
+
+// storeLocked saves a changed prefix state, dropping it once it holds no
+// candidate, and journals the prefix as touched. The shard's write lock is
+// held.
+func (sh *shard) storeLocked(prefix netutil.Prefix4, st prefixState) {
+	if len(st.cands) == 0 {
+		delete(sh.prefixes, prefix)
+	} else {
+		sh.prefixes[prefix] = st
 	}
 	sh.touched[prefix] = struct{}{}
-	delete(sh.pair, prefix)
 }
 
-// pairLocked returns the (best, second-best) advertiser pair for prefix,
-// computing and caching it on miss. The shard's write lock is held.
-func (s *Server) pairLocked(sh *shard, prefix netip.Prefix) (bestPair, bool) {
-	if pr, hit := sh.pair[prefix]; hit {
+// cache fills st's pair if it is not cached, counting the hit or the
+// recomputation, and reports whether it had to compute.
+func (s *Server) cache(st *prefixState) bool {
+	if st.cached() {
 		s.mBestCacheHits.Inc()
-		return pr, true
-	}
-	cands := sh.candidates[prefix]
-	if len(cands) == 0 {
-		return bestPair{}, false
+		return false
 	}
 	s.mBestRecomputations.Inc()
-	pr := computePair(cands)
-	sh.pair[prefix] = pr
-	return pr, true
+	st.first, st.second = computePair(st.cands)
+	return true
 }
 
-// pairSnapLocked materializes the pair's routes from the candidate slice.
-// The shard's write lock is held.
-func (s *Server) pairSnapLocked(sh *shard, prefix netip.Prefix) pairSnap {
-	pr, ok := s.pairLocked(sh, prefix)
-	if !ok {
-		return pairSnap{}
+// snap materializes st's pair, computing it if needed.
+func (s *Server) snap(st *prefixState) pairSnap {
+	s.cache(st)
+	var ps pairSnap
+	if st.first >= 0 {
+		c := st.cands[st.first]
+		ps.firstID, ps.first, ps.hasFirst = c.id, c.route, true
 	}
-	ps := pairSnap{firstID: pr.firstID, secondID: pr.secondID}
-	cands := sh.candidates[prefix]
-	if i := findCand(cands, pr.firstID); i >= 0 {
-		ps.first, ps.hasFirst = cands[i].route, true
-	}
-	if pr.secondID != "" {
-		if i := findCand(cands, pr.secondID); i >= 0 {
-			ps.second, ps.hasSecond = cands[i].route, true
-		}
+	if st.second >= 0 {
+		c := st.cands[st.second]
+		ps.secondID, ps.second, ps.hasSecond = c.id, c.route, true
 	}
 	return ps
 }
 
+// pairLocked returns prefix's state with its pair cached, computing and
+// saving the pair on a miss; ok is false when the prefix has no candidate.
+// The shard's write lock is held.
+func (s *Server) pairLocked(sh *shard, prefix netutil.Prefix4) (prefixState, bool) {
+	st, ok := sh.prefixes[prefix]
+	if ok && s.cache(&st) {
+		sh.prefixes[prefix] = st
+	}
+	return st, ok
+}
+
 // computePair runs the decision process over the candidates in canonical
-// (ID-sorted) order: a later route replaces the leader only when strictly
-// better, so equal routes resolve to the lowest advertiser ID.
-func computePair(cands []candRoute) bestPair {
-	var pr bestPair
-	var first, second bgp.Route
-	for _, c := range cands {
-		if pr.firstID == "" || c.route.Better(first) {
-			pr.firstID, first = c.id, c.route
+// (ID-sorted) order and returns the indexes of the best route and of the
+// best route from another advertiser (-1: none). A later route replaces
+// the leader only when strictly better, so equal routes resolve to the
+// lowest advertiser ID.
+func computePair(cands []candRoute) (first, second int32) {
+	first, second = -1, -1
+	for i, c := range cands {
+		if first < 0 || c.route.Better(cands[first].route) {
+			first = int32(i)
 		}
 	}
-	for _, c := range cands {
-		if c.id == pr.firstID {
+	for i, c := range cands {
+		if int32(i) == first {
 			continue
 		}
-		if pr.secondID == "" || c.route.Better(second) {
-			pr.secondID, second = c.id, c.route
+		if second < 0 || c.route.Better(cands[second].route) {
+			second = int32(i)
 		}
 	}
-	return pr
+	return first, second
 }
 
 // computeBestLocked runs the filtered decision process over the prefix's
 // candidates in canonical advertiser order, returning the advertiser and
 // route of recv's best visible candidate. partMu (read) and a shard lock
 // are held.
-func (s *Server) computeBestLocked(sh *shard, recv ID, prefix netip.Prefix) (ID, bgp.Route, bool) {
+func (s *Server) computeBestLocked(sh *shard, recv ID, prefix netutil.Prefix4) (ID, bgp.Route, bool) {
 	s.mBestRecomputations.Inc()
 	var adv ID
 	var best bgp.Route
 	found := false
-	for _, c := range sh.candidates[prefix] {
+	for _, c := range sh.prefixes[prefix].cands {
 		if s.visibleLocked(c.id, recv, c.route) && (!found || c.route.Better(best)) {
 			adv, best, found = c.id, c.route, true
 		}
@@ -659,22 +719,26 @@ func (s *Server) Advertise(from ID, route bgp.Route) ([]netip.Prefix, error) {
 // Load installs a route without the decision diff: the bulk path for
 // initial table transfer, where the caller compiles once afterward anyway.
 // The diff Advertise runs per route matters when loading hundreds of
-// thousands of routes.
+// thousands of routes. A non-IPv4 route is an error naming its prefix.
 func (s *Server) Load(from ID, route bgp.Route) error {
+	k, ok := netutil.AsPrefix4(route.Prefix)
+	if !ok {
+		return errNotIPv4(route.Prefix)
+	}
 	s.partMu.RLock()
 	defer s.partMu.RUnlock()
 	p, ok := s.participants[from]
 	if !ok {
 		return fmt.Errorf("routeserver: unknown participant %q", from)
 	}
-	route.Prefix = route.Prefix.Masked()
+	route.Prefix = k.Prefix()
 	s.mAdvertisements.Inc()
 	p.advertised.Set(route)
-	sh := s.shardOf(route.Prefix)
+	sh := s.shardOf(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	cands := sh.candidates[route.Prefix]
-	sh.storeLocked(cands, findCand(cands, from), from, applyOp{prefix: route.Prefix, route: route})
+	st := sh.lookup(k)
+	sh.storeLocked(k, st.store(findCand(st.cands, from), from, applyOp{prefix: k, route: route}))
 	return nil
 }
 
@@ -689,21 +753,28 @@ func (s *Server) Withdraw(from ID, prefix netip.Prefix) ([]netip.Prefix, error) 
 // Without an export filter or VRFs the result is derived from the shard's
 // cached advertiser pair.
 func (s *Server) BestFor(id ID, prefix netip.Prefix) (bgp.Route, bool) {
-	_, r, ok := s.best(id, prefix)
+	k, ok := netutil.AsPrefix4(prefix)
+	if !ok {
+		return bgp.Route{}, false
+	}
+	_, r, ok := s.best(id, k)
 	return r, ok
 }
 
 // BestNextHopParticipant returns the participant whose route is id's best
 // for prefix — the default forwarding neighbor the SDX falls back to.
 func (s *Server) BestNextHopParticipant(id ID, prefix netip.Prefix) (ID, bool) {
-	adv, _, ok := s.best(id, prefix)
+	k, ok := netutil.AsPrefix4(prefix)
+	if !ok {
+		return "", false
+	}
+	adv, _, ok := s.best(id, k)
 	return adv, ok
 }
 
 // best is the one best-candidate lookup: the advertiser and route of id's
 // best route for prefix.
-func (s *Server) best(id ID, prefix netip.Prefix) (ID, bgp.Route, bool) {
-	prefix = prefix.Masked()
+func (s *Server) best(id ID, prefix netutil.Prefix4) (ID, bgp.Route, bool) {
 	s.partMu.RLock()
 	defer s.partMu.RUnlock()
 	sh := s.shardOf(prefix)
@@ -714,8 +785,8 @@ func (s *Server) best(id ID, prefix netip.Prefix) (ID, bgp.Route, bool) {
 	}
 
 	// Fast path: a read lock suffices on a cache hit.
-	if pr, hit := sh.pair[prefix]; hit {
-		adv, r, ok := derivePairRLocked(sh, prefix, pr, id)
+	if st := sh.lookup(prefix); st.cached() {
+		adv, r, ok := st.derive(id)
 		sh.mu.RUnlock()
 		s.mBestCacheHits.Inc()
 		return adv, r, ok
@@ -725,29 +796,24 @@ func (s *Server) best(id ID, prefix netip.Prefix) (ID, bgp.Route, bool) {
 	// Miss: recompute and fill the cache under the write lock.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	pr, ok := s.pairLocked(sh, prefix)
+	st, ok := s.pairLocked(sh, prefix)
 	if !ok {
 		return "", bgp.Route{}, false
 	}
-	return derivePairRLocked(sh, prefix, pr, id)
+	return st.derive(id)
 }
 
-// derivePairRLocked resolves the cached advertiser pair for one receiver,
-// looking the winning route up in the candidate slice. Any shard lock
-// (read or write) is held.
-func derivePairRLocked(sh *shard, prefix netip.Prefix, pr bestPair, id ID) (ID, bgp.Route, bool) {
-	adv := pr.firstID
-	if id == pr.firstID {
-		adv = pr.secondID
+// derive resolves a cached pair for one receiver. A writer may change the
+// candidate slice in place, so the shard lock (read or write) is held.
+func (st prefixState) derive(id ID) (ID, bgp.Route, bool) {
+	i := st.first
+	if i >= 0 && st.cands[i].id == id {
+		i = st.second
 	}
-	if adv == "" {
+	if i < 0 {
 		return "", bgp.Route{}, false
 	}
-	cands := sh.candidates[prefix]
-	if i := findCand(cands, adv); i >= 0 {
-		return adv, cands[i].route, true
-	}
-	return "", bgp.Route{}, false
+	return st.cands[i].id, st.cands[i].route, true
 }
 
 // HasExportPolicy reports whether per-pair export filtering is configured.
@@ -769,8 +835,11 @@ func (s *Server) HasExportPolicy() bool {
 // the shard's pair cache; once VRFs are active the domain's candidates run
 // through the same decision (computePair) uncached, which is cheap because
 // an IXP prefix attracts a handful of candidates.
-func (s *Server) BestTwoIn(vrf VRF, prefix netip.Prefix) (first, second ID) {
-	prefix = prefix.Masked()
+func (s *Server) BestTwoIn(vrf VRF, p netip.Prefix) (first, second ID) {
+	prefix, ok := netutil.AsPrefix4(p)
+	if !ok {
+		return "", ""
+	}
 	s.partMu.RLock()
 	defer s.partMu.RUnlock()
 	sh := s.shardOf(prefix)
@@ -779,28 +848,44 @@ func (s *Server) BestTwoIn(vrf VRF, prefix netip.Prefix) (first, second ID) {
 		defer sh.mu.RUnlock()
 		s.mBestRecomputations.Inc()
 		var inVRF []candRoute
-		for _, c := range sh.candidates[prefix] {
+		for _, c := range sh.prefixes[prefix].cands {
 			if s.vrfOfLocked(c.id) == vrf {
 				inVRF = append(inVRF, c)
 			}
 		}
-		pr := computePair(inVRF)
-		return pr.firstID, pr.secondID
+		i, j := computePair(inVRF)
+		return pairIDs(inVRF, i, j)
 	}
 	if vrf != "" {
 		return "", "" // nobody lives in a named VRF
 	}
 	sh.mu.RLock()
-	if pr, hit := sh.pair[prefix]; hit {
+	if st := sh.lookup(prefix); st.cached() {
+		first, second = pairIDs(st.cands, st.first, st.second)
 		sh.mu.RUnlock()
 		s.mBestCacheHits.Inc()
-		return pr.firstID, pr.secondID
+		return first, second
 	}
 	sh.mu.RUnlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	pr, _ := s.pairLocked(sh, prefix)
-	return pr.firstID, pr.secondID
+	st, ok := s.pairLocked(sh, prefix)
+	if !ok {
+		return "", ""
+	}
+	return pairIDs(st.cands, st.first, st.second)
+}
+
+// pairIDs names the advertisers at a pair's indexes ("" for none).
+func pairIDs(cands []candRoute, first, second int32) (ID, ID) {
+	var a, b ID
+	if first >= 0 {
+		a = cands[first].id
+	}
+	if second >= 0 {
+		b = cands[second].id
+	}
+	return a, b
 }
 
 // Exports reports whether hop's current route for prefix is exported to
@@ -864,16 +949,30 @@ func (s *Server) AdvertisedRoute(id ID, prefix netip.Prefix) (bgp.Route, bool) {
 
 // Prefixes returns every prefix with at least one candidate route, sorted.
 func (s *Server) Prefixes() []netip.Prefix {
-	var out []netip.Prefix
+	return toPrefixes(s.prefixes4())
+}
+
+// prefixes4 is Prefixes as keys: numeric order is the canonical order.
+func (s *Server) prefixes4() []netutil.Prefix4 {
+	var out []netutil.Prefix4
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for p := range sh.candidates {
+		for p := range sh.prefixes {
 			out = append(out, p)
 		}
 		sh.mu.RUnlock()
 	}
-	netutil.SortPrefixes(out)
+	slices.Sort(out)
+	return out
+}
+
+// toPrefixes converts keys back to the netip.Prefix the exported API speaks.
+func toPrefixes(ks []netutil.Prefix4) []netip.Prefix {
+	out := make([]netip.Prefix, len(ks))
+	for i, k := range ks {
+		out[i] = k.Prefix()
+	}
 	return out
 }
 
@@ -890,15 +989,15 @@ func (s *Server) FilterASPath(expr string) ([]netip.Prefix, error) {
 		return nil, fmt.Errorf("routeserver: bad as-path filter: %w", err)
 	}
 	type cand struct {
-		prefix netip.Prefix
+		prefix netutil.Prefix4
 		attrs  *bgp.PathAttrs
 	}
 	var snap []cand
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for prefix, cands := range sh.candidates {
-			for _, c := range cands {
+		for prefix, st := range sh.prefixes {
+			for _, c := range st.cands {
 				snap = append(snap, cand{prefix, c.route.Attrs})
 			}
 		}
@@ -907,8 +1006,8 @@ func (s *Server) FilterASPath(expr string) ([]netip.Prefix, error) {
 	// With interned attributes a full table holds only a few thousand
 	// distinct sets; memoize the regexp verdict per pointer.
 	verdicts := make(map[*bgp.PathAttrs]bool)
-	var out []netip.Prefix
-	seen := make(map[netip.Prefix]bool)
+	var out []netutil.Prefix4
+	seen := make(map[netutil.Prefix4]bool)
 	for _, c := range snap {
 		v, ok := verdicts[c.attrs]
 		if !ok {
@@ -924,6 +1023,6 @@ func (s *Server) FilterASPath(expr string) ([]netip.Prefix, error) {
 			out = append(out, c.prefix)
 		}
 	}
-	netutil.SortPrefixes(out)
-	return out, nil
+	slices.Sort(out)
+	return toPrefixes(out), nil
 }

@@ -2,6 +2,7 @@ package routeserver
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 
 	"sdx/internal/bgp"
@@ -259,5 +260,61 @@ func TestServerFilterASPath(t *testing.T) {
 	}
 	if _, err := s.FilterASPath("("); err == nil {
 		t.Error("bad regexp should error")
+	}
+}
+
+// TestRejectsNonIPv4 checks that the IPv4-only engine refuses what it
+// cannot key rather than panicking or mis-keying it: a non-IPv4 prefix in
+// an UPDATE or a bulk load is an error naming the prefix, nothing of that
+// UPDATE lands, and every reader reports the prefix absent. An IPv4-mapped
+// IPv6 prefix is refused too rather than keyed as its IPv4 twin.
+func TestRejectsNonIPv4(t *testing.T) {
+	s := newABC(t, nil)
+	if _, err := s.Advertise("B", rt("10.0.0.0/8", 65002)); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"2001:db8::/32", "::ffff:10.0.0.0/104", "::/0"} {
+		r := rt("10.0.0.0/8", 65003)
+		r.Prefix = mp(bad)
+		mixed := []bgp.Route{rt("11.0.0.0/8", 65003), r}
+		if touched, err := s.ApplyUpdateTouched("C", nil, mixed); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("advertising %s: touched %v, err %v; want an error naming it", bad, touched, err)
+		}
+		if _, err := s.ApplyUpdateTouched("B", []netip.Prefix{mp("10.0.0.0/8"), mp(bad)}, nil); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("withdrawing %s: err %v; want an error naming it", bad, err)
+		}
+		if err := s.Load("C", r); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("loading %s: err %v; want an error naming it", bad, err)
+		}
+		p := mp(bad)
+		if _, ok := s.BestFor("A", p); ok {
+			t.Errorf("BestFor(%s) found a route", bad)
+		}
+		if _, ok := s.BestNextHopParticipant("A", p); ok {
+			t.Errorf("BestNextHopParticipant(%s) found one", bad)
+		}
+		if first, second := s.BestTwoIn("", p); first != "" || second != "" {
+			t.Errorf("BestTwoIn(%s) = %q, %q", bad, first, second)
+		}
+		if s.Exports("C", "A", p) {
+			t.Errorf("Exports(%s) is true", bad)
+		}
+		if _, ok := s.AdvertisedRoute("C", p); ok {
+			t.Errorf("AdvertisedRoute(%s) found a route", bad)
+		}
+	}
+	if _, err := s.ApplyUpdateTouched("C", nil, []bgp.Route{{}}); err == nil {
+		t.Error("the invalid prefix was accepted")
+	}
+	// The refused UPDATEs left the table as the one IPv4 advertisement made
+	// it: their IPv4 parts did not land either.
+	if got := s.Prefixes(); len(got) != 1 || got[0] != mp("10.0.0.0/8") {
+		t.Errorf("Prefixes = %v, want [10.0.0.0/8]", got)
+	}
+	if got := s.Advertised("C"); len(got) != 0 {
+		t.Errorf("C advertises %v, want nothing", got)
+	}
+	if got := s.DrainTouched(); len(got) != 1 || got[0] != mp("10.0.0.0/8") {
+		t.Errorf("touched = %v, want [10.0.0.0/8]", got)
 	}
 }

@@ -95,9 +95,10 @@ func TestGenerateDFZDeterministic(t *testing.T) {
 
 // dfzMaxBytesPerPrefix bounds the route server's retained heap per loaded
 // DFZ prefix. The full-DFZ target is 1M prefixes in under 2 GiB resident,
-// about 2,147 bytes a prefix; half of that leaves room for the process
-// around the table.
-const dfzMaxBytesPerPrefix = 1024
+// about 2,147 bytes a prefix. The bound is the measured footprint with the
+// tables keyed by netutil.Prefix4 (504 bytes) plus 15 %, so a change that
+// brings back a wider key or per-prefix state fails here.
+const dfzMaxBytesPerPrefix = 580
 
 // TestDFZFootprint loads a DFZ-shaped table into the route server and bounds
 // the heap it keeps, so a change that bloats per-route state fails here
